@@ -7,15 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <iostream>
-
-#include "noc/batched_engine.hpp"
 #include "noc/network.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/simulation.hpp"
 #include "sim/telemetry_session.hpp"
-#include "traffic/batched_injector.hpp"
 #include "traffic/trace_replay.hpp"
 #include "workloads/dataflow.hpp"
 
@@ -43,42 +37,6 @@ BM_NetworkStep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * cfg.pes());
     state.counters["routers"] = cfg.pes();
-}
-
-/**
- * The batched lockstep engine stepping K replicas of the same
- * geometry from one thread, driven by the lane-wise injector — the
- * exact configuration the sweep layer dispatches
- * (sim/batch_runner.hpp). Items processed count router-cycles across
- * ALL lanes, so items/sec divided by BM_NetworkStep's items/sec is
- * the per-replica speedup the ISSUE's >=2x criterion refers to
- * (scripts/bench_record.py records the ratio).
- */
-void
-BM_BatchedStep(benchmark::State &state)
-{
-    const auto n = static_cast<std::uint32_t>(state.range(0));
-    const bool ft = state.range(1) != 0;
-    const NocConfig cfg =
-        ft ? NocConfig::fastTrack(n, 2, 1) : NocConfig::hoplite(n);
-    const std::uint32_t lanes = defaultBatchWidth();
-    BatchedEngine noc(cfg, lanes);
-    SyntheticWorkload workload;
-    workload.pattern = TrafficPattern::random;
-    workload.injectionRate = 1.0;
-    workload.packetsPerPe = 0xffffffffu; // endless generation
-    std::vector<SyntheticWorkload> perLane(lanes, workload);
-    for (std::uint32_t lane = 0; lane < lanes; ++lane)
-        perLane[lane].seed = 1 + lane; // decorrelate the lanes
-    BatchedSyntheticInjector injector(noc, perLane);
-
-    for (auto _ : state) {
-        injector.tick();
-        noc.step();
-    }
-    state.SetItemsProcessed(state.iterations() * cfg.pes() * lanes);
-    state.counters["routers"] = cfg.pes();
-    state.counters["replicas"] = lanes;
 }
 
 /**
@@ -169,51 +127,7 @@ BENCHMARK(BM_NetworkStep)
     ->Args({16, 0})
     ->Args({16, 1})
     ->Args({32, 1});
-// Lane count comes from --batch (default defaultBatchWidth()); the
-// {n, ft} grid mirrors the BM_NetworkStep points the per-replica
-// speedup is measured against.
-BENCHMARK(BM_BatchedStep)->Args({8, 1})->Args({16, 1})->Args({16, 0});
 BENCHMARK(BM_NetworkStepTraced)->Arg(16);
 // {n, traceEvents}: counters-only vs full event tracing.
 BENCHMARK(BM_TelemetryStep)->Args({16, 0})->Args({16, 1});
 BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);
-
-/** Custom main: peel the harness-shared --batch K off the argv
- *  before google-benchmark parses it (it rejects flags it does not
- *  own), mirroring bench_util::parseArgs validation. */
-int
-main(int argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--batch") == 0) {
-            char *end = nullptr;
-            const long k =
-                i + 1 < argc ? std::strtol(argv[i + 1], &end, 10) : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                k < 1 ||
-                k > static_cast<long>(BatchedEngine::kMaxLanes)) {
-                std::cerr << argv[0] << ": --batch needs an integer"
-                          << " in 1.." << BatchedEngine::kMaxLanes
-                          << "\n";
-                return 1;
-            }
-            if ((k & (k - 1)) != 0) {
-                std::cerr << argv[0] << ": warning: --batch " << k
-                          << " is not a power of two; batched rows"
-                          << " will straddle cache lines\n";
-            }
-            setDefaultBatchWidth(static_cast<std::uint32_t>(k));
-            ++i;
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}

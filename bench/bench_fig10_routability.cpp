@@ -38,8 +38,14 @@ main(int argc, char **argv)
     Table table("rows: datawidth; columns: <PEs, D> (D=0 is Hoplite)");
     std::vector<std::string> header{"width"};
     for (const Column &c : cols) {
-        header.push_back("<" + std::to_string(c.n * c.n) + "," +
-                         std::to_string(c.d) + ">");
+        // Appended piecewise: a "lit" + std::string chain trips GCC
+        // 12's -Wrestrict false positive in Release builds.
+        std::string label = "<";
+        label += std::to_string(c.n * c.n);
+        label += ',';
+        label += std::to_string(c.d);
+        label += '>';
+        header.push_back(label);
     }
     table.setHeader(header);
 

@@ -17,9 +17,7 @@
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "net/endpoint.hpp"
-#include "noc/batched_engine.hpp"
 #include "sched/work_stealing_pool.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
 #include "telemetry/metrics.hpp"
@@ -120,7 +118,6 @@ writeCacheStats(std::ostream &os)
     telemetry::MetricsRegistry metrics;
     sweepCache().reportTo(metrics);
     sched::WorkStealingPool::global().reportTo(metrics);
-    reportBatchRunStats(metrics);
     if (remoteConfigured())
         reportRemoteStats(metrics);
     metrics.writeSummary(os);
@@ -172,18 +169,13 @@ usage(const char *prog)
 {
     std::cerr
         << "usage: " << prog
-        << " [--csv] [--threads N] [--batch K] [--telemetry-dir DIR]"
+        << " [--csv] [--threads N] [--telemetry-dir DIR]"
            " [--telemetry-epoch N] [--result-cache DIR]"
            " [--result-cache-max-bytes N] [--cache-stats FILE]"
            " [--snapshot-every N] [--snapshot-dir DIR] [--resume DIR]"
            " [--remote HOST:PORT[,HOST:PORT...]] [--shard-cycles N]\n"
         << "  --csv                emit tables as CSV (for scripting)\n"
         << "  --threads N          cap parallel sweep workers at N\n"
-        << "  --batch K            replicas per batched-engine group\n"
-        << "                       (1.."
-        << BatchedEngine::kMaxLanes
-        << "; 1 disables batching; default "
-        << defaultBatchWidth() << ")\n"
         << "  --telemetry-dir DIR  export telemetry artifacts (Chrome\n"
         << "                       traces, link heatmaps, metrics CSV)\n"
         << "                       into DIR\n"
@@ -241,30 +233,6 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
             threadOverride() = static_cast<unsigned>(n);
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--batch") == 0) {
-            char *end = nullptr;
-            const long k =
-                i + 1 < argc ? std::strtol(argv[i + 1], &end, 10) : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                k < 1 ||
-                k > static_cast<long>(BatchedEngine::kMaxLanes)) {
-                std::cerr << argv[0] << ": --batch needs an integer"
-                          << " in 1.." << BatchedEngine::kMaxLanes
-                          << "\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            if ((k & (k - 1)) != 0) {
-                // Legal but usually unintended: odd widths leave the
-                // replica rows straddling cache lines.
-                std::cerr << argv[0] << ": warning: --batch " << k
-                          << " is not a power of two; batched rows"
-                          << " will straddle cache lines\n";
-            }
-            setDefaultBatchWidth(static_cast<std::uint32_t>(k));
             ++i;
             continue;
         }

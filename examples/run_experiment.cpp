@@ -31,9 +31,9 @@
 #include "common/table.hpp"
 #include "fpga/power_model.hpp"
 #include "net/endpoint.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/remote.hpp"
 #include "sim/simulation.hpp"
+#include "sim/sweep_cache.hpp"
 
 using namespace fasttrack;
 
@@ -198,11 +198,9 @@ main(int argc, char **argv)
         std::cerr << "checkpoint: wrote " << run.snapshotsWritten
                   << " snapshot(s)\n";
     } else {
-        // batchedCachedRuns computes the identical result (bit for
-        // bit) whether it runs here, on the pool, or on a --remote
-        // daemon.
-        res = batchedCachedRuns(cfg, channels, {workload},
-                                sim.maxCycles)
+        // cachedRuns computes the identical result (bit for bit)
+        // whether it runs here, on the pool, or on a --remote daemon.
+        res = cachedRuns(cfg, channels, {workload}, sim.maxCycles)
                   .front();
     }
 

@@ -2,12 +2,9 @@
 """Run bench_core_speed and record a perf baseline as JSON.
 
 Executes the google-benchmark core-speed harness with JSON output,
-extracts the BM_NetworkStep* and BM_BatchedStep* results, compares
-the scalar engine against the recorded pre-refactor baseline and the
-batched lockstep engine against its same-geometry scalar counterpart
-(items/sec already counts router-cycles across all K lanes, so the
-ratio is the *per-replica* speedup), and writes BENCH_core_speed.json
-so a perf regression (or claimed win) is a diffable artifact instead
+extracts the BM_NetworkStep* results, compares them against the
+recorded pre-refactor baseline, and writes BENCH_core_speed.json so
+a perf regression (or claimed win) is a diffable artifact instead
 of a number in a PR description.
 
 Noise handling: each case runs --benchmark_repetitions times and the
@@ -46,14 +43,12 @@ BASELINE = {
 }
 
 HEADLINE = "BM_NetworkStep/16/1"
-BATCHED_HEADLINE = "BM_BatchedStep/16/1"
-PREFIXES = ("BM_NetworkStep", "BM_BatchedStep")
 
 
 def run_bench(bench, min_time, repetitions):
     cmd = [
         bench,
-        "--benchmark_filter=BM_NetworkStep|BM_BatchedStep",
+        "--benchmark_filter=BM_NetworkStep",
         "--benchmark_format=json",
         f"--benchmark_min_time={min_time}",
         f"--benchmark_repetitions={repetitions}",
@@ -66,11 +61,11 @@ def run_bench(bench, min_time, repetitions):
 
 
 def extract(raw, repetitions):
-    """Scalar + batched results keyed by case name (median repetition)."""
+    """BM_NetworkStep results keyed by case name (median repetition)."""
     results = {}
     for b in raw.get("benchmarks", []):
         name = b["name"]
-        if not name.startswith(PREFIXES):
+        if not name.startswith("BM_NetworkStep"):
             continue
         # BM_NetworkStepTraced etc. share the prefix but not the grid.
         if name.startswith("BM_NetworkStepTraced"):
@@ -85,29 +80,7 @@ def extract(raw, repetitions):
             "ns_per_iter": round(b["real_time"], 1),
             "items_per_second": round(b.get("items_per_second", 0.0), 1),
         }
-        if "replicas" in b:
-            results[name]["replicas"] = int(b["replicas"])
     return results
-
-
-def per_replica_speedups(current):
-    """Batched items/sec over the same-geometry scalar case.
-
-    BM_BatchedStep counts router-cycles across all K lanes as items,
-    so this ratio is per-replica throughput relative to one scalar
-    network — ~1.0 means a lane costs the same as a solo run (see
-    docs/engine.md, "Measured throughput, honestly").
-    """
-    ratios = {}
-    for name, cur in current.items():
-        if not name.startswith("BM_BatchedStep"):
-            continue
-        scalar = current.get(
-            "BM_NetworkStep" + name.removeprefix("BM_BatchedStep"))
-        if scalar and scalar["items_per_second"] > 0:
-            ratios[name] = round(
-                cur["items_per_second"] / scalar["items_per_second"], 3)
-    return ratios
 
 
 def main():
@@ -130,8 +103,6 @@ def main():
     current = extract(raw, args.repetitions)
     if not any(n.startswith("BM_NetworkStep") for n in current):
         raise SystemExit("no BM_NetworkStep results in benchmark output")
-    if not any(n.startswith("BM_BatchedStep") for n in current):
-        raise SystemExit("no BM_BatchedStep results in benchmark output")
 
     if args.baseline_bench:
         base_raw = run_bench(args.baseline_bench, args.min_time,
@@ -147,14 +118,10 @@ def main():
 
     speedups = {}
     for name, base in baseline.items():
-        if not name.startswith("BM_NetworkStep"):
-            continue  # the pre-refactor tree has no batched engine
         cur = current.get(name)
         if cur and base["items_per_second"] > 0:
             speedups[name] = round(
                 cur["items_per_second"] / base["items_per_second"], 3)
-
-    per_replica = per_replica_speedups(current)
 
     record = {
         "benchmark": "bench_core_speed",
@@ -173,16 +140,6 @@ def main():
             "speedup": speedups.get(HEADLINE),
             "target": 2.0,
         },
-        "batched": {
-            "headline_case": BATCHED_HEADLINE,
-            "per_replica_speedup_vs_scalar": per_replica,
-            "headline_per_replica_speedup":
-                per_replica.get(BATCHED_HEADLINE),
-            "note": "per-replica ratio of the batched lockstep engine "
-                    "vs one scalar Network of the same geometry; "
-                    "routeCore is compute-bound so ~1.0x is expected "
-                    "(docs/engine.md, 'Measured throughput, honestly')",
-        },
     }
 
     with open(args.out, "w") as f:
@@ -194,10 +151,6 @@ def main():
     if headline is not None:
         print(f"{HEADLINE}: {headline}x vs pre-refactor baseline "
               f"(target 2.0x)")
-    batched = per_replica.get(BATCHED_HEADLINE)
-    if batched is not None:
-        print(f"{BATCHED_HEADLINE}: {batched}x per replica vs "
-              f"{HEADLINE}")
 
 
 if __name__ == "__main__":

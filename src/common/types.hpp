@@ -164,7 +164,14 @@ class FastMod64
 std::string inline
 coordToString(Coord c)
 {
-    return "(" + std::to_string(c.x) + "," + std::to_string(c.y) + ")";
+    // Appended piecewise: a "lit" + std::string chain trips GCC 12's
+    // -Wrestrict false positive once inlined into Release builds.
+    std::string s = "(";
+    s += std::to_string(c.x);
+    s += ',';
+    s += std::to_string(c.y);
+    s += ')';
+    return s;
 }
 
 } // namespace fasttrack

@@ -21,15 +21,29 @@ expressPositions(std::uint32_t n, std::uint32_t r)
 std::string
 NocSpec::describe() const
 {
+    // Appended piecewise (see coordToString) to keep Release builds
+    // clear of GCC 12's -Wrestrict false positive.
+    std::string s;
     if (isHoplite()) {
-        std::string s = "Hoplite";
-        if (channels > 1)
-            s += "-" + std::to_string(channels) + "x";
-        return s + " " + std::to_string(n) + "x" + std::to_string(n);
+        s = "Hoplite";
+        if (channels > 1) {
+            s += '-';
+            s += std::to_string(channels);
+            s += 'x';
+        }
+        s += ' ';
+        s += std::to_string(n);
+        s += 'x';
+        s += std::to_string(n);
+        return s;
     }
-    std::string s = injectOnly ? "FTlite(" : "FT(";
-    s += std::to_string(pes()) + "," + std::to_string(d) + "," +
-         std::to_string(r) + ")";
+    s = injectOnly ? "FTlite(" : "FT(";
+    s += std::to_string(pes());
+    s += ',';
+    s += std::to_string(d);
+    s += ',';
+    s += std::to_string(r);
+    s += ')';
     return s;
 }
 

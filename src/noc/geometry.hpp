@@ -1,15 +1,13 @@
 /**
  * @file
- * Per-configuration routing geometry shared by the stepping engines.
+ * Per-configuration routing geometry of the stepping engine.
  *
  * Everything a cycle engine precomputes at construction — the router
  * objects with their shared candidate tables, the landing site of each
  * (router, output-port) link, the per-lane link latencies and the
- * frame-ring depth they imply — depends only on the NocConfig, not on
- * which engine steps it. Network (one replica) and BatchedEngine
- * (K replicas in lockstep) both build one EngineGeometry and read it
- * from their hot loops; extracting it guarantees the two engines can
- * never disagree about the wiring.
+ * frame-ring depth they imply — depends only on the NocConfig. Network
+ * builds one EngineGeometry and reads it from its hot loop, keeping
+ * the wiring apart from the per-run link and offer state.
  */
 
 #ifndef FT_NOC_GEOMETRY_HPP

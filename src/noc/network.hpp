@@ -34,9 +34,8 @@ namespace fasttrack {
  *
  * Engine layout: offer/accounting/measurement scaffolding comes from
  * EngineCore; the routing geometry (routers, candidate tables, link
- * landing sites and latencies) is an EngineGeometry shared in shape
- * with the batched lockstep engine (noc/batched_engine.hpp); the link
- * registers live in a dense LinkSlab frame ring rather than
+ * landing sites and latencies) is an EngineGeometry
+ * (noc/geometry.hpp); the link registers live in a dense LinkSlab frame ring rather than
  * per-router std::optional slots, and step() dispatches to a stepping
  * core templated on whether an exit gate, a journey tracer and a
  * telemetry sink are attached, so the common no-hook path compiles

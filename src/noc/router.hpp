@@ -252,52 +252,6 @@ class Router
         return pe_accepted;
     }
 
-    /**
-     * Replica-major arbitration: route this router position for each
-     * lockstep replica selected by @p lane_mask (bit i = lane i has
-     * work), back to back. The per-site constants routeCore reads
-     * (position, ring size, reciprocal divider, candidate table) are
-     * loaded once and stay live across all lanes, and in the batched
-     * slab successive lanes' input rows are adjacent in memory, so the
-     * geometry fetch is amortized K ways instead of re-fetched per
-     * replica. Idle lanes never enter the loop at all: the caller
-     * builds the mask from the slab occupancy rows (one wide load per
-     * eight lanes), and the ctz walk touches only the set bits.
-     *
-     * @p ctx supplies per-lane state and receives the outcome:
-     *   - `ctx.inputMask(lane) -> uint8_t`  input occupancy bits
-     *   - `ctx.inputs(lane) -> Packet *`    four-slot input row
-     *   - `ctx.peOffer(lane) -> const Packet *`  offer or nullptr
-     *   - `ctx.stats(lane) -> NocStats &`   lane's measurement sink
-     *   - `ctx.gate(lane)`                  exit gate for this lane
-     *   - `ctx.sink(lane)`                  forward/deliver receiver
-     *   - `ctx.accepted(lane, bool)`        PE-offer outcome
-     *
-     * Determinism contract: each lane runs exactly the scalar
-     * routeCore on its own state, so a lane's outcome is bit-identical
-     * to a solo Network stepping the same replica (tests/test_batched
-     * proves this per lane via golden-stats hashes).
-     */
-    template <typename Ctx>
-    FT_HOT void routeLanes(std::uint32_t lane_mask, Ctx &&ctx,
-                           Cycle now) const
-    {
-        while (lane_mask != 0) {
-            const auto lane = static_cast<std::uint32_t>(
-                __builtin_ctz(lane_mask));
-            lane_mask &= lane_mask - 1;
-            const std::uint8_t in_mask = ctx.inputMask(lane);
-            const Packet *pe_offer = ctx.peOffer(lane);
-            if (in_mask == 0 && pe_offer == nullptr)
-                continue;
-            const bool acc =
-                routeCore(ctx.inputs(lane), in_mask, pe_offer, now,
-                          ctx.stats(lane), ctx.gate(lane),
-                          ctx.sink(lane));
-            ctx.accepted(lane, acc);
-        }
-    }
-
     Coord pos() const { return pos_; }
     const RouterSite &site() const { return site_; }
 

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/rng.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/sweep_cache.hpp"
 #include "telemetry/sink.hpp"
 
@@ -47,13 +46,10 @@ injectionSweep(const NocUnderTest &nut, TrafficPattern pattern,
                const std::vector<double> &rates,
                std::uint32_t packets_per_pe, std::uint64_t seed)
 {
-    // Each rate point simulates an independent network instance of
-    // identical geometry, so the sweep dispatches through the batched
-    // lockstep engine (one pool worker steps a K-replica batch) with
-    // identical per-point results; see sim/batch_runner.hpp for when
-    // points fall back to scalar runs. When a telemetry sink is
-    // installed the whole sweep shows up as one host-side phase span
-    // in the exported Chrome trace.
+    // Each rate point simulates an independent network instance, so
+    // every point is its own pool work item (cachedRuns). When a
+    // telemetry sink is installed the whole sweep shows up as one
+    // host-side phase span in the exported Chrome trace.
     telemetry::PhaseTimer phase("injectionSweep " + nut.label);
     std::vector<SyntheticWorkload> workloads(rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -67,7 +63,7 @@ injectionSweep(const NocUnderTest &nut, TrafficPattern pattern,
             splitmix64(seed ^ static_cast<std::uint64_t>(i));
     }
     const std::vector<SynthResult> results =
-        batchedCachedRuns(nut.config, nut.channels, workloads);
+        cachedRuns(nut.config, nut.channels, workloads);
     std::vector<SweepPoint> out;
     out.reserve(rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i)
@@ -100,9 +96,6 @@ repeatedRuns(const NocUnderTest &nut, TrafficPattern pattern,
              double rate, std::uint32_t packets_per_pe,
              const std::vector<std::uint64_t> &seeds, Cycle max_cycles)
 {
-    // Seeds share one geometry, so cache-miss points group into
-    // K-replica batches (tail groups smaller than the batch width run
-    // scalar; see sim/batch_runner.hpp).
     std::vector<SyntheticWorkload> workloads(seeds.size());
     for (std::size_t i = 0; i < seeds.size(); ++i) {
         SyntheticWorkload &workload = workloads[i];
@@ -112,8 +105,7 @@ repeatedRuns(const NocUnderTest &nut, TrafficPattern pattern,
         workload.seed = seeds[i];
     }
     const std::vector<SynthResult> results =
-        batchedCachedRuns(nut.config, nut.channels, workloads,
-                          max_cycles);
+        cachedRuns(nut.config, nut.channels, workloads, max_cycles);
 
     // Aggregate serially in seed-list order so the RunningStat
     // accumulation is identical for every worker count.

@@ -1,43 +1,16 @@
 #include "sim/ftd_server.hpp"
 
-#include <cstring>
-#include <map>
+#include <algorithm>
 #include <utility>
 
-#include "net/wire.hpp"
+#include "common/parallel.hpp"
 #include "sched/work_stealing_pool.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
 
 namespace fasttrack {
 
 namespace {
-
-/** Group key: points sharing (config, channels, maxCycles) batch
- *  together. The encoded request minus pointIndex/workload would do,
- *  but hashing the fields directly is simpler and collision-free
- *  (std::map on the encoded bytes). */
-std::string
-groupKey(const SweepRequest &request)
-{
-    net::WireWriter w;
-    const NocConfig &c = request.config;
-    w.u32(c.n);
-    w.u32(c.d);
-    w.u32(c.r);
-    w.u32(static_cast<std::uint32_t>(c.variant));
-    w.u8(c.allowExpressTurn ? 1 : 0);
-    w.u8(c.allowUpgrade ? 1 : 0);
-    w.u8(c.turnPriority ? 1 : 0);
-    w.u32(c.shortLinkStages);
-    w.u32(c.expressLinkStages);
-    w.u32(request.channels);
-    w.u64(request.maxCycles);
-    const std::vector<std::uint8_t> bytes = w.take();
-    return std::string(reinterpret_cast<const char *>(bytes.data()),
-                       bytes.size());
-}
 
 net::ServerConfig
 withSweepSchema(net::ServerConfig config)
@@ -110,7 +83,6 @@ FtdServer::reportTo(telemetry::MetricsRegistry &metrics) const
     metrics.counter("ftd.net.injected_drops") = n.injectedDrops;
     sweepCache().reportTo(metrics);
     sched::WorkStealingPool::global().reportTo(metrics);
-    reportBatchRunStats(metrics);
 }
 
 std::vector<net::Frame>
@@ -125,7 +97,7 @@ FtdServer::handle(std::vector<net::Frame> batch)
         bool hit = false;
         bool bad = false;
         /** Temporal-shard slice (snapshotRequest); handled apart
-         *  from the sweep grouping, response pre-built. */
+         *  from the sweep points, response pre-built. */
         bool slice = false;
         net::Frame sliceResponse;
     };
@@ -164,35 +136,29 @@ FtdServer::handle(std::vector<net::Frame> batch)
         }
     }
 
-    // Group the misses by simulation parameters so each group rides
-    // one batchedCachedRuns call (lockstep batching + pool sharding).
-    std::map<std::string, std::vector<std::size_t>> groups;
+    // Cache misses run as one pool item per request, in arrival
+    // order. cachedRunSynthetic, not cachedRuns: a handler must never
+    // re-enter remote dispatch, even when this process also has
+    // remote endpoints configured (in-process daemons in tests).
+    std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < items.size(); ++i)
         if (!items[i].bad && !items[i].hit && !items[i].slice)
-            groups[groupKey(items[i].request)].push_back(i);
-
-    std::vector<std::vector<std::uint8_t>> computed(items.size());
-    for (const auto &[key, members] : groups) {
-        const SweepRequest &first = items[members.front()].request;
-        std::vector<SyntheticWorkload> workloads;
-        workloads.reserve(members.size());
-        for (std::size_t i : members)
-            workloads.push_back(items[i].request.workload);
-        // Pinned to the local path: a handler must never re-enter
-        // remote dispatch, even when this process also has remote
-        // endpoints configured (in-process daemons in tests).
-        const std::vector<SynthResult> results =
-            batchedCachedRunsLocal(first.config, first.channels,
-                                   workloads, first.maxCycles);
-        for (std::size_t j = 0; j < members.size(); ++j)
-            computed[members[j]] = encodeSynthResult(results[j]);
-    }
+            misses.push_back(i);
+    sched::ensureGlobalPool();
+    const std::vector<std::vector<std::uint8_t>> computed = parallelMap(
+        misses,
+        [&](std::size_t i) {
+            const SweepRequest &r = items[i].request;
+            return encodeSynthResult(cachedRunSynthetic(
+                r.config, r.channels, r.workload, r.maxCycles));
+        },
+        0, "FtdServer::handle");
 
     // Answer in arrival order, then append the telemetry epoch.
     std::vector<net::Frame> responses;
     responses.reserve(items.size() + 1);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        Item &item = items[i];
+    std::size_t next_miss = 0;
+    for (Item &item : items) {
         if (item.slice) {
             responses.push_back(std::move(item.sliceResponse));
             continue;
@@ -211,7 +177,7 @@ FtdServer::handle(std::vector<net::Frame> batch)
         frame.requestId = item.requestId;
         frame.payload = encodeSweepResultPayload(
             item.request.pointIndex, item.hit,
-            item.hit ? item.cached : computed[i]);
+            item.hit ? item.cached : computed[next_miss++]);
         responses.push_back(std::move(frame));
     }
 

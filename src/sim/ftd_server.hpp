@@ -6,17 +6,16 @@
  * Each drained batch is answered in arrival order — one sweepResult
  * (or error) frame per request — followed by exactly one
  * metricsEpoch frame carrying the daemon's current telemetry
- * (sweep-cache, pool, batch-runner and ftd counters), so clients
- * can aggregate fleet health without a separate monitoring channel.
+ * (sweep-cache, pool and ftd counters), so clients can aggregate
+ * fleet health without a separate monitoring channel.
  *
  * Requests are validated before they touch the simulator: a frame
  * that decodes but carries an invalid NocConfig/workload gets a
- * kErrBadRequest error frame, never a daemon abort. Valid points are
- * grouped by identical (config, channels, maxCycles) and run through
- * batchedCachedRuns, so remote points enjoy the same lockstep
- * batching, work-stealing pool and blob cache as local sweeps — a
- * warm daemon answers straight from its cache, flagged via the
- * response's cache-hit bit.
+ * kErrBadRequest error frame, never a daemon abort. Valid points that
+ * miss the blob cache run as one work-stealing-pool item each, in
+ * arrival order, through cachedRunSynthetic — the same pool and cache
+ * local sweeps use. A warm daemon answers straight from its cache,
+ * flagged via the response's cache-hit bit.
  *
  * snapshotRequest frames carry one temporal-shard slice of a long
  * run (docs/distributed.md, "Temporal sharding"): the daemon resumes

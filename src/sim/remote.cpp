@@ -8,9 +8,11 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "sched/work_stealing_pool.hpp"
 #include "sim/sweep_cache.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/trace_replay.hpp"
@@ -462,7 +464,7 @@ reportRemoteStats(telemetry::MetricsRegistry &metrics)
 std::vector<SynthResult>
 remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
                   const std::vector<SyntheticWorkload> &workloads,
-                  Cycle max_cycles, const LocalRunner &local)
+                  Cycle max_cycles)
 {
     const std::size_t count = workloads.size();
     std::vector<SynthResult> results(count);
@@ -549,7 +551,14 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
     }
     if (!fallback.empty()) {
         bump(run.pointsFallback, fallback.size());
-        const std::vector<SynthResult> computed = local(fallback);
+        sched::ensureGlobalPool();
+        const std::vector<SynthResult> computed = parallelMap(
+            fallback,
+            [&](std::size_t i) {
+                return cachedRunSynthetic(config, channels, workloads[i],
+                                          max_cycles);
+            },
+            0, "remoteBatchedRuns/fallback");
         for (std::size_t j = 0; j < fallback.size(); ++j)
             results[fallback[j]] = computed[j];
     }

@@ -4,7 +4,7 @@
  * fabric (docs/distributed.md).
  *
  * When remote endpoints are configured (--remote host:port[,...]),
- * batchedCachedRuns transparently fans sweep points out to ftd
+ * cachedRuns transparently fans sweep points out to ftd
  * daemons over the framed wire protocol (net/frame.hpp): points are
  * sharded round-robin across endpoints, pipelined within a
  * per-session window, and reassembled strictly by input index — so
@@ -30,7 +30,6 @@
 #define FT_SIM_REMOTE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -116,23 +115,17 @@ RemoteStats remoteLifetimeStats();
 void reportRemoteStats(telemetry::MetricsRegistry &metrics);
 
 /**
- * Runs the subset of workloads named by @p indices on the local
- * pool, returning results in the order of @p indices.
- */
-using LocalRunner = std::function<std::vector<SynthResult>(
-    const std::vector<std::size_t> &indices)>;
-
-/**
  * Compute one SynthResult per workload, fanning cache-miss points
  * out to the configured remote endpoints; unreachable work falls
- * back to @p local. Results are input-ordered and bit-identical to
- * the local path. Precondition: remoteConfigured() and no telemetry
- * sink installed (the caller — batchedCachedRuns — guards).
+ * back to cachedRunSynthetic on the local pool. Results are
+ * input-ordered and bit-identical to the local path. Precondition:
+ * remoteConfigured() and no telemetry sink installed (the caller —
+ * cachedRuns — guards).
  */
 std::vector<SynthResult>
 remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
                   const std::vector<SyntheticWorkload> &workloads,
-                  Cycle max_cycles, const LocalRunner &local);
+                  Cycle max_cycles);
 
 /**
  * Execute one run as a chain of temporal shards of @p shard_cycles

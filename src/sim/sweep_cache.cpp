@@ -3,8 +3,12 @@
 #include <atomic>
 #include <bit>
 
+#include "common/parallel.hpp"
 #include "net/wire.hpp"
 #include "noc/engine_state.hpp"
+#include "sched/work_stealing_pool.hpp"
+#include "sim/remote.hpp"
+#include "telemetry/sink.hpp"
 
 namespace fasttrack {
 
@@ -90,6 +94,22 @@ bool
 sweepCacheEnabled()
 {
     return g_cacheEnabled.load(std::memory_order_relaxed);
+}
+
+std::vector<SynthResult>
+cachedRuns(const NocConfig &config, std::uint32_t channels,
+           const std::vector<SyntheticWorkload> &workloads,
+           Cycle max_cycles)
+{
+    if (remoteConfigured() && telemetry::installed() == nullptr)
+        return remoteBatchedRuns(config, channels, workloads, max_cycles);
+    sched::ensureGlobalPool();
+    return parallelMap(
+        workloads,
+        [&](const SyntheticWorkload &w) {
+            return cachedRunSynthetic(config, channels, w, max_cycles);
+        },
+        0, "cachedRuns");
 }
 
 } // namespace fasttrack

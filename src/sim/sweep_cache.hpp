@@ -105,6 +105,19 @@ cachedRunSynthetic(const NocConfig &config, std::uint32_t channels,
         .synth;
 }
 
+/**
+ * cachedRunSynthetic for every workload, results in input order. Each
+ * point is one work item on the work-stealing pool; with remote
+ * endpoints configured (and no telemetry sink installed — remote
+ * workers cannot stream trace events) the points go to
+ * remoteBatchedRuns instead. Every result is the bit-deterministic
+ * function of its inputs, so where a point ran never shows in it.
+ */
+std::vector<SynthResult>
+cachedRuns(const NocConfig &config, std::uint32_t channels,
+           const std::vector<SyntheticWorkload> &workloads,
+           Cycle max_cycles = kDefaultMaxCycles);
+
 } // namespace fasttrack
 
 #endif // FT_SIM_SWEEP_CACHE_HPP

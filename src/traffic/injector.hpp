@@ -208,10 +208,10 @@ class ChunkedQueue
 };
 
 /**
- * Compact queued-packet record shared by the scalar and batched
- * injectors. Only identity, destination and the creation stamp exist
- * before injection; materializing the full Packet lazily at offer
- * time halves the memory traffic of a deep source backlog.
+ * Compact queued-packet record of the injector backlogs. Only
+ * identity, destination and the creation stamp exist before
+ * injection; materializing the full Packet lazily at offer time
+ * halves the memory traffic of a deep source backlog.
  */
 struct PendingPacket
 {

@@ -2,12 +2,10 @@
  * @file
  * Shared FNV-1a hashing of NocStats for golden-equivalence tests.
  *
- * Used by test_golden_stats.cpp (fixed-seed pins of the scalar engine)
- * and test_batched.cpp (per-lane batched-vs-solo bit-identity). The
- * hash covers every counter and histogram the engines must agree on;
- * per-node counters and link traversal tallies are deliberately
- * excluded — the batched engine does not collect them (see
- * docs/engine.md, "Batched lockstep stepping").
+ * Used by test_golden_stats.cpp (fixed-seed pins of the engine) and
+ * the checkpoint/sharding resume-equivalence tests. The hash covers every global counter and histogram; per-node counters
+ * and link traversal tallies are deliberately excluded, and adding
+ * them would re-pin every golden value.
  */
 
 #ifndef FT_TESTS_GOLDEN_HASH_HPP

@@ -20,7 +20,6 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/ftd_server.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
@@ -249,7 +248,7 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({a.port(), b.port()}));
-        remote = batchedCachedRuns(config, 1, workloads);
+        remote = cachedRuns(config, 1, workloads);
     }
     // remoteStats() reports this run, not process-cumulative totals.
     const RemoteStats after = remoteStats();
@@ -266,7 +265,7 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     // Remote execution is invisible in the bytes: per point, the
     // local path produces the identical result.
     const std::vector<SynthResult> local =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     ASSERT_EQ(remote.size(), local.size());
     for (std::size_t i = 0; i < local.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
@@ -281,7 +280,7 @@ TEST(Distributed, WarmDaemonAnswersFromItsCache)
     WithRemote wr(loopbackConfig({daemon.port()}));
 
     const std::vector<SynthResult> cold =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     const RemoteStats cold1 = remoteStats();
     EXPECT_EQ(cold1.pointsRemote, workloads.size());
     EXPECT_EQ(cold1.remoteCacheHits, 0u);
@@ -292,7 +291,7 @@ TEST(Distributed, WarmDaemonAnswersFromItsCache)
     // warm run alone — the cold run's counters must not leak in
     // (the never-reset-counter regression).
     const std::vector<SynthResult> warm =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     const RemoteStats warm1 = remoteStats();
     EXPECT_EQ(warm1.pointsRemote, workloads.size());
     EXPECT_EQ(warm1.remoteCacheHits, workloads.size());
@@ -329,7 +328,7 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
 
     {
         WithRemote wr(loopbackConfig({a.port()}));
-        batchedCachedRuns(config, 1, smallWorkloads(2, 9600));
+        cachedRuns(config, 1, smallWorkloads(2, 9600));
     }
     telemetry::MetricsRegistry first;
     reportRemoteStats(first);
@@ -340,7 +339,7 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
 
     {
         WithRemote wr(loopbackConfig({b.port()}));
-        batchedCachedRuns(config, 1, smallWorkloads(2, 9601));
+        cachedRuns(config, 1, smallWorkloads(2, 9601));
     }
     telemetry::MetricsRegistry second;
     reportRemoteStats(second);
@@ -364,7 +363,7 @@ TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)
     std::vector<SynthResult> viaFallback;
     {
         WithRemote wr(std::move(remote));
-        viaFallback = batchedCachedRuns(config, 1, workloads);
+        viaFallback = cachedRuns(config, 1, workloads);
     }
     const RemoteStats after = remoteStats();
     EXPECT_EQ(after.pointsFallback, workloads.size());
@@ -372,7 +371,7 @@ TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)
     EXPECT_EQ(after.pointsRemote, 0u);
 
     const std::vector<SynthResult> local =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i]))
             << i;
@@ -398,7 +397,7 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({daemon.port()}));
-        remote = batchedCachedRuns(noc, 1, workloads);
+        remote = cachedRuns(noc, 1, workloads);
     }
     const RemoteStats after = remoteStats();
     EXPECT_EQ(after.pointsRemote + after.pointsFallback,
@@ -407,19 +406,19 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
     EXPECT_GE(daemon.server.netStats().injectedDrops, 2u);
 
     const std::vector<SynthResult> local =
-        batchedCachedRuns(noc, 1, workloads);
+        cachedRuns(noc, 1, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
 }
 
-TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
+/** Open a raw-socket session on @p port, doing the hello handshake
+ *  by hand; @p schema receives the schema the daemon advertised. */
+void
+openRawSession(std::uint16_t port, net::Socket &sock,
+               std::uint32_t &schema)
 {
-    WithDaemon daemon;
-
-    // Raw-socket session: handshake by hand.
     std::string error;
-    net::Socket sock = net::connectTo("127.0.0.1", daemon.port(),
-                                      2'000, error);
+    sock = net::connectTo("127.0.0.1", port, 2'000, error);
     ASSERT_TRUE(sock.valid()) << error;
     net::Frame hello;
     hello.type = net::MessageType::hello;
@@ -435,8 +434,62 @@ TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
               net::FrameStatus::ok);
     ASSERT_EQ(ack.type, net::MessageType::helloAck);
     net::WireReader ar(ack.payload);
-    std::uint32_t version = 0, schema = 0, granted = 0;
+    std::uint32_t version = 0, granted = 0;
     ASSERT_TRUE(ar.u32(version) && ar.u32(schema) && ar.u32(granted));
+}
+
+/** Send one sweepRequest frame per request, ids @p first_id onward,
+ *  back to back so the daemon drains them as one pipelined batch. */
+void
+sendSweepRequests(net::Socket &sock,
+                  const std::vector<SweepRequest> &requests,
+                  std::uint64_t first_id)
+{
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        net::Frame frame;
+        frame.type = net::MessageType::sweepRequest;
+        frame.requestId = first_id + i;
+        frame.payload = encodeSweepRequestPayload(requests[i]);
+        ASSERT_EQ(net::sendFrame(sock, frame, 2'000),
+                  net::FrameStatus::ok);
+    }
+}
+
+/** Read frames until @p count sweepResult frames arrived; returns
+ *  them in arrival order. @p epoch receives the last metricsEpoch
+ *  seen (every served batch ends with one). */
+std::vector<net::Frame>
+recvSweepResults(net::Socket &sock, std::size_t count,
+                 std::map<std::string, double> &epoch)
+{
+    std::vector<net::Frame> results;
+    net::Frame frame;
+    while (results.size() < count ||
+           frame.type != net::MessageType::metricsEpoch) {
+        if (net::recvFrame(sock, frame, 60'000, 10'000) !=
+            net::FrameStatus::ok) {
+            ADD_FAILURE() << "session ended after " << results.size()
+                          << " of " << count << " results";
+            break;
+        }
+        if (frame.type == net::MessageType::metricsEpoch)
+            EXPECT_TRUE(decodeMetricsPayload(frame.payload, epoch));
+        else if (frame.type == net::MessageType::sweepResult)
+            results.push_back(frame);
+        else
+            ADD_FAILURE() << "unexpected frame type";
+    }
+    return results;
+}
+
+TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
+{
+    WithDaemon daemon;
+
+    // Raw-socket session: handshake by hand.
+    net::Socket sock;
+    std::uint32_t schema = 0;
+    ASSERT_NO_FATAL_FAILURE(openRawSession(daemon.port(), sock, schema));
     EXPECT_EQ(schema, kSweepCacheSchema); // daemon speaks its build
 
     // A sweepRequest whose payload is garbage: answered with a
@@ -496,6 +549,67 @@ TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
     EXPECT_EQ(daemon.server.stats().badRequests, 1u);
     EXPECT_EQ(daemon.server.stats().pointsServed, 1u);
     EXPECT_EQ(daemon.server.netStats().protocolErrors, 0u);
+}
+
+TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
+{
+    // One pipelined batch whose requests alternate between two
+    // configs. Each cache miss is its own pool item, so the daemon
+    // must still answer strictly in arrival order, with bytes equal
+    // to a local run of the same point.
+    WithDaemon daemon;
+    net::Socket sock;
+    std::uint32_t schema = 0;
+    ASSERT_NO_FATAL_FAILURE(openRawSession(daemon.port(), sock, schema));
+
+    const NocConfig configs[] = {NocConfig::hoplite(4),
+                                 NocConfig::fastTrack(8, 2, 1)};
+    const std::vector<SyntheticWorkload> workloads =
+        smallWorkloads(6, 9700);
+    std::vector<SweepRequest> requests(workloads.size());
+    std::vector<std::vector<std::uint8_t>> local(workloads.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        requests[i].pointIndex = static_cast<std::uint32_t>(i);
+        requests[i].config = configs[i % 2];
+        requests[i].workload = workloads[i];
+        // Uncached, so the daemon (which shares this process's sweep
+        // cache) still sees the cold pass as misses.
+        local[i] = encodeSynthResult(
+            runSynthetic(requests[i].config, 1, workloads[i]));
+    }
+
+    // Cold, then the same batch again: every point now a cache hit.
+    for (const bool warm : {false, true}) {
+        const std::uint64_t first_id = warm ? 200 : 100;
+        ASSERT_NO_FATAL_FAILURE(
+            sendSweepRequests(sock, requests, first_id));
+        std::map<std::string, double> epoch;
+        const std::vector<net::Frame> replies =
+            recvSweepResults(sock, requests.size(), epoch);
+        ASSERT_EQ(replies.size(), requests.size());
+        for (std::size_t i = 0; i < replies.size(); ++i) {
+            EXPECT_EQ(replies[i].requestId, first_id + i);
+            std::uint32_t point = 0;
+            bool hit = false;
+            SynthResult result;
+            ASSERT_TRUE(decodeSweepResultPayload(replies[i].payload,
+                                                 point, hit, result));
+            EXPECT_EQ(point, i);
+            EXPECT_EQ(hit, warm) << i;
+            EXPECT_EQ(encodeSynthResult(result), local[i]) << i;
+        }
+        EXPECT_EQ(epoch.at("ftd.cache_hits"),
+                  warm ? static_cast<double>(requests.size()) : 0.0);
+    }
+
+    net::Frame goodbye;
+    goodbye.type = net::MessageType::goodbye;
+    ASSERT_EQ(net::sendFrame(sock, goodbye, 2'000),
+              net::FrameStatus::ok);
+    sock.close();
+    daemon.server.stop();
+    EXPECT_EQ(daemon.server.stats().pointsServed, 2 * requests.size());
+    EXPECT_EQ(daemon.server.stats().cacheHits, requests.size());
 }
 
 } // namespace

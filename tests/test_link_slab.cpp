@@ -1,19 +1,16 @@
 /**
  * @file
- * Direct unit coverage of the frame-ring link registers: the scalar
- * LinkSlab and the replica-major BatchedLinkSlab. Until now these
- * were exercised only indirectly through whole-network golden hashes;
- * here the ring arithmetic, occupancy-mask edges (full rows, express
- * ports), single-router geometry and the batched lane layout are
- * pinned on their own.
+ * Direct unit coverage of the frame-ring link registers (LinkSlab).
+ * Until now these were exercised only indirectly through
+ * whole-network golden hashes; here the ring arithmetic,
+ * occupancy-mask edges (full rows, express ports) and single-router
+ * geometry are pinned on their own.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
-#include "noc/batched_link_slab.hpp"
 #include "noc/link_slab.hpp"
 
 namespace fasttrack {
@@ -115,112 +112,6 @@ TEST(LinkSlab, FullSlabSingleRouterGeometry)
     // The cleared frame is immediately reusable (the ring wrapped).
     slab.place(0, 0, InPort::wEx, makePacket(99, 0));
     EXPECT_EQ(slab.mask(0, 0), 0b0001u);
-}
-
-TEST(BatchedLinkSlab, LaneRowsAreIndependentAndContiguous)
-{
-    BatchedLinkSlab slab;
-    const std::uint32_t lanes = 5; // deliberately not a power of two
-    slab.init(3, 2, lanes);
-    EXPECT_EQ(slab.lanes(), lanes);
-
-    // Same (frame, router, port) across three lanes: own slots, own
-    // mask bytes.
-    slab.place(1, 2, 0, InPort::wEx, makePacket(10, 1));
-    slab.place(1, 2, 3, InPort::nSh, makePacket(11, 1));
-    slab.place(1, 2, 4, InPort::wEx, makePacket(12, 1));
-    EXPECT_EQ(slab.mask(1, 2, 0), 0b0001u);
-    EXPECT_EQ(slab.mask(1, 2, 1), 0u);
-    EXPECT_EQ(slab.mask(1, 2, 3), 0b1000u);
-    EXPECT_EQ(slab.mask(1, 2, 4), 0b0001u);
-    EXPECT_EQ(slab.row(1, 2, 0)[static_cast<unsigned>(InPort::wEx)].id,
-              10u);
-    EXPECT_EQ(slab.row(1, 2, 4)[static_cast<unsigned>(InPort::wEx)].id,
-              12u);
-
-    // maskRow is the contiguous per-lane byte row the stepping core
-    // scans with wide loads.
-    const std::uint8_t *mrow = slab.maskRow(1, 2);
-    EXPECT_EQ(mrow[0], 0b0001u);
-    EXPECT_EQ(mrow[3], 0b1000u);
-    EXPECT_EQ(mrow[4], 0b0001u);
-    // Lane rows are kPorts apart: lane L's row is row(lane 0) offset
-    // by L * kPorts.
-    EXPECT_EQ(slab.row(1, 2, 4),
-              slab.row(1, 2, 0) + 4 * BatchedLinkSlab::kPorts);
-
-    slab.clearMaskRow(1, 2);
-    for (std::uint32_t lane = 0; lane < lanes; ++lane)
-        EXPECT_EQ(slab.mask(1, 2, lane), 0u);
-    EXPECT_EQ(slab.occupied(), 0u);
-}
-
-TEST(BatchedLinkSlab, FrameRingWrapsPerLane)
-{
-    BatchedLinkSlab slab;
-    slab.init(2, 3, 2);
-    // Latency-4 forward from cycle 5 lands in frame (5+4)%3 = 0.
-    const std::uint32_t land = slab.frameOf(5 + 4);
-    EXPECT_EQ(land, 0u);
-    slab.place(land, 1, 1, InPort::nEx, makePacket(21, 0));
-    EXPECT_EQ(slab.mask(land, 1, 1),
-              1u << static_cast<unsigned>(InPort::nEx));
-    // Lane 0 of the same slot stays empty.
-    EXPECT_EQ(slab.mask(land, 1, 0), 0u);
-}
-
-TEST(BatchedLinkSlab, FullSlabAllLanesAllPorts)
-{
-    BatchedLinkSlab slab;
-    const std::uint32_t routers = 2, depth = 2, lanes = 8;
-    slab.init(routers, depth, lanes);
-    std::uint64_t id = 0;
-    for (std::uint32_t f = 0; f < depth; ++f)
-        for (std::uint32_t r = 0; r < routers; ++r)
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                for (unsigned port = 0;
-                     port < BatchedLinkSlab::kPorts; ++port)
-                    slab.place(f, r, l, static_cast<InPort>(port),
-                               makePacket(++id, 0));
-    EXPECT_EQ(slab.occupied(),
-              std::uint64_t{routers} * depth * lanes *
-                  BatchedLinkSlab::kPorts);
-    for (std::uint32_t f = 0; f < depth; ++f)
-        for (std::uint32_t r = 0; r < routers; ++r)
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                EXPECT_EQ(slab.mask(f, r, l), 0b1111u);
-}
-
-TEST(BatchedLinkSlab, DoubleDriverTripsPerLane)
-{
-    BatchedLinkSlab slab;
-    slab.init(1, 2, 2);
-    slab.place(0, 0, 0, InPort::wSh, makePacket(1, 0));
-    // The same port on the *other* lane is fine...
-    slab.place(0, 0, 1, InPort::wSh, makePacket(2, 0));
-    // ...but re-driving an occupied (lane, port) slot dies.
-    EXPECT_DEATH(slab.place(0, 0, 0, InPort::wSh, makePacket(3, 0)),
-                 "collision");
-}
-
-TEST(BatchedLinkSlab, MaskRowPaddingSupportsWideLoads)
-{
-    // The stepping core reads mask rows 8 bytes at a time; the very
-    // last row of the buffer must tolerate that (init pads by 8).
-    BatchedLinkSlab slab;
-    const std::uint32_t routers = 3, depth = 2, lanes = 3;
-    slab.init(routers, depth, lanes);
-    slab.place(depth - 1, routers - 1, lanes - 1, InPort::nSh,
-               makePacket(1, 0));
-    std::uint64_t w = 0;
-    std::memcpy(&w, slab.maskRow(depth - 1, routers - 1), 8);
-    // Only this row's own lanes may carry bits once the tail mask is
-    // applied (the engine masks bytes >= lanes).
-    const std::uint64_t keep =
-        (std::uint64_t{1} << (lanes * 8)) - 1;
-    EXPECT_EQ(w & keep,
-              std::uint64_t{1u << static_cast<unsigned>(InPort::nSh)}
-                  << ((lanes - 1) * 8));
 }
 
 } // namespace

@@ -215,6 +215,45 @@ TEST(SchedPool, ConcurrentSweepsShareThePool)
     }
 }
 
+TEST(SchedPool, SweepsIdenticalSerialAndPooled)
+{
+    // Every sweep point is its own pool item: injectionSweep and
+    // repeatedRuns must give the same bytes at --threads 1 as on the
+    // pool. The cache is off so both passes really simulate.
+    WithPool wp(4);
+    const unsigned threads = parallel_detail::defaultThreadsSlot().load();
+    const bool cached = sweepCacheEnabled();
+    setSweepCacheEnabled(false);
+
+    const NocUnderTest nut{"ft", NocConfig::fastTrack(8, 2, 1), 1};
+    const std::vector<double> rates{0.05, 0.1, 0.2, 0.35, 0.5, 0.75};
+    const std::vector<std::uint64_t> seeds{201, 202, 203, 204, 205};
+    std::vector<std::vector<SweepPoint>> sweeps;
+    std::vector<RepeatedResult> reps;
+    for (const unsigned n : {1u, 4u}) {
+        parallel_detail::setDefaultParallelThreads(n);
+        sweeps.push_back(
+            injectionSweep(nut, TrafficPattern::random, rates, 24, 7));
+        reps.push_back(repeatedRuns(nut, TrafficPattern::random, 0.2,
+                                    24, seeds, 200000));
+    }
+    parallel_detail::setDefaultParallelThreads(threads);
+    setSweepCacheEnabled(cached);
+
+    ASSERT_EQ(sweeps[1].size(), sweeps[0].size());
+    for (std::size_t i = 0; i < sweeps[0].size(); ++i)
+        EXPECT_EQ(resultHash(sweeps[1][i].result),
+                  resultHash(sweeps[0][i].result))
+            << "rate point " << i;
+    EXPECT_EQ(reps[1].completedRuns, reps[0].completedRuns);
+    EXPECT_DOUBLE_EQ(reps[1].rate.mean(), reps[0].rate.mean());
+    EXPECT_DOUBLE_EQ(reps[1].avgLatency.mean(),
+                     reps[0].avgLatency.mean());
+    EXPECT_DOUBLE_EQ(reps[1].worstLatency.max(),
+                     reps[0].worstLatency.max());
+    EXPECT_GE(wp.pool.stats().tasks, rates.size() + seeds.size());
+}
+
 TEST(SweepCache, CacheOnAndOffAreBitIdentical)
 {
     const NocConfig cfg = NocConfig::fastTrack(4, 2, 1);
@@ -374,6 +413,37 @@ TEST(SweepCache, CorruptDiskEntryIsRecomputed)
 
     EXPECT_EQ(resultHash(second), resultHash(first));
     EXPECT_EQ(after.corrupt, before.corrupt + 1);
+    sweepCache().setDir("");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepCache, WarmSweepReplaysFromDisk)
+{
+    // A sweep replayed from a disk store alone (memory dropped, as in
+    // a fresh process) is byte-identical, with every point a disk hit
+    // and nothing recomputed.
+    const std::string dir = scratchDir("warm_sweep");
+    sweepCache().setDir(dir);
+    setSweepCacheEnabled(true);
+    const NocUnderTest nut{"ft", NocConfig::fastTrack(4, 2, 1), 1};
+    const std::vector<double> rates{0.05, 0.2, 0.4, 0.6, 0.8, 1.0};
+
+    const auto cold =
+        injectionSweep(nut, TrafficPattern::random, rates, 24, 4242);
+    sweepCache().clearMemory();
+    const auto before = sweepCache().stats();
+    const auto warm =
+        injectionSweep(nut, TrafficPattern::random, rates, 24, 4242);
+    const auto after = sweepCache().stats();
+
+    EXPECT_EQ(after.diskHits, before.diskHits + rates.size());
+    EXPECT_EQ(after.hits, before.hits + rates.size());
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.stores, before.stores);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t i = 0; i < cold.size(); ++i)
+        EXPECT_EQ(resultHash(warm[i].result), resultHash(cold[i].result))
+            << "rate point " << i;
     sweepCache().setDir("");
     std::filesystem::remove_all(dir);
 }

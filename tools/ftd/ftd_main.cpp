@@ -4,10 +4,10 @@
  *
  * Binds the FtdServer (sim/ftd_server.hpp) on a TCP port and serves
  * sweepRequest frames until SIGINT/SIGTERM, sharing this host's
- * work-stealing pool, lockstep batch engine and blob cache across
- * every connected client. With --result-cache the cache survives
- * restarts, and because sweep keys are content-addressed a point any
- * client ever computed is a cache hit for all of them.
+ * work-stealing pool and blob cache across every connected client.
+ * With --result-cache the cache survives restarts, and because sweep
+ * keys are content-addressed a point any client ever computed is a
+ * cache hit for all of them.
  *
  * Prints `ftd: listening on HOST:PORT` once serving (scripts parse
  * this to discover the port when started with --port 0).
@@ -24,9 +24,7 @@
 #include <thread>
 
 #include "common/parallel.hpp"
-#include "noc/batched_engine.hpp"
 #include "sched/work_stealing_pool.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/ftd_server.hpp"
 #include "sim/sweep_cache.hpp"
 #include "telemetry/metrics.hpp"
@@ -46,7 +44,7 @@ usage(const char *prog)
 {
     std::cerr
         << "usage: " << prog
-        << " [--host H] [--port N] [--threads N] [--batch K]"
+        << " [--host H] [--port N] [--threads N]"
            " [--max-sessions N] [--idle-timeout-ms N]"
            " [--result-cache DIR] [--result-cache-max-bytes N]"
            " [--cache-stats FILE] [--drop-after-frames N]\n"
@@ -54,7 +52,6 @@ usage(const char *prog)
         << "  --port N             TCP port, 0 = ephemeral"
            " (default 7441)\n"
         << "  --threads N          cap pool workers at N\n"
-        << "  --batch K            replicas per batched-engine group\n"
         << "  --max-sessions N     concurrent client sessions"
            " (default 8)\n"
         << "  --idle-timeout-ms N  drop sessions idle this long"
@@ -128,17 +125,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             threads = static_cast<unsigned>(parsePositive(
                 argv[0], argc, argv, i, "--threads", 1));
-            ++i;
-        } else if (std::strcmp(argv[i], "--batch") == 0) {
-            const long long k = parsePositive(argv[0], argc, argv, i,
-                                              "--batch", 1);
-            if (k > static_cast<long long>(BatchedEngine::kMaxLanes)) {
-                std::cerr << argv[0] << ": --batch must be in 1.."
-                          << BatchedEngine::kMaxLanes << "\n";
-                usage(argv[0]);
-                return 2;
-            }
-            setDefaultBatchWidth(static_cast<std::uint32_t>(k));
             ++i;
         } else if (std::strcmp(argv[i], "--max-sessions") == 0) {
             config.maxSessions = static_cast<std::uint32_t>(
