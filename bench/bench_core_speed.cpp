@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "noc/network.hpp"
 #include "sim/simulation.hpp"
 #include "sim/telemetry_session.hpp"
@@ -37,6 +39,48 @@ BM_NetworkStep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * cfg.pes());
     state.counters["routers"] = cfg.pes();
+}
+
+/**
+ * The injector in the regime of the synthetic figure sweeps: each
+ * iteration runs a fresh 8x8 Hoplite and injector with the paper's
+ * 1024-packet budget per PE to done(), drain phase included.
+ * BM_NetworkStep's endless rate-1.0 backlogs never drain, so they
+ * never show the per-packet cost of a source queue that empties and
+ * refills — what a low injection rate does on almost every packet.
+ * tick_ns_per_node_cycle times tick() alone (one clock-read pair per
+ * cycle included) over all nodes and cycles run.
+ */
+void
+BM_InjectorTick(benchmark::State &state)
+{
+    const NocConfig cfg = NocConfig::hoplite(8);
+    SyntheticWorkload workload;
+    workload.pattern = state.range(0) != 0 ? TrafficPattern::bitComplement
+                                           : TrafficPattern::random;
+    workload.injectionRate = static_cast<double>(state.range(1)) / 100.0;
+    workload.packetsPerPe = 1024;
+
+    std::chrono::steady_clock::duration ticking{};
+    std::uint64_t node_cycles = 0;
+    for (auto _ : state) {
+        Network noc(cfg);
+        SyntheticInjector injector(noc, workload);
+        while (!injector.done()) {
+            const auto start = std::chrono::steady_clock::now();
+            injector.tick();
+            ticking += std::chrono::steady_clock::now() - start;
+            noc.step();
+        }
+        node_cycles += noc.now() * cfg.pes();
+        benchmark::DoNotOptimize(noc.statsSnapshot().delivered);
+    }
+    const double tick_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(ticking)
+            .count());
+    state.counters["tick_ns_per_node_cycle"] =
+        node_cycles > 0 ? tick_ns / static_cast<double>(node_cycles) : 0.0;
+    state.SetItemsProcessed(static_cast<std::int64_t>(node_cycles));
 }
 
 /**
@@ -127,6 +171,12 @@ BENCHMARK(BM_NetworkStep)
     ->Args({16, 0})
     ->Args({16, 1})
     ->Args({32, 1});
+// {bitcompl, injection rate in percent}: RANDOM and BITCOMPL at a
+// low, a mid and the saturating rate of the paper's rate grid.
+BENCHMARK(BM_InjectorTick)
+    ->ArgNames({"bitcompl", "rate_pct"})
+    ->ArgsProduct({{0, 1}, {5, 30, 100}})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NetworkStepTraced)->Arg(16);
 // {n, traceEvents}: counters-only vs full event tracing.
 BENCHMARK(BM_TelemetryStep)->Args({16, 0})->Args({16, 1});

@@ -5,7 +5,10 @@ Executes the google-benchmark core-speed harness with JSON output,
 extracts the BM_NetworkStep* results, compares them against the
 recorded pre-refactor baseline, and writes BENCH_core_speed.json so
 a perf regression (or claimed win) is a diffable artifact instead
-of a number in a PR description.
+of a number in a PR description. The BM_InjectorTick* results (the
+injector at sweep rates, drain phase included) are recorded beside
+them with their tick-only tick_ns_per_node_cycle counter; the
+headline stays BM_NetworkStep/16/1.
 
 Noise handling: each case runs --benchmark_repetitions times and the
 median repetition is recorded (single-core CI boxes and shared VMs
@@ -44,11 +47,17 @@ BASELINE = {
 
 HEADLINE = "BM_NetworkStep/16/1"
 
+# google-benchmark reports real_time in each case's own time unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Name prefixes of the case families the ledger records.
+RECORDED = ("BM_NetworkStep", "BM_InjectorTick")
+
 
 def run_bench(bench, min_time, repetitions):
     cmd = [
         bench,
-        "--benchmark_filter=BM_NetworkStep",
+        "--benchmark_filter=" + "|".join(RECORDED),
         "--benchmark_format=json",
         f"--benchmark_min_time={min_time}",
         f"--benchmark_repetitions={repetitions}",
@@ -61,11 +70,11 @@ def run_bench(bench, min_time, repetitions):
 
 
 def extract(raw, repetitions):
-    """BM_NetworkStep results keyed by case name (median repetition)."""
+    """Recorded results keyed by case name (median repetition)."""
     results = {}
     for b in raw.get("benchmarks", []):
         name = b["name"]
-        if not name.startswith("BM_NetworkStep"):
+        if not name.startswith(RECORDED):
             continue
         # BM_NetworkStepTraced etc. share the prefix but not the grid.
         if name.startswith("BM_NetworkStepTraced"):
@@ -77,9 +86,13 @@ def extract(raw, repetitions):
         elif b.get("run_type") == "aggregate":
             continue
         results[name] = {
-            "ns_per_iter": round(b["real_time"], 1),
+            "ns_per_iter": round(
+                b["real_time"] * NS_PER_UNIT[b.get("time_unit", "ns")], 1),
             "items_per_second": round(b.get("items_per_second", 0.0), 1),
         }
+        if "tick_ns_per_node_cycle" in b:
+            results[name]["tick_ns_per_node_cycle"] = round(
+                b["tick_ns_per_node_cycle"], 2)
     return results
 
 

@@ -1,6 +1,6 @@
 #include "common/rng.hpp"
 
-#include "common/logging.hpp"
+#include <cmath>
 
 namespace fasttrack {
 
@@ -16,19 +16,15 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
+Rng::bernoulliThreshold(double p)
 {
-    FT_ASSERT(bound > 0, "nextBelow(0)");
-    // Lemire-style rejection for unbiased draws. Callers with a fixed
-    // bound on a hot path can precompute this threshold and an exact
-    // reciprocal modulus (see DestinationGenerator) to draw the same
-    // stream without the two hardware divides.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+    // !(p > 0) also catches NaN, which nextBool never accepts.
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return kAlways;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
 std::int64_t

@@ -14,6 +14,8 @@
 #include <array>
 #include <cstdint>
 
+#include "common/logging.hpp"
+
 namespace fasttrack {
 
 /**
@@ -65,7 +67,20 @@ class Rng
     }
 
     /** Uniform integer in [0, bound), bound > 0. Unbiased (rejection). */
-    std::uint64_t nextBelow(std::uint64_t bound);
+    std::uint64_t nextBelow(std::uint64_t bound)
+    {
+        FT_ASSERT(bound > 0, "nextBelow(0)");
+        // Lemire-style rejection for unbiased draws. Callers with a
+        // fixed bound on a hot path can precompute this threshold and
+        // an exact reciprocal modulus (see DestinationGenerator) to
+        // draw the same stream without the two hardware divides.
+        const std::uint64_t threshold = (0 - bound) % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
@@ -78,6 +93,23 @@ class Rng
 
     /** Bernoulli draw with probability @p p. */
     bool nextBool(double p) { return nextDouble() < p; }
+
+    /**
+     * Integer form of a fixed Bernoulli probability: the threshold
+     * T = ceil(p * 2^53), clamped to [0, 2^53]. Both nextDouble() < p
+     * and (next() >> 11) < T compare the same 53-bit draw exactly
+     * (scaling by a power of two loses nothing), so for every double
+     * p nextBernoulli(bernoulliThreshold(p)) makes the decision
+     * nextBool(p) would make from the same draw.
+     */
+    static std::uint64_t bernoulliThreshold(double p);
+
+    /** Bernoulli draw against a precomputed bernoulliThreshold():
+     *  one shift and one integer compare, no int-to-double convert. */
+    bool nextBernoulli(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
 
     /** Fork an independent stream (hash-mixed from this stream). */
     Rng split();

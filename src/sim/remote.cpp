@@ -26,9 +26,10 @@ constexpr std::uint8_t kOriginPending = 0;
 constexpr std::uint8_t kOriginLocalCache = 1;
 constexpr std::uint8_t kOriginRemote = 2;
 
-/** After the last in-flight result, wait this long for the trailing
- *  metricsEpoch frame of the batch before saying goodbye. Bounded so
- *  a daemon that died right after its results cannot stall us. */
+/** After the last in-flight result, wait up to this long for each
+ *  metricsEpoch frame the session may still be owed before saying
+ *  goodbye. Bounded so a daemon that died right after its results
+ *  cannot stall us. */
 constexpr int kEpochDrainMs = 250;
 
 Mutex g_configMutex;
@@ -235,21 +236,41 @@ connectAndHandshake(const RemoteConfig &cfg,
     return sock;
 }
 
-/** Drain trailing metricsEpoch frames (bounded) and part cleanly. */
+/**
+ * Count one metricsEpoch frame of a session that has sent @p sent
+ * requests, recording its gauges; false when it is a rogue frame.
+ * The daemon answers every batch with exactly one epoch and every
+ * batch holds at least one request, so a session is never owed more
+ * epochs than it sent requests. Counting them, rather than timing
+ * them, is what stops a peer streaming epochs from holding the
+ * client forever: each epoch would otherwise restart the wait.
+ */
+bool
+takeEpoch(const net::Frame &frame, const net::Endpoint &endpoint,
+          RunCounters &run, std::size_t &epochs, std::size_t sent)
+{
+    if (++epochs > sent)
+        return false;
+    std::map<std::string, double> values;
+    if (decodeMetricsPayload(frame.payload, values))
+        run.recordEpoch(endpoint.label(), std::move(values));
+    return true;
+}
+
+/** Wait (bounded per frame) for the epochs still owed to a session
+ *  that has sent @p sent requests and seen @p epochs, then part
+ *  cleanly. */
 void
 drainEpochAndPart(const RemoteConfig &cfg,
                   const net::Endpoint &endpoint, net::Socket &sock,
-                  RunCounters &run)
+                  RunCounters &run, std::size_t epochs, std::size_t sent)
 {
     net::Frame frame;
-    while (net::recvFrame(sock, frame, kEpochDrainMs,
-                          cfg.ioTimeoutMs) == net::FrameStatus::ok) {
-        if (frame.type != net::MessageType::metricsEpoch)
-            break;
-        std::map<std::string, double> values;
-        if (decodeMetricsPayload(frame.payload, values))
-            run.recordEpoch(endpoint.label(), std::move(values));
-    }
+    while (epochs < sent &&
+           net::recvFrame(sock, frame, kEpochDrainMs,
+                          cfg.ioTimeoutMs) == net::FrameStatus::ok &&
+           frame.type == net::MessageType::metricsEpoch)
+        takeEpoch(frame, endpoint, run, epochs, sent);
     net::Frame goodbye;
     goodbye.type = net::MessageType::goodbye;
     net::sendFrame(sock, goodbye, cfg.ioTimeoutMs);
@@ -273,6 +294,7 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
     // --- Pipeline --------------------------------------------------
     std::size_t next = 0; // next entry of `remaining` to send
     std::size_t inflight = 0;
+    std::size_t epochs = 0;
     bool dead = false;
     while (!dead) {
         while (inflight < window && next < remaining.size()) {
@@ -297,9 +319,8 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
                            cfg.ioTimeoutMs) != net::FrameStatus::ok)
             break;
         if (frame.type == net::MessageType::metricsEpoch) {
-            std::map<std::string, double> values;
-            if (decodeMetricsPayload(frame.payload, values))
-                run.recordEpoch(endpoint.label(), std::move(values));
+            if (!takeEpoch(frame, endpoint, run, epochs, next))
+                break;
             continue;
         }
         if (frame.type == net::MessageType::error) {
@@ -350,7 +371,7 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
     // Give the trailing metricsEpoch of the final batch a bounded
     // chance to arrive, then part cleanly.
     if (remaining.empty())
-        drainEpochAndPart(cfg, endpoint, sock, run);
+        drainEpochAndPart(cfg, endpoint, sock, run, epochs, next);
 }
 
 /** Drive one endpoint until its points are served, the retry budget
@@ -990,8 +1011,8 @@ namespace {
 /**
  * One remote slice attempt over one fresh connection: handshake,
  * send the snapshotRequest message, harvest the snapshotResult
- * (tolerating interleaved metricsEpoch frames), part cleanly. False
- * on any transport/protocol/decode failure.
+ * (tolerating the one metricsEpoch frame the request is owed), part
+ * cleanly. False on any transport/protocol/decode failure.
  */
 bool
 trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
@@ -1014,15 +1035,15 @@ trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
         return false;
 
     bool got = false;
+    std::size_t epochs = 0;
     for (;;) {
         net::Frame frame;
         if (net::recvMessage(sock, frame, cfg.resultWaitMs,
                              cfg.ioTimeoutMs) != net::FrameStatus::ok)
             break;
         if (frame.type == net::MessageType::metricsEpoch) {
-            std::map<std::string, double> values;
-            if (decodeMetricsPayload(frame.payload, values))
-                run.recordEpoch(endpoint.label(), std::move(values));
+            if (!takeEpoch(frame, endpoint, run, epochs, 1))
+                break;
             continue;
         }
         if (frame.type == net::MessageType::error) {
@@ -1042,7 +1063,7 @@ trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
         break;
     }
     if (got)
-        drainEpochAndPart(cfg, endpoint, sock, run);
+        drainEpochAndPart(cfg, endpoint, sock, run, epochs, 1);
     return got;
 }
 

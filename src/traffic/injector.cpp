@@ -28,6 +28,7 @@ SyntheticInjector::SyntheticInjector(NocDevice &noc,
     : noc_(noc),
       workload_(workload),
       destGen_(workload.pattern, noc.config().n, workload.localRadius),
+      injectThreshold_(Rng::bernoulliThreshold(workload.injectionRate)),
       rng_(workload.seed)
 {
     FT_ASSERT(workload_.injectionRate > 0.0 &&
@@ -52,12 +53,17 @@ SyntheticInjector::tick()
     // One virtual call per cycle instead of one per node: devices
     // backed by the engine's offer slab expose its occupancy directly.
     const std::uint8_t *pending = noc_.pendingOfferMask();
+    // Draw from a local copy written back after the loop: every draw
+    // inlines, so the generator state can stay in registers across
+    // the virtual offer() below instead of round-tripping through
+    // this object. Draw order is unchanged: nodes ascending, each
+    // node's Bernoulli draw first, then its destination draws.
+    Rng rng = rng_;
     for (NodeId node = 0; node < nodes; ++node) {
-        if (remaining_[node] > 0 &&
-            rng_.nextBool(workload_.injectionRate)) {
+        if (remaining_[node] > 0 && rng.nextBernoulli(injectThreshold_)) {
             Pending rec;
             rec.id = nextId_++;
-            rec.dst = destGen_.dest(node, rng_);
+            rec.dst = destGen_.dest(node, rng);
             rec.created = now;
             --remaining_[node];
             ++generatedTotal_;
@@ -78,6 +84,7 @@ SyntheticInjector::tick()
             --queuedTotal_;
         }
     }
+    rng_ = rng;
 }
 
 bool

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "noc/noc_device.hpp"
@@ -78,6 +79,11 @@ class ChunkArena
  * chunk (one allocation per kChunk entries, recycled through the
  * arena's shared free list), pops are an index bump, and — unlike a
  * head-indexed vector — entries are never moved when the queue grows.
+ *
+ * Chunk storage is raw bytes that push_back constructs entries into:
+ * allocating a chunk initialises nothing. That matters at low
+ * injection rates, where a queue empties after almost every packet
+ * and so takes and recycles a whole chunk per packet.
  */
 template <typename T>
 class ChunkedQueue
@@ -119,7 +125,7 @@ class ChunkedQueue
 
     bool empty() const { return count_ == 0; }
     std::size_t size() const { return count_; }
-    const T &front() const { return (*chunks_[headChunk_])[headOff_]; }
+    const T &front() const { return chunks_[headChunk_]->entry(headOff_); }
 
     /** Visit every queued entry front to back without consuming it
      *  (checkpoint capture walks the backlog this way). */
@@ -133,7 +139,7 @@ class ChunkedQueue
             const std::size_t end = off + left < kChunk ? off + left
                                                         : kChunk;
             for (std::size_t i = off; i < end; ++i, --left)
-                fn(c[i]);
+                fn(c.entry(i));
         }
     }
 
@@ -143,7 +149,7 @@ class ChunkedQueue
             chunks_.push_back(newChunk());
             tailOff_ = 0;
         }
-        (*chunks_.back())[tailOff_++] = v;
+        ::new (chunks_.back()->bytes + tailOff_++ * sizeof(T)) T(v);
         ++count_;
     }
 
@@ -179,20 +185,35 @@ class ChunkedQueue
 
   private:
     static constexpr std::size_t kChunk = 512;
-    using Chunk = std::array<T, kChunk>;
+
+    struct Chunk
+    {
+        alignas(T) unsigned char bytes[kChunk * sizeof(T)];
+
+        /** Entry @p i, which push_back must already have built. */
+        const T &entry(std::size_t i) const
+        {
+            return *std::launder(reinterpret_cast<const T *>(bytes) + i);
+        }
+    };
+    // The guard on chunk allocation: default-initialising a Chunk
+    // must compile to nothing, or every chunk taken from the arena is
+    // a kChunk-entry fill before its first push.
+    static_assert(std::is_trivially_default_constructible_v<Chunk>,
+                  "allocating a chunk must not initialise its entries");
+    // Chunks are recycled with their entries still in them.
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "queued entries are never destroyed one by one");
 
     Chunk *newChunk()
     {
         void *mem = arena_ ? arena_->allocate()
                            : ::operator new(sizeof(Chunk));
-        // Default-init on purpose: entries are always written by
-        // push_back before they can be read.
         return ::new (mem) Chunk;
     }
 
     void freeChunk(Chunk *c)
     {
-        c->~Chunk();
         if (arena_)
             arena_->release(c);
         else
@@ -285,6 +306,8 @@ class SyntheticInjector
     NocDevice &noc_;
     SyntheticWorkload workload_;
     DestinationGenerator destGen_;
+    /** Rng::bernoulliThreshold of the injection rate. */
+    std::uint64_t injectThreshold_;
     Rng rng_;
     std::vector<std::uint32_t> remaining_;
     /** Declared before queues_ so every queue dies first. */

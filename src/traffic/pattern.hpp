@@ -54,9 +54,10 @@ class DestinationGenerator
     /** Destination for a packet sourced at @p src. May equal @p src
      *  only for deterministic self-mapping patterns (transpose
      *  diagonal); such packets are delivered locally by the NoC.
-     *  Defined inline: injectors draw one destination per node per
-     *  cycle, making the call overhead itself measurable. */
-    NodeId dest(NodeId src, Rng &rng) const
+     *  Always inlined: injectors draw one destination per node per
+     *  cycle, and a call would also force the caller's generator out
+     *  of registers (-O2 keeps this body out of line otherwise). */
+    [[gnu::always_inline]] NodeId dest(NodeId src, Rng &rng) const
     {
         const std::uint32_t nodes = n_ * n_;
         FT_ASSERT(src < nodes, "bad source node");

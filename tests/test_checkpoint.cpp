@@ -20,6 +20,7 @@
 
 #include "common/fnv1a.hpp"
 #include "golden_hash.hpp"
+#include "noc/network.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sweep_cache.hpp"
@@ -146,6 +147,83 @@ expectSlicedTraceMatchesWhole(const NocConfig &cfg, const Trace &trace,
     EXPECT_EQ(hashStats(last.trace.stats), hashStats(whole.trace.stats))
         << cfg.describe() << " on " << trace.name;
     std::filesystem::remove_all(dir);
+}
+
+/** Step @p injector and @p noc to completion (bounded). */
+void
+runToDone(SyntheticInjector &injector, Network &noc)
+{
+    while (!injector.done() && noc.now() < 1'000'000) {
+        injector.tick();
+        noc.step();
+    }
+}
+
+/**
+ * Checkpoint a hand-driven run at the first cycle where its PEs are
+ * in every phase at once: one has spent its budget and emptied its
+ * source queue, another still holds a backlog, and another is still
+ * generating. Finishing the run in a fresh device and injector
+ * restored from that checkpoint must be FNV-identical to the
+ * uninterrupted run.
+ */
+void
+expectMidRunInjectorResumeMatchesWhole(TrafficPattern pattern)
+{
+    const NocConfig cfg = NocConfig::hoplite(8);
+    SyntheticWorkload w;
+    w.pattern = pattern;
+    w.injectionRate = 0.2;
+    w.packetsPerPe = 32;
+    w.seed = 31;
+
+    Network whole(cfg);
+    SyntheticInjector wholeInjector(whole, w);
+    runToDone(wholeInjector, whole);
+    ASSERT_TRUE(wholeInjector.done());
+
+    Network first(cfg);
+    SyntheticInjector firstInjector(first, w);
+    InjectorState injector;
+    bool mixed = false;
+    while (!mixed && !firstInjector.done()) {
+        firstInjector.tick();
+        first.step();
+        ASSERT_TRUE(firstInjector.captureState(injector));
+        bool spent = false, backlog = false, generating = false;
+        for (std::size_t node = 0; node < injector.queues.size();
+             ++node) {
+            spent |= injector.remaining[node] == 0 &&
+                     injector.queues[node].empty();
+            backlog |= !injector.queues[node].empty();
+            generating |= injector.remaining[node] > 0;
+        }
+        mixed = spent && backlog && generating;
+    }
+    ASSERT_TRUE(mixed) << toString(pattern);
+    EngineState engine;
+    ASSERT_TRUE(first.captureState(engine));
+
+    Network resumed(cfg);
+    ASSERT_TRUE(resumed.restoreState(engine));
+    SyntheticInjector resumedInjector(resumed, w);
+    ASSERT_TRUE(resumedInjector.restoreState(injector));
+    runToDone(resumedInjector, resumed);
+    ASSERT_TRUE(resumedInjector.done());
+    EXPECT_EQ(resumed.now(), whole.now()) << toString(pattern);
+    EXPECT_EQ(hashStats(resumed.statsSnapshot()),
+              hashStats(whole.statsSnapshot()))
+        << toString(pattern);
+}
+
+TEST(Checkpoint, MidRunInjectorResumeIsBitIdenticalLocal)
+{
+    expectMidRunInjectorResumeMatchesWhole(TrafficPattern::local);
+}
+
+TEST(Checkpoint, MidRunInjectorResumeIsBitIdenticalRandom)
+{
+    expectMidRunInjectorResumeMatchesWhole(TrafficPattern::random);
 }
 
 TEST(Checkpoint, SimConfigFieldSetIsPinned)

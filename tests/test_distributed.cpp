@@ -11,11 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "golden_hash.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -94,6 +98,133 @@ struct WithDaemon
     }
     ~WithDaemon() { server.stop(); }
     std::uint16_t port() { return server.boundPort(); }
+};
+
+/**
+ * A daemon that never stops talking. It answers each request it reads
+ * by relaying it to a real daemon (@p upstream) and relaying back the
+ * whole answer, the batch's metricsEpoch last — or, with @p answer
+ * false, never answers at all. And whenever its client has sent
+ * nothing for 100 ms it sends one more metricsEpoch, up to kMaxStreamed
+ * per session before it hangs up. A client that lets every epoch
+ * restart its wait stays in each session until that cap; one that
+ * counts epochs against the requests it sent leaves long before.
+ */
+class EpochStreamingDaemon
+{
+  public:
+    static constexpr int kMaxStreamed = 30;
+
+    EpochStreamingDaemon(std::uint16_t upstream, bool answer)
+        : upstream_(upstream), answer_(answer)
+    {
+        std::string error;
+        EXPECT_TRUE(listener_.open("127.0.0.1", 0, error)) << error;
+        thread_ = std::thread([this] { serve(); });
+    }
+    ~EpochStreamingDaemon()
+    {
+        stop_.store(true);
+        if (thread_.joinable())
+            thread_.join();
+        listener_.close();
+    }
+    EpochStreamingDaemon(const EpochStreamingDaemon &) = delete;
+    EpochStreamingDaemon &operator=(const EpochStreamingDaemon &) =
+        delete;
+
+    std::uint16_t port() const { return listener_.boundPort(); }
+    /** Most epochs sent unprompted in any one session so far. */
+    int maxStreamed() const { return maxStreamed_.load(); }
+    int sessions() const { return sessions_.load(); }
+
+  private:
+    void serve()
+    {
+        while (!stop_.load()) {
+            net::Socket client = listener_.accept(100);
+            if (!client.valid())
+                continue;
+            sessions_.fetch_add(1);
+            const int streamed = serveSession(client);
+            maxStreamed_.store(std::max(maxStreamed_.load(), streamed));
+        }
+    }
+
+    /** One client session; returns the epochs streamed unprompted. */
+    int serveSession(net::Socket &client)
+    {
+        net::Frame hello;
+        if (net::recvFrame(client, hello, 2'000, 2'000) !=
+            net::FrameStatus::ok)
+            return 0;
+        net::Socket daemon;
+        net::Frame ack;
+        if (answer_) {
+            std::string error;
+            daemon = net::connectTo("127.0.0.1", upstream_, 2'000, error);
+            if (!daemon.valid() ||
+                net::sendFrame(daemon, hello, 2'000) !=
+                    net::FrameStatus::ok ||
+                net::recvFrame(daemon, ack, 2'000, 2'000) !=
+                    net::FrameStatus::ok)
+                return 0;
+        } else {
+            ack.type = net::MessageType::helloAck;
+            net::WireWriter w;
+            w.u32(net::kWireVersion);
+            w.u32(kSweepCacheSchema);
+            w.u32(8);
+            ack.payload = w.take();
+        }
+        if (net::sendFrame(client, ack, 2'000) != net::FrameStatus::ok)
+            return 0;
+
+        int streamed = 0;
+        while (streamed < kMaxStreamed && !stop_.load()) {
+            net::Frame frame;
+            const net::FrameStatus status =
+                net::recvMessage(client, frame, 100, 2'000);
+            if (status == net::FrameStatus::timeout) {
+                net::Frame epoch;
+                epoch.type = net::MessageType::metricsEpoch;
+                epoch.payload = encodeMetricsPayload(
+                    {{"fake.streamed", static_cast<double>(streamed)}});
+                if (net::sendFrame(client, epoch, 2'000) !=
+                    net::FrameStatus::ok)
+                    break;
+                ++streamed;
+                continue;
+            }
+            if (status != net::FrameStatus::ok ||
+                frame.type == net::MessageType::goodbye)
+                break;
+            if (!answer_)
+                continue;
+            // One request at a time, so each upstream batch holds
+            // exactly this request and ends with its own epoch.
+            if (net::sendMessage(daemon, frame, 2'000) !=
+                net::FrameStatus::ok)
+                break;
+            net::Frame reply;
+            do {
+                if (net::recvMessage(daemon, reply, 60'000, 10'000) !=
+                        net::FrameStatus::ok ||
+                    net::sendMessage(client, reply, 2'000) !=
+                        net::FrameStatus::ok)
+                    return streamed;
+            } while (reply.type != net::MessageType::metricsEpoch);
+        }
+        return streamed;
+    }
+
+    net::Listener listener_;
+    std::uint16_t upstream_;
+    bool answer_;
+    std::atomic<bool> stop_{false};
+    std::atomic<int> maxStreamed_{0};
+    std::atomic<int> sessions_{0};
+    std::thread thread_;
 };
 
 /** An ephemeral port with nothing listening on it. */
@@ -349,6 +480,97 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
               1u);
     EXPECT_EQ(v2.count("remote." + label_a + ".ftd.points_served"),
               0u);
+}
+
+/** A synthetic run long enough to cut into several shard slices. */
+SyntheticWorkload
+shardWorkload()
+{
+    SyntheticWorkload w;
+    w.pattern = TrafficPattern::random;
+    w.injectionRate = 0.5;
+    w.packetsPerPe = 96;
+    w.seed = 9810;
+    return w;
+}
+
+TEST(Distributed, EpochStreamingDaemonCannotHoldTheClient)
+{
+    WithDaemon daemon;
+    EpochStreamingDaemon streaming(daemon.port(), true);
+    const NocConfig config = NocConfig::fastTrack(4, 2, 1);
+    const std::vector<SyntheticWorkload> workloads =
+        smallWorkloads(4, 9800);
+    const SyntheticWorkload w = shardWorkload();
+    const RunResult whole = runSim({.config = &config, .workload = &w});
+    ASSERT_TRUE(whole.synth.completed);
+
+    std::vector<SynthResult> remote;
+    RunResult sharded;
+    {
+        WithRemote wr(loopbackConfig({streaming.port()}));
+        remote = cachedRuns(config, 1, workloads);
+        EXPECT_EQ(remoteStats().pointsRemote, workloads.size());
+        EXPECT_EQ(remoteStats().pointsFallback, 0u);
+        RunRequest request;
+        request.config = &config;
+        request.workload = &w;
+        sharded = runShardedSim(request, whole.synth.cycles / 4 + 1);
+        EXPECT_GE(remoteStats().slicesRemote, 4u);
+        EXPECT_EQ(remoteStats().slicesFallback, 0u);
+    }
+    // Every session, the sweep's and each slice's, parted on its own
+    // as soon as it had the epochs its requests are owed.
+    EXPECT_GE(streaming.sessions(), 5);
+    EXPECT_LT(streaming.maxStreamed(), EpochStreamingDaemon::kMaxStreamed);
+
+    const std::vector<SynthResult> local =
+        cachedRuns(config, 1, workloads);
+    for (std::size_t i = 0; i < workloads.size(); ++i)
+        EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
+    EXPECT_TRUE(sharded.synth.completed);
+    EXPECT_EQ(sharded.synth.cycles, whole.synth.cycles);
+    EXPECT_EQ(hashStats(sharded.synth.stats), hashStats(whole.synth.stats));
+}
+
+TEST(Distributed, EpochsBeyondTheRequestsSentEndTheSession)
+{
+    // A peer that streams epochs and never answers: the epoch after
+    // the last one owed is a rogue frame, so each attempt ends there
+    // instead of waiting on, and the work falls back locally.
+    EpochStreamingDaemon streaming(0, false);
+    const NocConfig config = NocConfig::fastTrack(4, 2, 1);
+    const std::vector<SyntheticWorkload> workloads =
+        smallWorkloads(3, 9850);
+    const SyntheticWorkload w = shardWorkload();
+    const RunResult whole = runSim({.config = &config, .workload = &w});
+    ASSERT_TRUE(whole.synth.completed);
+
+    RemoteConfig remote = loopbackConfig({streaming.port()});
+    remote.maxAttempts = 2;
+    std::vector<SynthResult> viaFallback;
+    RunResult sharded;
+    {
+        WithRemote wr(std::move(remote));
+        viaFallback = cachedRuns(config, 1, workloads);
+        EXPECT_EQ(remoteStats().pointsFallback, workloads.size());
+        EXPECT_EQ(remoteStats().pointsRemote, 0u);
+        RunRequest request;
+        request.config = &config;
+        request.workload = &w;
+        sharded = runShardedSim(request, whole.synth.cycles / 4 + 1);
+        EXPECT_EQ(remoteStats().slicesRemote, 0u);
+        EXPECT_GE(remoteStats().slicesFallback, 4u);
+    }
+    EXPECT_GE(streaming.sessions(), 4);
+    EXPECT_LT(streaming.maxStreamed(), EpochStreamingDaemon::kMaxStreamed);
+
+    const std::vector<SynthResult> local =
+        cachedRuns(config, 1, workloads);
+    for (std::size_t i = 0; i < workloads.size(); ++i)
+        EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i])) << i;
+    EXPECT_TRUE(sharded.synth.completed);
+    EXPECT_EQ(hashStats(sharded.synth.stats), hashStats(whole.synth.stats));
 }
 
 TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)

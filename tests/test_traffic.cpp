@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "noc/network.hpp"
 #include "sim/simulation.hpp"
@@ -13,6 +17,52 @@
 
 namespace fasttrack {
 namespace {
+
+using PendingQueue = ChunkedQueue<PendingPacket>;
+
+/** A queue entry whose every field is derived from @p id, so a read of
+ *  a stale or never-written slot shows up as a wrong field. */
+PendingPacket
+entry(std::uint64_t id)
+{
+    PendingPacket rec;
+    rec.id = id;
+    rec.created = id * 3 + 1;
+    rec.dst = static_cast<NodeId>(id % 97);
+    return rec;
+}
+
+void
+pushIds(PendingQueue &q, std::uint64_t first, std::uint64_t count)
+{
+    for (std::uint64_t id = first; id < first + count; ++id)
+        q.push_back(entry(id));
+}
+
+/** Pop @p count entries, returning their ids; an entry whose fields
+ *  do not all match its id is reported as id 0. */
+std::vector<std::uint64_t>
+popIds(PendingQueue &q, std::size_t count)
+{
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < count && !q.empty(); ++i) {
+        const PendingPacket &rec = q.front();
+        const PendingPacket want = entry(rec.id);
+        ids.push_back(rec.created == want.created && rec.dst == want.dst
+                          ? rec.id
+                          : 0);
+        q.pop_front();
+    }
+    return ids;
+}
+
+std::vector<std::uint64_t>
+idRange(std::uint64_t first, std::uint64_t count)
+{
+    std::vector<std::uint64_t> ids(count);
+    std::iota(ids.begin(), ids.end(), first);
+    return ids;
+}
 
 TEST(Pattern, BitComplementIsInvolution)
 {
@@ -88,6 +138,101 @@ TEST(Pattern, NamesRoundTrip)
 {
     for (TrafficPattern p : kAllPatterns)
         EXPECT_EQ(patternFromString(toString(p)), p);
+}
+
+TEST(ChunkedQueue, FifoAcrossChunkBoundaries)
+{
+    // 512-entry chunks: pushing 300 and popping 130 per round walks
+    // both ends of the queue across several chunk boundaries, with
+    // and without an arena behind the chunks.
+    ChunkArena arena(PendingQueue::chunkBytes());
+    for (ChunkArena *backing : {&arena, static_cast<ChunkArena *>(nullptr)}) {
+        PendingQueue q(backing);
+        std::uint64_t pushed = 1, popped = 1;
+        for (int round = 0; round < 6; ++round) {
+            pushIds(q, pushed, 300);
+            pushed += 300;
+            EXPECT_EQ(popIds(q, 130), idRange(popped, 130));
+            popped += 130;
+            EXPECT_EQ(q.size(), pushed - popped);
+        }
+        EXPECT_EQ(popIds(q, pushed - popped),
+                  idRange(popped, pushed - popped));
+        EXPECT_TRUE(q.empty());
+    }
+}
+
+TEST(ChunkedQueue, DrainedQueueRefillsFromItsRecycledChunk)
+{
+    ChunkArena arena(PendingQueue::chunkBytes());
+    PendingQueue q(&arena);
+    pushIds(q, 1, 10);
+    const PendingPacket *slot0 = &q.front();
+    EXPECT_EQ(popIds(q, 10), idRange(1, 10));
+    EXPECT_TRUE(q.empty());
+
+    // Draining hands the chunk back to the arena, and the next push
+    // takes it again: its bytes still hold the old entries, and only
+    // the new ones may ever be read.
+    pushIds(q, 101, 3);
+    EXPECT_EQ(&q.front(), slot0);
+    EXPECT_EQ(popIds(q, 3), idRange(101, 3));
+    pushIds(q, 201, 700);
+    EXPECT_EQ(&q.front(), slot0);
+    EXPECT_EQ(popIds(q, 700), idRange(201, 700));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(ChunkedQueue, ForEachVisitsFrontToBack)
+{
+    PendingQueue q;
+    std::vector<std::uint64_t> seen;
+    q.forEach([&](const PendingPacket &rec) { seen.push_back(rec.id); });
+    EXPECT_TRUE(seen.empty());
+
+    // Head in the second chunk, tail in the third.
+    pushIds(q, 1, 1100);
+    popIds(q, 700);
+    pushIds(q, 1101, 50);
+    q.forEach([&](const PendingPacket &rec) {
+        seen.push_back(rec.created == entry(rec.id).created ? rec.id : 0);
+    });
+    EXPECT_EQ(seen, idRange(701, 450));
+    EXPECT_EQ(q.size(), 450u); // forEach consumes nothing
+}
+
+TEST(ChunkedQueue, MoveConstructionTransfersEntries)
+{
+    ChunkArena arena(PendingQueue::chunkBytes());
+    PendingQueue q(&arena);
+    pushIds(q, 1, 600);
+    popIds(q, 100);
+    PendingQueue moved(std::move(q));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(moved.size(), 500u);
+    EXPECT_EQ(popIds(moved, 500), idRange(101, 500));
+
+    // The moved-from queue is empty, not broken.
+    pushIds(q, 1001, 520);
+    EXPECT_EQ(popIds(q, 520), idRange(1001, 520));
+}
+
+TEST(ChunkedQueue, QueuesSharingAnArenaStayApart)
+{
+    ChunkArena arena(PendingQueue::chunkBytes());
+    PendingQueue a(&arena), b(&arena);
+    // Interleaved growth: the arena hands the two queues alternating
+    // chunks.
+    for (std::uint64_t i = 0; i < 1200; ++i) {
+        a.push_back(entry(1 + i));
+        b.push_back(entry(10'001 + i));
+    }
+    EXPECT_EQ(popIds(a, 1200), idRange(1, 1200));
+    // b grows into the chunks a just released.
+    pushIds(b, 11'201, 600);
+    EXPECT_EQ(popIds(b, 1800), idRange(10'001, 1800));
+    EXPECT_TRUE(a.empty());
+    EXPECT_TRUE(b.empty());
 }
 
 TEST(Injector, GeneratesExactBudget)
