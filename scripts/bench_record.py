@@ -13,10 +13,11 @@ headline stays BM_NetworkStep/16/1.
 Noise handling: each case runs --benchmark_repetitions times and the
 median repetition is recorded (single-core CI boxes and shared VMs
 jitter far too much for one-shot numbers). For a drift-immune speedup
-ratio, pass --baseline-bench with a binary built from the pre-refactor
-tree; both binaries then run interleaved in the same host window and
-the recorded ratio compares those medians. Without it, the frozen
-BASELINE table below is used.
+ratio, pass --baseline-bench with a binary built from an older tree;
+the two binaries then run interleaved, one repetition each per round
+with the first alternating, and the recorded ratio compares each
+case's median round. Without it, the frozen BASELINE table below is
+used.
 
 Usage:
     python3 scripts/bench_record.py --bench build/bench/bench_core_speed \
@@ -96,6 +97,31 @@ def extract(raw, repetitions):
     return results
 
 
+def median_runs(runs):
+    """Per case, the extracted run with the median ns_per_iter."""
+    cases = {}
+    for run in runs:
+        for name, result in run.items():
+            cases.setdefault(name, []).append(result)
+    return {name: sorted(results, key=lambda r: r["ns_per_iter"])
+            [len(results) // 2] for name, results in cases.items()}
+
+
+def run_interleaved(bench, baseline_bench, min_time, rounds):
+    """Alternate single repetitions of the two binaries so host drift
+    lands on both alike; returns (raw context run, current, baseline)."""
+    current, baseline = [], []
+    raw = None
+    for r in range(rounds):
+        sides = [(bench, current), (baseline_bench, baseline)]
+        for binary, runs in sides if r % 2 == 0 else reversed(sides):
+            out = run_bench(binary, min_time, 1)
+            if runs is current and raw is None:
+                raw = out
+            runs.append(extract(out, 1))
+    return raw, median_runs(current), median_runs(baseline)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", required=True,
@@ -112,22 +138,21 @@ def main():
                              "recorded")
     args = parser.parse_args()
 
-    raw = run_bench(args.bench, args.min_time, args.repetitions)
-    current = extract(raw, args.repetitions)
-    if not any(n.startswith("BM_NetworkStep") for n in current):
-        raise SystemExit("no BM_NetworkStep results in benchmark output")
-
     if args.baseline_bench:
-        base_raw = run_bench(args.baseline_bench, args.min_time,
-                             args.repetitions)
-        baseline = extract(base_raw, args.repetitions)
+        raw, current, baseline = run_interleaved(
+            args.bench, args.baseline_bench, args.min_time,
+            args.repetitions)
         if not baseline:
             raise SystemExit("no BM_NetworkStep results from the "
                              "baseline binary")
-        baseline_source = "measured in-window from --baseline-bench"
+        baseline_source = "measured interleaved from --baseline-bench"
     else:
+        raw = run_bench(args.bench, args.min_time, args.repetitions)
+        current = extract(raw, args.repetitions)
         baseline = BASELINE
         baseline_source = "frozen pre-refactor table"
+    if not any(n.startswith("BM_NetworkStep") for n in current):
+        raise SystemExit("no BM_NetworkStep results in benchmark output")
 
     speedups = {}
     for name, base in baseline.items():

@@ -106,6 +106,13 @@ BlobCache::ensureDiskScanned() const
     }
 }
 
+std::uint64_t
+BlobCache::memoryBytes() const
+{
+    MutexLock lk(mutex_);
+    return memBytes_;
+}
+
 std::string
 BlobCache::entryPath(std::uint64_t key) const
 {
@@ -123,14 +130,14 @@ BlobCache::lookup(std::uint64_t key)
         auto it = mem_.find(key);
         if (it != mem_.end()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
+            return it->second.payload;
         }
     }
     if (auto fromDisk = loadDiskEntry(key)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         diskHits_.fetch_add(1, std::memory_order_relaxed);
         MutexLock lk(mutex_);
-        mem_.emplace(key, *fromDisk);
+        insertMemory(key, *fromDisk);
         return fromDisk;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -145,10 +152,33 @@ BlobCache::store(std::uint64_t key, std::vector<std::uint8_t> payload)
     {
         MutexLock lk(mutex_);
         dir = dir_;
-        mem_[key] = payload;
+        insertMemory(key, payload);
     }
     if (!dir.empty())
         writeDiskEntry(key, payload);
+}
+
+void
+BlobCache::insertMemory(std::uint64_t key,
+                        std::vector<std::uint8_t> payload)
+{
+    memBytes_ += payload.size();
+    auto [it, fresh] = mem_.try_emplace(key);
+    if (fresh) {
+        it->second.order = memOrder_.insert(memOrder_.end(), key);
+    } else {
+        memBytes_ -= it->second.payload.size();
+        memOrder_.splice(memOrder_.end(), memOrder_, it->second.order);
+    }
+    it->second.payload = std::move(payload);
+    // The newest entry is last in the order, so it is never reached.
+    while (memBytes_ > kMemoryBudgetBytes && memOrder_.size() > 1) {
+        auto victim = mem_.find(memOrder_.front());
+        memBytes_ -= victim->second.payload.size();
+        mem_.erase(victim);
+        memOrder_.pop_front();
+        memoryEvictions_.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 void
@@ -156,6 +186,8 @@ BlobCache::clearMemory()
 {
     MutexLock lk(mutex_);
     mem_.clear();
+    memOrder_.clear();
+    memBytes_ = 0;
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -350,6 +382,7 @@ BlobCache::stats() const
     s.corrupt = corrupt_.load(std::memory_order_relaxed);
     s.bypasses = bypasses_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
+    s.memoryEvictions = memoryEvictions_.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -365,8 +398,11 @@ BlobCache::reportTo(telemetry::MetricsRegistry &metrics) const
     metrics.counter(name_ + ".corrupt") = s.corrupt;
     metrics.counter(name_ + ".bypasses") = s.bypasses;
     metrics.counter(name_ + ".evictions") = s.evictions;
+    metrics.counter(name_ + ".memory_evictions") = s.memoryEvictions;
     metrics.gauge(name_ + ".disk_bytes") =
         static_cast<double>(diskBytes());
+    metrics.gauge(name_ + ".memory_bytes") =
+        static_cast<double>(memoryBytes());
 }
 
 } // namespace fasttrack::sched

@@ -4,6 +4,12 @@
  * content keys to opaque payload blobs, with an optional on-disk
  * store so results survive across process invocations.
  *
+ * The in-memory tier holds at most kMemoryBudgetBytes of payload: an
+ * insert that pushes it over evicts the oldest inserts first (the
+ * entry just inserted is never a victim). A long-lived process, the
+ * ftd daemon above all, therefore stops growing; an evicted entry is
+ * recomputed, or reloaded when a disk store is attached.
+ *
  * Keys are FNV-1a hashes of the *inputs* that determine a result
  * (the sweep layer hashes (NocConfig, channels, SyntheticWorkload,
  * maxCycles) — see sim/sweep_cache.hpp). Because every simulation is
@@ -34,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -72,7 +79,16 @@ class BlobCache
         std::uint64_t bypasses = 0;
         /** Disk entries deleted to stay under the size cap. */
         std::uint64_t evictions = 0;
+        /** Memory entries dropped to stay under the memory budget. */
+        std::uint64_t memoryEvictions = 0;
     };
+
+    /** Payload bytes the in-memory tier may hold. Within one pass of
+     *  the full bench_all grid a point recurs at most 2 MiB of inserts
+     *  later, so twice that keeps every such hit; more would only let
+     *  a long-lived daemon hold points nobody asks for again. */
+    static constexpr std::uint64_t kMemoryBudgetBytes = std::uint64_t{4}
+                                                        << 20;
 
     /**
      * @param name metric prefix (reportTo publishes <name>.hits ...).
@@ -102,13 +118,17 @@ class BlobCache
     /** Current on-disk store size in bytes (0 when detached). */
     std::uint64_t diskBytes() const;
 
+    /** Payload bytes held by the in-memory tier. */
+    std::uint64_t memoryBytes() const;
+
     std::uint32_t schemaVersion() const { return schema_; }
 
     /** The payload stored under @p key, from memory or disk. */
     std::optional<std::vector<std::uint8_t>> lookup(std::uint64_t key);
 
     /** Insert @p payload under @p key (and persist it when a disk
-     *  store is attached). Idempotent for deterministic payloads. */
+     *  store is attached). Idempotent for deterministic payloads; a
+     *  re-stored key counts as the newest insert. */
     void store(std::uint64_t key, std::vector<std::uint8_t> payload);
 
     /** Record a lookup the caller elected to skip. */
@@ -131,6 +151,18 @@ class BlobCache
     std::string entryPath(std::uint64_t key) const;
 
   private:
+    /** An in-memory payload and its place in the insertion order. */
+    struct MemEntry
+    {
+        std::vector<std::uint8_t> payload;
+        std::list<std::uint64_t>::iterator order;
+    };
+
+    /** Insert into the memory tier as the newest entry, then evict
+     *  the oldest others until the tier fits its budget. */
+    void insertMemory(std::uint64_t key,
+                      std::vector<std::uint8_t> payload)
+        FT_REQUIRES(mutex_);
     std::optional<std::vector<std::uint8_t>>
     loadDiskEntry(std::uint64_t key);
     void writeDiskEntry(std::uint64_t key,
@@ -145,8 +177,10 @@ class BlobCache
     std::uint32_t schema_;
     mutable Mutex mutex_;
     std::string dir_ FT_GUARDED_BY(mutex_);
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
-        mem_ FT_GUARDED_BY(mutex_);
+    std::unordered_map<std::uint64_t, MemEntry> mem_ FT_GUARDED_BY(mutex_);
+    /** Keys of mem_, oldest insert first. */
+    std::list<std::uint64_t> memOrder_ FT_GUARDED_BY(mutex_);
+    std::uint64_t memBytes_ FT_GUARDED_BY(mutex_) = 0;
     std::uint64_t maxDiskBytes_ FT_GUARDED_BY(mutex_) = 0;
     /** Lazily-scanned store size; mutable so const readers
      *  (diskBytes, reportTo) can trigger the scan under mutex_. */
@@ -164,6 +198,7 @@ class BlobCache
     std::atomic<std::uint64_t> corrupt_{0};
     std::atomic<std::uint64_t> bypasses_{0};
     std::atomic<std::uint64_t> evictions_{0};
+    std::atomic<std::uint64_t> memoryEvictions_{0};
 };
 
 } // namespace fasttrack::sched

@@ -26,10 +26,9 @@ constexpr std::uint8_t kOriginPending = 0;
 constexpr std::uint8_t kOriginLocalCache = 1;
 constexpr std::uint8_t kOriginRemote = 2;
 
-/** After the last in-flight result, wait up to this long for each
- *  metricsEpoch frame the session may still be owed before saying
- *  goodbye. Bounded so a daemon that died right after its results
- *  cannot stall us. */
+/** After saying goodbye, wait up to this long for each further frame
+ *  before giving up on the daemon's EOF. The daemon hangs up on
+ *  goodbye, so this only bounds a peer that never does. */
 constexpr int kEpochDrainMs = 250;
 
 Mutex g_configMutex;
@@ -257,23 +256,30 @@ takeEpoch(const net::Frame &frame, const net::Endpoint &endpoint,
     return true;
 }
 
-/** Wait (bounded per frame) for the epochs still owed to a session
- *  that has sent @p sent requests and seen @p epochs, then part
- *  cleanly. */
+/**
+ * Part a session that has sent @p sent requests and seen @p epochs:
+ * say goodbye at once, then read to the daemon's EOF, recording any
+ * epochs still in flight. The client cannot tell how many batches the
+ * daemon cut its requests into, so it never waits for an epoch; the
+ * daemon hangs up on goodbye instead. takeEpoch still cuts off a peer
+ * that streams epochs, and kEpochDrainMs one that goes silent without
+ * hanging up.
+ */
 void
-drainEpochAndPart(const RemoteConfig &cfg,
-                  const net::Endpoint &endpoint, net::Socket &sock,
-                  RunCounters &run, std::size_t epochs, std::size_t sent)
+partSession(const RemoteConfig &cfg, const net::Endpoint &endpoint,
+            net::Socket &sock, RunCounters &run, std::size_t epochs,
+            std::size_t sent)
 {
     net::Frame frame;
-    while (epochs < sent &&
-           net::recvFrame(sock, frame, kEpochDrainMs,
+    frame.type = net::MessageType::goodbye;
+    if (net::sendFrame(sock, frame, cfg.ioTimeoutMs) !=
+        net::FrameStatus::ok)
+        return;
+    while (net::recvFrame(sock, frame, kEpochDrainMs,
                           cfg.ioTimeoutMs) == net::FrameStatus::ok &&
            frame.type == net::MessageType::metricsEpoch)
-        takeEpoch(frame, endpoint, run, epochs, sent);
-    net::Frame goodbye;
-    goodbye.type = net::MessageType::goodbye;
-    net::sendFrame(sock, goodbye, cfg.ioTimeoutMs);
+        if (!takeEpoch(frame, endpoint, run, epochs, sent))
+            return;
 }
 
 void
@@ -368,10 +374,9 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
         return origin[idx] != kOriginPending;
     });
 
-    // Give the trailing metricsEpoch of the final batch a bounded
-    // chance to arrive, then part cleanly.
+    // Part cleanly, collecting the final batch's trailing epoch.
     if (remaining.empty())
-        drainEpochAndPart(cfg, endpoint, sock, run, epochs, next);
+        partSession(cfg, endpoint, sock, run, epochs, next);
 }
 
 /** Drive one endpoint until its points are served, the retry budget
@@ -1063,7 +1068,7 @@ trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
         break;
     }
     if (got)
-        drainEpochAndPart(cfg, endpoint, sock, run, epochs, 1);
+        partSession(cfg, endpoint, sock, run, epochs, 1);
     return got;
 }
 

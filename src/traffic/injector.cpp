@@ -1,9 +1,5 @@
 #include "traffic/injector.hpp"
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
 #include "common/logging.hpp"
 
 namespace fasttrack {
@@ -14,10 +10,6 @@ ChunkArena::grow()
     FT_ASSERT(slotBytes_ <= kBlockBytes, "arena slot larger than block");
     void *b = std::aligned_alloc(kBlockBytes, kBlockBytes);
     FT_ASSERT(b != nullptr, "arena block allocation failed");
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    // Best-effort: fall back to 4 KiB pages when THP is unavailable.
-    (void)::madvise(b, kBlockBytes, MADV_HUGEPAGE);
-#endif
     blocks_.push_back(b);
     bump_ = static_cast<char *>(b);
     remaining_ = kBlockBytes;

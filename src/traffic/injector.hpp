@@ -21,12 +21,12 @@
 namespace fasttrack {
 
 /**
- * Fixed-slot-size allocator carving chunk storage out of 2 MiB-aligned
+ * Fixed-slot-size allocator carving chunk storage out of 2 MiB
  * blocks, with a free list shared by every queue using the arena.
- * A deep source backlog grows by fresh pages every cycle; serving them
- * from hugepage-advised blocks (MADV_HUGEPAGE, where available) takes
- * one page fault per 2 MiB instead of one per 4 KiB, which is the
- * dominant per-cycle cost of backlog growth otherwise.
+ * Blocks are not hugepage-advised: that measured no faster even on
+ * BM_NetworkStep's unbounded backlogs, and with transparent huge
+ * pages in madvise mode it kept a whole 2 MiB resident for every live
+ * sweep injector, whose backlog touches a fraction of one block.
  */
 class ChunkArena
 {

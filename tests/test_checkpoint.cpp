@@ -17,6 +17,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/fnv1a.hpp"
 #include "golden_hash.hpp"
@@ -41,11 +42,13 @@ checkpointWorkload()
     return w;
 }
 
-/** Fresh scratch directory under the test temp root. */
+/** Fresh scratch directory under the test temp root, named for this
+ *  process so two ft_tests runs side by side never share one. */
 std::string
 scratchDir(const std::string &leaf)
 {
-    const std::string dir = testing::TempDir() + "ft_ckpt_" + leaf;
+    const std::string dir = testing::TempDir() + "ft_ckpt_" + leaf +
+                            "_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir);
     return dir;
 }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -224,6 +225,118 @@ class EpochStreamingDaemon
     std::atomic<bool> stop_{false};
     std::atomic<int> maxStreamed_{0};
     std::atomic<int> sessions_{0};
+    std::thread thread_;
+};
+
+/**
+ * A daemon that serves one session of @p points sweep requests as one
+ * batch: it reads them all, answers each from a local run, sends the
+ * one metricsEpoch the batch is owed, and then times how long its
+ * client takes to say goodbye. The client cannot tell one batch from
+ * several, so it must part without waiting for further epochs.
+ */
+class OneBatchDaemon
+{
+  public:
+    explicit OneBatchDaemon(std::size_t points) : points_(points)
+    {
+        std::string error;
+        EXPECT_TRUE(listener_.open("127.0.0.1", 0, error)) << error;
+        thread_ = std::thread([this] { serve(); });
+    }
+    ~OneBatchDaemon()
+    {
+        finish();
+        listener_.close();
+    }
+    OneBatchDaemon(const OneBatchDaemon &) = delete;
+    OneBatchDaemon &operator=(const OneBatchDaemon &) = delete;
+
+    std::uint16_t port() const { return listener_.boundPort(); }
+    /** Let the session in progress end, then report the milliseconds
+     *  from its epoch to the client's goodbye; negative when no
+     *  session parted with a goodbye. */
+    double goodbyeGapMs()
+    {
+        finish();
+        return goodbyeGapMs_.load();
+    }
+
+  private:
+    void finish()
+    {
+        stop_.store(true);
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    void serve()
+    {
+        while (!stop_.load() && goodbyeGapMs_.load() < 0.0) {
+            net::Socket client = listener_.accept(100);
+            if (client.valid())
+                serveSession(client);
+        }
+    }
+
+    void serveSession(net::Socket &client)
+    {
+        net::Frame frame;
+        if (net::recvFrame(client, frame, 2'000, 2'000) !=
+            net::FrameStatus::ok)
+            return;
+        net::Frame ack;
+        ack.type = net::MessageType::helloAck;
+        net::WireWriter w;
+        w.u32(net::kWireVersion);
+        w.u32(kSweepCacheSchema);
+        w.u32(8);
+        ack.payload = w.take();
+        if (net::sendFrame(client, ack, 2'000) != net::FrameStatus::ok)
+            return;
+
+        std::vector<net::Frame> answers;
+        for (std::size_t i = 0; i < points_; ++i) {
+            SweepRequest request;
+            if (net::recvFrame(client, frame, 2'000, 2'000) !=
+                    net::FrameStatus::ok ||
+                frame.type != net::MessageType::sweepRequest ||
+                !decodeSweepRequestPayload(frame.payload, request))
+                return;
+            net::Frame answer;
+            answer.type = net::MessageType::sweepResult;
+            answer.requestId = frame.requestId;
+            answer.payload = encodeSweepResultPayload(
+                request.pointIndex, false,
+                encodeSynthResult(runSynthetic(request.config,
+                                               request.channels,
+                                               request.workload,
+                                               request.maxCycles)));
+            answers.push_back(std::move(answer));
+        }
+        net::Frame epoch;
+        epoch.type = net::MessageType::metricsEpoch;
+        epoch.payload = encodeMetricsPayload({{"fake.batches", 1.0}});
+        answers.push_back(std::move(epoch));
+        for (const net::Frame &answer : answers)
+            if (net::sendFrame(client, answer, 2'000) !=
+                net::FrameStatus::ok)
+                return;
+
+        const auto sent = std::chrono::steady_clock::now();
+        if (net::recvFrame(client, frame, 2'000, 2'000) ==
+                net::FrameStatus::ok &&
+            frame.type == net::MessageType::goodbye)
+            goodbyeGapMs_.store(
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - sent)
+                    .count());
+    }
+
+    net::Listener listener_;
+    std::size_t points_;
+    std::atomic<bool> stop_{false};
+    std::atomic<double> goodbyeGapMs_{-1.0};
     std::thread thread_;
 };
 
@@ -571,6 +684,34 @@ TEST(Distributed, EpochsBeyondTheRequestsSentEndTheSession)
         EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i])) << i;
     EXPECT_TRUE(sharded.synth.completed);
     EXPECT_EQ(hashStats(sharded.synth.stats), hashStats(whole.synth.stats));
+}
+
+TEST(Distributed, SweepSessionPartsWithoutTheEpochWait)
+{
+    // Three requests, one batch, one epoch: by its request count the
+    // client could be owed two more epochs, yet it must say goodbye
+    // as soon as its last answer is in rather than idle out the
+    // kEpochDrainMs (250 ms) bound on each of them.
+    const std::vector<SyntheticWorkload> workloads =
+        smallWorkloads(3, 9870);
+    OneBatchDaemon daemon(workloads.size());
+    const NocConfig config = NocConfig::fastTrack(4, 2, 1);
+
+    std::vector<SynthResult> remote;
+    {
+        WithRemote wr(loopbackConfig({daemon.port()}));
+        remote = cachedRuns(config, 1, workloads);
+        EXPECT_EQ(remoteStats().pointsRemote, workloads.size());
+        EXPECT_EQ(remoteStats().pointsFallback, 0u);
+    }
+    const double gap = daemon.goodbyeGapMs();
+    EXPECT_GE(gap, 0.0);
+    EXPECT_LT(gap, 100.0);
+
+    const std::vector<SynthResult> local =
+        cachedRuns(config, 1, workloads);
+    for (std::size_t i = 0; i < workloads.size(); ++i)
+        EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
 }
 
 TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)

@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "net/wire.hpp"
@@ -50,11 +52,13 @@ smallWorkload(double rate, std::uint64_t seed)
     return workload;
 }
 
-/** Fresh scratch directory under the test temp root. */
+/** Fresh scratch directory under the test temp root, named for this
+ *  process so two ft_tests runs side by side never share one. */
 std::string
 scratchDir(const std::string &leaf)
 {
-    const std::string dir = testing::TempDir() + "ft_sched_" + leaf;
+    const std::string dir = testing::TempDir() + "ft_sched_" + leaf +
+                            "_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir);
     return dir;
 }
@@ -489,6 +493,62 @@ TEST(BlobCache, EvictionKeepsDiskStoreUnderCap)
     cache.store(5, payload);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.diskBytes(), 400u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BlobCache, MemoryTierStaysUnderItsBudget)
+{
+    constexpr std::uint64_t budget = sched::BlobCache::kMemoryBudgetBytes;
+    const std::vector<std::uint8_t> quarter(budget / 4, 0x3c);
+    sched::BlobCache cache("test_cache", 7);
+
+    // Four quarters fill the budget exactly; re-storing one is not
+    // counted twice, and makes it the newest insert.
+    for (std::uint64_t key : {1ull, 2ull, 3ull, 4ull})
+        cache.store(key, quarter);
+    cache.store(1, quarter);
+    EXPECT_EQ(cache.memoryBytes(), budget);
+    EXPECT_EQ(cache.stats().memoryEvictions, 0u);
+
+    // A fifth evicts the oldest insert, which is now key 2.
+    cache.store(5, quarter);
+    EXPECT_EQ(cache.memoryBytes(), budget);
+    EXPECT_EQ(cache.stats().memoryEvictions, 1u);
+    EXPECT_FALSE(cache.lookup(2).has_value());
+    for (std::uint64_t key : {1ull, 3ull, 4ull, 5ull})
+        EXPECT_TRUE(cache.lookup(key).has_value()) << key;
+
+    // The entry just stored is never evicted, even alone over budget.
+    const std::vector<std::uint8_t> oversized(budget + 1, 0xc3);
+    cache.store(6, oversized);
+    EXPECT_EQ(cache.memoryBytes(), budget + 1);
+    EXPECT_EQ(cache.stats().memoryEvictions, 5u);
+    ASSERT_TRUE(cache.lookup(6).has_value());
+    EXPECT_EQ(*cache.lookup(6), oversized);
+
+    telemetry::MetricsRegistry metrics;
+    cache.reportTo(metrics);
+    metrics.snapshot(0);
+    const auto &values = metrics.epochs().back().values;
+    EXPECT_EQ(values.at("test_cache.memory_bytes"),
+              static_cast<double>(budget + 1));
+    EXPECT_EQ(values.at("test_cache.memory_evictions"), 5.0);
+
+    // With a disk store attached, an evicted key comes back as a disk
+    // hit.
+    const std::string dir = scratchDir("memory_tier");
+    sched::BlobCache backed("test_cache", 7);
+    backed.setDir(dir);
+    const std::vector<std::uint8_t> small(64, 0x5a);
+    backed.store(1, small);
+    backed.store(2, std::vector<std::uint8_t>(budget, 0xa5));
+    EXPECT_EQ(backed.stats().memoryEvictions, 1u);
+    EXPECT_EQ(backed.memoryBytes(), budget);
+    const auto reloaded = backed.lookup(1);
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_EQ(*reloaded, small);
+    EXPECT_EQ(backed.stats().diskHits, 1u);
+    EXPECT_EQ(backed.stats().misses, 0u);
     std::filesystem::remove_all(dir);
 }
 

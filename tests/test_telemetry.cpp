@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "check/invariants.hpp"
 #include "common/parallel.hpp"
 #include "noc/routing.hpp"
@@ -37,12 +39,15 @@ pinnedWorkload()
     return w;
 }
 
-/** Fresh per-test artifact directory under the gtest temp root. */
+/** Fresh per-test artifact directory under the gtest temp root,
+ *  named for this process so two ft_tests runs side by side never
+ *  share one. */
 fs::path
 artifactDir(const std::string &name)
 {
-    const fs::path dir = fs::path(::testing::TempDir()) /
-                         ("ft_telemetry_" + name);
+    const fs::path dir =
+        fs::path(::testing::TempDir()) /
+        ("ft_telemetry_" + name + "_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     return dir;
 }
@@ -195,6 +200,7 @@ TEST(Telemetry, MultiThreadedSweepWritesOneTraceFilePerThread)
     }
     for (const std::string &p : traces)
         EXPECT_TRUE(fs::exists(p)) << p;
+    fs::remove_all(dir);
 }
 
 TEST(Telemetry, ChromeTraceExportIsStructurallyValidJson)
@@ -346,6 +352,7 @@ TEST(Telemetry, SessionExportsMetricsTimeSeries)
         EXPECT_TRUE(std::getline(is, row)); // at least one epoch row
     }
     EXPECT_TRUE(found_metrics);
+    fs::remove_all(dir);
 }
 
 } // namespace
