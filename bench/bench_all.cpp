@@ -224,18 +224,13 @@ runVaryD(const AllConfig &cfg)
 int
 main(int argc, char **argv)
 {
-    // Strip --smoke before handing the rest to the shared parser.
     bool smoke = false;
-    std::vector<char *> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    bench::parseArgs(static_cast<int>(args.size()), args.data());
+    bench::parseArgs(argc, argv,
+                     {toggleFlag("--smoke",
+                                 "run a tiny grid (64 packets/PE, 3 rates, "
+                                 "2 patterns) for CI instead of the full "
+                                 "one",
+                                 [&smoke] { smoke = true; })});
     const AllConfig cfg = smoke ? smokeConfig() : fullConfig();
 
     bench::banner(

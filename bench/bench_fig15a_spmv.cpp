@@ -30,10 +30,10 @@ main(int argc, char **argv)
     // every parallelMap worker replaying a trace gets its own Chrome
     // trace file, and each matrix shows up as a host phase span.
     std::unique_ptr<TelemetrySession> session;
-    if (!bench::telemetryDir().empty()) {
+    if (!bench::harnessFlags().telemetryDir.empty()) {
         telemetry::TelemetryConfig tcfg;
-        tcfg.dir = bench::telemetryDir();
-        tcfg.epoch = bench::telemetryEpoch();
+        tcfg.dir = bench::harnessFlags().telemetryDir;
+        tcfg.epoch = bench::harnessFlags().telemetryEpoch;
         tcfg.filePrefix = "fig15a_";
         session = std::make_unique<TelemetrySession>(std::move(tcfg));
     }

@@ -39,8 +39,8 @@ main(int argc, char **argv)
     std::vector<std::string> artifacts;
     for (const auto &nut : ordered) {
         telemetry::TelemetryConfig tcfg;
-        tcfg.dir = bench::telemetryDir();
-        tcfg.epoch = bench::telemetryEpoch();
+        tcfg.dir = bench::harnessFlags().telemetryDir;
+        tcfg.epoch = bench::harnessFlags().telemetryEpoch;
         tcfg.filePrefix = bench::fileSafeLabel(nut.label) + "_";
         TelemetrySession session(std::move(tcfg));
 

@@ -66,8 +66,10 @@ traceSpeedup(const Trace &trace, Cycle max_cycles = 50'000'000)
     for (const NocConfig &cfg : fastTrackCandidates(trace.n))
         configs.push_back(cfg);
 
-    const bool sharded = shardCycles() != 0 && remoteConfigured() &&
-                         snapshotEvery() == 0 && resumeDir().empty();
+    const HarnessFlags &flags = harnessFlags();
+    const bool sharded = flags.shardCycles != 0 && remoteConfigured() &&
+                         flags.snapshotEvery == 0 &&
+                         flags.resumeDir.empty();
     const std::vector<Cycle> cycles = parallelMap(
         configs,
         [&](const NocConfig &cfg) {
@@ -76,18 +78,18 @@ traceSpeedup(const Trace &trace, Cycle max_cycles = 50'000'000)
                 run.config = &cfg;
                 run.trace = &trace;
                 run.sim.maxCycles = max_cycles;
-                return runShardedSim(run, shardCycles())
+                return runShardedSim(run, flags.shardCycles)
                     .trace.completion;
             }
             const std::string run =
                 fileSafeLabel(trace.name + "_" + cfg.describe());
             SimConfig sim{.maxCycles = max_cycles};
-            if (snapshotEvery() != 0) {
-                sim.snapshotEveryCycles = snapshotEvery();
-                sim.snapshotDir = snapshotDir() + "/" + run;
+            if (flags.snapshotEvery != 0) {
+                sim.snapshotEveryCycles = flags.snapshotEvery;
+                sim.snapshotDir = flags.snapshotDir + "/" + run;
             }
-            if (!resumeDir().empty())
-                sim.resumeFrom = resumeDir() + "/" + run;
+            if (!flags.resumeDir.empty())
+                sim.resumeFrom = flags.resumeDir + "/" + run;
             return runSim({.config = &cfg,
                            .trace = &trace,
                            .sim = sim})

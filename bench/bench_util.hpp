@@ -8,15 +8,14 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
-#include <thread>
 
+#include "common/flags.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
-#include "net/endpoint.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
@@ -24,90 +23,34 @@
 
 namespace fasttrack::bench {
 
-/**
- * Worker-thread count for harnesses that fan out over parallelMap:
- * the --threads override when given, hardware concurrency otherwise.
- */
-inline unsigned &
-threadOverride()
+/** Values of the shared harness flags, filled by parseArgs. An empty
+ *  string or a zero period leaves its feature off. */
+struct HarnessFlags
 {
-    static unsigned threads = 0; // 0 = use hardware concurrency
-    return threads;
-}
+    /** --telemetry-dir: harnesses that support observability attach a
+     *  TelemetrySession exporting its artifacts here. */
+    std::string telemetryDir;
+    /** --telemetry-epoch: metrics snapshot period in cycles. */
+    std::uint64_t telemetryEpoch = 1024;
+    /** --cache-stats: end-of-run scheduler/cache metrics CSV. */
+    std::string cacheStatsFile;
+    /** --snapshot-every / --snapshot-dir / --resume: runs that honour
+     *  them checkpoint into, and resume from, a per-run subdirectory
+     *  of these roots (docs/checkpoint.md). */
+    std::uint64_t snapshotEvery = 0;
+    std::string snapshotDir;
+    std::string resumeDir;
+    /** --shard-cycles: harnesses that honour it run their long
+     *  single-point simulations via runShardedSim across the --remote
+     *  fleet (docs/distributed.md, "Temporal sharding"). */
+    std::uint64_t shardCycles = 0;
+};
 
-inline unsigned
-workerThreads()
+inline HarnessFlags &
+harnessFlags()
 {
-    return threadOverride() ? threadOverride()
-                            : std::thread::hardware_concurrency();
-}
-
-/**
- * Telemetry artifact directory from --telemetry-dir; empty (the
- * default) leaves artifact export off. Harnesses that support
- * observability attach a TelemetrySession whose config().dir is this.
- */
-inline std::string &
-telemetryDir()
-{
-    static std::string dir;
-    return dir;
-}
-
-/** Metrics snapshot period in cycles from --telemetry-epoch. */
-inline std::uint64_t &
-telemetryEpoch()
-{
-    static std::uint64_t epoch = 1024;
-    return epoch;
-}
-
-/** Destination of --cache-stats; empty (the default) disables the
- *  end-of-run scheduler/cache metrics dump. */
-inline std::string &
-cacheStatsFile()
-{
-    static std::string file;
-    return file;
-}
-
-/** Snapshot period in cycles from --snapshot-every (0 = off). Runs
- *  that honour it write checkpoint files (docs/checkpoint.md) into a
- *  per-run subdirectory of snapshotDir(). */
-inline std::uint64_t &
-snapshotEvery()
-{
-    static std::uint64_t every = 0;
-    return every;
-}
-
-/** Snapshot root directory from --snapshot-dir. */
-inline std::string &
-snapshotDir()
-{
-    static std::string dir;
-    return dir;
-}
-
-/** Resume root directory from --resume; harnesses look for the
- *  latest matching snapshot under the same per-run subdirectory
- *  naming they write with. */
-inline std::string &
-resumeDir()
-{
-    static std::string dir;
-    return dir;
-}
-
-/** Temporal-shard slice length from --shard-cycles (0 = off).
- *  Harnesses that honour it run their long single-point simulations
- *  via runShardedSim across the --remote fleet instead of locally
- *  (docs/distributed.md, "Temporal sharding"). */
-inline std::uint64_t &
-shardCycles()
-{
-    static std::uint64_t cycles = 0;
-    return cycles;
+    static HarnessFlags flags;
+    return flags;
 }
 
 /** Publish sweep-cache and pool counters into a registry and write
@@ -130,10 +73,10 @@ writeCacheStats(std::ostream &os)
 inline void
 writeCacheStatsAtExit()
 {
-    std::ofstream os(cacheStatsFile());
+    std::ofstream os(harnessFlags().cacheStatsFile);
     if (!os) {
-        std::cerr << "cache-stats: cannot write '" << cacheStatsFile()
-                  << "'\n";
+        std::cerr << "cache-stats: cannot write '"
+                  << harnessFlags().cacheStatsFile << "'\n";
         return;
     }
     writeCacheStats(os);
@@ -164,247 +107,82 @@ fileSafeLabel(const std::string &label)
     return out;
 }
 
+/**
+ * Parse the shared harness flags, plus the @p extra rows a harness
+ * adds, from one flag table (common/flags.hpp). Any error — a typo, a
+ * malformed or out-of-range value, a broken cross-flag rule — prints
+ * the usage and exits 2, so a mistake cannot silently run the default
+ * configuration. Call first in main().
+ */
 inline void
-usage(const char *prog)
+parseArgs(int argc, char **argv, FlagTable extra = {})
 {
-    std::cerr
-        << "usage: " << prog
-        << " [--csv] [--threads N] [--telemetry-dir DIR]"
-           " [--telemetry-epoch N] [--result-cache DIR]"
-           " [--result-cache-max-bytes N] [--cache-stats FILE]"
-           " [--snapshot-every N] [--snapshot-dir DIR] [--resume DIR]"
-           " [--remote HOST:PORT[,HOST:PORT...]] [--shard-cycles N]\n"
-        << "  --csv                emit tables as CSV (for scripting)\n"
-        << "  --threads N          cap parallel sweep workers at N\n"
-        << "  --telemetry-dir DIR  export telemetry artifacts (Chrome\n"
-        << "                       traces, link heatmaps, metrics CSV)\n"
-        << "                       into DIR\n"
-        << "  --telemetry-epoch N  metrics snapshot period in cycles\n"
-        << "                       (default 1024)\n"
-        << "  --result-cache DIR   persist sweep results in DIR and\n"
-        << "                       reuse them across invocations\n"
-        << "  --result-cache-max-bytes N\n"
-        << "                       cap the --result-cache store at N\n"
-        << "                       bytes, evicting oldest entries\n"
-        << "  --cache-stats FILE   write scheduler/cache counters as\n"
-        << "                       CSV (metric,kind,value) at exit\n"
-        << "  --snapshot-every N   checkpoint supporting runs every N\n"
-        << "                       cycles (needs --snapshot-dir; see\n"
-        << "                       docs/checkpoint.md)\n"
-        << "  --snapshot-dir DIR   root directory snapshot files are\n"
-        << "                       written under (one subdirectory per\n"
-        << "                       run)\n"
-        << "  --resume DIR         resume runs from the latest matching\n"
-        << "                       snapshot under DIR (corrupt or\n"
-        << "                       missing snapshots fall back to a\n"
-        << "                       fresh run)\n"
-        << "  --remote HOST:PORT[,HOST:PORT...]\n"
-        << "                       fan sweep points out to ftd daemons\n"
-        << "                       (unreachable workers fall back to\n"
-        << "                       local execution)\n"
-        << "  --shard-cycles N     run long single-point simulations as\n"
-        << "                       N-cycle temporal shards across the\n"
-        << "                       --remote fleet (needs --remote; see\n"
-        << "                       docs/distributed.md)\n";
-}
-
-/** Parse shared harness flags: --csv switches every table to CSV
- *  output (for scripting the figure data); --threads N caps the
- *  parallelMap worker count. Unknown flags are an error (exit 2), so
- *  a typo cannot silently run the default configuration. Call first
- *  in main(). */
-inline void
-parseArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv") == 0) {
-            Table::setCsvMode(true);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--threads") == 0) {
-            char *end = nullptr;
-            const long n =
-                i + 1 < argc ? std::strtol(argv[i + 1], &end, 10) : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                n < 1) {
-                std::cerr << argv[0]
-                          << ": --threads needs a positive integer\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            threadOverride() = static_cast<unsigned>(n);
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--telemetry-dir") == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-                std::cerr << argv[0]
-                          << ": --telemetry-dir needs a directory\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            telemetryDir() = argv[i + 1];
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--telemetry-epoch") == 0) {
-            char *end = nullptr;
-            const long n =
-                i + 1 < argc ? std::strtol(argv[i + 1], &end, 10) : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                n < 1) {
-                std::cerr
-                    << argv[0]
-                    << ": --telemetry-epoch needs a positive integer\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            telemetryEpoch() = static_cast<std::uint64_t>(n);
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--result-cache") == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-                std::cerr << argv[0]
-                          << ": --result-cache needs a directory\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            sweepCache().setDir(argv[i + 1]);
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--result-cache-max-bytes") == 0) {
-            char *end = nullptr;
-            const long long n =
-                i + 1 < argc ? std::strtoll(argv[i + 1], &end, 10)
-                             : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                n < 1) {
-                std::cerr << argv[0]
-                          << ": --result-cache-max-bytes needs a"
-                             " positive byte count\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            sweepCache().setMaxDiskBytes(
-                static_cast<std::uint64_t>(n));
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--remote") == 0) {
-            std::string error;
-            std::vector<net::Endpoint> endpoints;
-            if (i + 1 >= argc ||
-                !net::parseEndpointList(argv[i + 1], endpoints,
-                                        error)) {
-                std::cerr << argv[0] << ": --remote: "
-                          << (i + 1 >= argc
-                                  ? "needs HOST:PORT[,HOST:PORT...]"
-                                  : error)
-                          << "\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            RemoteConfig remote;
-            remote.endpoints = std::move(endpoints);
-            setRemoteConfig(std::move(remote));
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--shard-cycles") == 0) {
-            char *end = nullptr;
-            const long long n =
-                i + 1 < argc ? std::strtoll(argv[i + 1], &end, 10)
-                             : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                n < 1 ||
-                static_cast<std::uint64_t>(n) > kMaxSliceCycles) {
-                std::cerr
-                    << argv[0]
-                    << ": --shard-cycles needs a positive integer <= "
-                    << kMaxSliceCycles << "\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            shardCycles() = static_cast<std::uint64_t>(n);
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--snapshot-every") == 0) {
-            char *end = nullptr;
-            const long long n =
-                i + 1 < argc ? std::strtoll(argv[i + 1], &end, 10)
-                             : 0;
-            if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' ||
-                n < 1) {
-                std::cerr
-                    << argv[0]
-                    << ": --snapshot-every needs a positive integer\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            snapshotEvery() = static_cast<std::uint64_t>(n);
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--snapshot-dir") == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-                std::cerr << argv[0]
-                          << ": --snapshot-dir needs a directory\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            snapshotDir() = argv[i + 1];
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--resume") == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-                std::cerr << argv[0]
-                          << ": --resume needs a directory\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            resumeDir() = argv[i + 1];
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--cache-stats") == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-                std::cerr << argv[0]
-                          << ": --cache-stats needs a file\n";
-                usage(argv[0]);
-                std::exit(2);
-            }
-            cacheStatsFile() = argv[i + 1];
-            ++i;
-            continue;
-        }
-        std::cerr << argv[0] << ": unknown flag '" << argv[i] << "'\n";
-        usage(argv[0]);
-        std::exit(2);
-    }
-
-    if (snapshotEvery() != 0 && snapshotDir().empty()) {
-        std::cerr << argv[0]
-                  << ": --snapshot-every needs --snapshot-dir\n";
-        usage(argv[0]);
-        std::exit(2);
-    }
-    if (shardCycles() != 0 && !remoteConfigured()) {
-        std::cerr << argv[0] << ": --shard-cycles needs --remote\n";
-        usage(argv[0]);
-        std::exit(2);
-    }
+    HarnessFlags &values = harnessFlags();
+    unsigned threads = 0; // 0 = hardware concurrency
+    FlagTable flags = {
+        toggleFlag("--csv", "emit tables as CSV (for scripting)",
+                   [] { Table::setCsvMode(true); }),
+        integerFlag("--threads", "N", "cap parallel sweep workers at N",
+                    threads, 1),
+        textFlag("--telemetry-dir", "DIR",
+                 "export telemetry artifacts (Chrome traces, link "
+                 "heatmaps, metrics CSV) into DIR",
+                 values.telemetryDir),
+        integerFlag("--telemetry-epoch", "N",
+                    "metrics snapshot period in cycles (default 1024)",
+                    values.telemetryEpoch, 1),
+        textFlag("--result-cache", "DIR",
+                 "persist sweep results in DIR and reuse them across "
+                 "invocations",
+                 [](const std::string &dir) {
+                     sweepCache().setDir(dir);
+                     return std::string();
+                 }),
+        integerFlag("--result-cache-max-bytes", "N",
+                    "cap the --result-cache store at N bytes, evicting "
+                    "oldest entries",
+                    1, std::numeric_limits<std::uint64_t>::max(),
+                    [](std::uint64_t n) {
+                        sweepCache().setMaxDiskBytes(n);
+                    }),
+        textFlag("--cache-stats", "FILE",
+                 "write scheduler/cache counters as CSV "
+                 "(metric,kind,value) at exit",
+                 values.cacheStatsFile),
+        integerFlag("--snapshot-every", "N",
+                    "checkpoint supporting runs every N cycles; see "
+                    "docs/checkpoint.md",
+                    values.snapshotEvery, 1)
+            .needing("--snapshot-dir"),
+        textFlag("--snapshot-dir", "DIR",
+                 "root directory snapshot files are written under (one "
+                 "subdirectory per run)",
+                 values.snapshotDir),
+        textFlag("--resume", "DIR",
+                 "resume runs from the latest matching snapshot under "
+                 "DIR (corrupt or missing snapshots fall back to a "
+                 "fresh run)",
+                 values.resumeDir),
+        remoteFlag("fan sweep points out to ftd daemons (unreachable "
+                   "workers fall back to local execution)"),
+        integerFlag("--shard-cycles", "N",
+                    "run long single-point simulations as N-cycle "
+                    "temporal shards across the --remote fleet; see "
+                    "docs/distributed.md",
+                    values.shardCycles, 1, kMaxSliceCycles)
+            .needing("--remote"),
+    };
+    for (Flag &flag : extra)
+        flags.push_back(std::move(flag));
+    parseFlagsOrExit(flags, argc, argv);
 
     // Route --threads into the process-wide parallelMap default
     // (sweeps pick it up without per-call plumbing), size the
     // persistent pool from it, then register the stats hook — after
     // pool construction, so the hook runs before pool teardown.
-    parallel_detail::setDefaultParallelThreads(threadOverride());
+    parallel_detail::setDefaultParallelThreads(threads);
     sched::ensureGlobalPool();
-    if (!cacheStatsFile().empty())
+    if (!values.cacheStatsFile.empty())
         std::atexit(writeCacheStatsAtExit);
 }
 

@@ -27,10 +27,10 @@
 #include <string>
 
 #include "common/config_file.hpp"
+#include "common/flags.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "fpga/power_model.hpp"
-#include "net/endpoint.hpp"
 #include "sim/remote.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sweep_cache.hpp"
@@ -40,79 +40,36 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::cerr << "usage: run_experiment <config-file> [--csv]"
-                     " [--remote HOST:PORT[,HOST:PORT...]]"
-                     " [--shard-cycles N]"
-                     " [--snapshot-every N] [--snapshot-dir DIR]"
-                     " [--resume DIR] [--max-cycles N]\n";
-        return 2;
-    }
     SimConfig sim;
     Cycle shard_cycles = 0;
-    for (int i = 2; i < argc; ++i) {
-        if (std::string(argv[i]) == "--csv") {
-            Table::setCsvMode(true);
-        } else if (std::string(argv[i]) == "--snapshot-every") {
-            if (i + 1 >= argc || std::stoll(argv[i + 1]) < 1) {
-                std::cerr << "run_experiment: --snapshot-every needs"
-                             " a positive integer\n";
-                return 2;
-            }
-            sim.snapshotEveryCycles =
-                static_cast<Cycle>(std::stoll(argv[++i]));
-        } else if (std::string(argv[i]) == "--snapshot-dir") {
-            if (i + 1 >= argc) {
-                std::cerr << "run_experiment: --snapshot-dir needs"
-                             " a directory\n";
-                return 2;
-            }
-            sim.snapshotDir = argv[++i];
-        } else if (std::string(argv[i]) == "--resume") {
-            if (i + 1 >= argc) {
-                std::cerr << "run_experiment: --resume needs a"
-                             " directory or snapshot file\n";
-                return 2;
-            }
-            sim.resumeFrom = argv[++i];
-        } else if (std::string(argv[i]) == "--max-cycles") {
-            if (i + 1 >= argc || std::stoll(argv[i + 1]) < 1) {
-                std::cerr << "run_experiment: --max-cycles needs a"
-                             " positive integer\n";
-                return 2;
-            }
-            sim.maxCycles = static_cast<Cycle>(std::stoll(argv[++i]));
-        } else if (std::string(argv[i]) == "--shard-cycles") {
-            if (i + 1 >= argc || std::stoll(argv[i + 1]) < 1 ||
-                static_cast<std::uint64_t>(std::stoll(argv[i + 1])) >
-                    kMaxSliceCycles) {
-                std::cerr << "run_experiment: --shard-cycles needs"
-                             " a positive integer <= "
-                          << kMaxSliceCycles << "\n";
-                return 2;
-            }
-            shard_cycles = static_cast<Cycle>(std::stoll(argv[++i]));
-        } else if (std::string(argv[i]) == "--remote") {
-            std::string error;
-            std::vector<net::Endpoint> endpoints;
-            if (i + 1 >= argc ||
-                !net::parseEndpointList(argv[i + 1], endpoints,
-                                        error)) {
-                std::cerr << "run_experiment: --remote: "
-                          << (i + 1 >= argc ? "needs a value" : error)
-                          << "\n";
-                return 2;
-            }
-            RemoteConfig remote;
-            remote.endpoints = std::move(endpoints);
-            setRemoteConfig(std::move(remote));
-            ++i;
-        } else {
-            std::cerr << "run_experiment: unknown flag '" << argv[i]
-                      << "'\n";
-            return 2;
-        }
+    const FlagTable flags = {
+        toggleFlag("--csv", "emit the table as CSV (for scripting)",
+                   [] { Table::setCsvMode(true); }),
+        remoteFlag("run the point on ftd daemons (unreachable workers "
+                   "fall back to local execution)"),
+        integerFlag("--shard-cycles", "N",
+                    "run as N-cycle temporal shards across the --remote "
+                    "fleet",
+                    shard_cycles, 1, kMaxSliceCycles)
+            .needing("--remote"),
+        integerFlag("--snapshot-every", "N",
+                    "write a snapshot every N cycles",
+                    sim.snapshotEveryCycles, 1)
+            .needing("--snapshot-dir"),
+        textFlag("--snapshot-dir", "DIR", "directory snapshots go to",
+                 sim.snapshotDir),
+        textFlag("--resume", "DIR",
+                 "resume from the latest snapshot in DIR, or from a "
+                 "snapshot file",
+                 sim.resumeFrom),
+        integerFlag("--max-cycles", "N", "whole-run cycle guard",
+                    sim.maxCycles, 1),
+    };
+    if (argc < 2) {
+        std::cerr << flagUsage(argv[0], flags, "<config-file>");
+        return 2;
     }
+    parseFlagsOrExit(flags, argc, argv, 2, "<config-file>");
     const KeyValueFile kv = KeyValueFile::parseFile(argv[1]);
 
     const auto n = static_cast<std::uint32_t>(kv.getInt("n", 8));
@@ -146,25 +103,13 @@ main(int argc, char **argv)
     const auto width =
         static_cast<std::uint32_t>(kv.getInt("width", 256));
 
-    if (sim.snapshotEveryCycles != 0 && sim.snapshotDir.empty()) {
-        std::cerr << "run_experiment: --snapshot-every needs"
-                     " --snapshot-dir\n";
-        return 2;
-    }
     const bool checkpointing =
         sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty();
-    if (shard_cycles != 0) {
-        if (!remoteConfigured()) {
-            std::cerr << "run_experiment: --shard-cycles needs"
-                         " --remote\n";
-            return 2;
-        }
-        if (checkpointing || channels != 1) {
-            std::cerr << "run_experiment: --shard-cycles is"
-                         " incompatible with --snapshot-every/--resume"
-                         " and needs channels = 1\n";
-            return 2;
-        }
+    if (shard_cycles != 0 && (checkpointing || channels != 1)) {
+        std::cerr << "run_experiment: --shard-cycles is"
+                     " incompatible with --snapshot-every/--resume"
+                     " and needs channels = 1\n";
+        return 2;
     }
 
     auto noc = makeNoc(cfg, channels);

@@ -1,0 +1,206 @@
+#include "common/flags.hpp"
+
+#include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <iostream>
+#include <sstream>
+
+#include "common/logging.hpp"
+
+namespace fasttrack {
+
+namespace {
+
+using detail::concat;
+using Code = FlagError::Code;
+
+/** Column the help starts in, as the hand-written usages had it. */
+constexpr std::size_t kHelpColumn = 23;
+constexpr std::size_t kLineWidth = 79;
+
+/** Parse and apply one occurrence of @p flag with @p text as value. */
+std::optional<FlagError>
+applyFlag(const Flag &flag, const std::string &text)
+{
+    std::uint64_t number = 0;
+    if (flag.kind == FlagKind::integer) {
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, number);
+        const bool whole = ec == std::errc() && ptr == end;
+        const std::string range =
+            concat("[", flag.min, ", ", flag.max, "], got '", text, "'");
+        if (ec == std::errc::result_out_of_range ||
+            (whole && (number < flag.min || number > flag.max)))
+            return FlagError{Code::outOfRange, flag.name,
+                             concat(flag.name, " must be in ", range)};
+        if (!whole)
+            return FlagError{Code::notAnInteger, flag.name,
+                             concat(flag.name, " needs an integer in ",
+                                    range)};
+    }
+    const std::string refused = flag.set(number, text);
+    if (!refused.empty())
+        return FlagError{Code::rejected, flag.name,
+                         concat(flag.name, ": ", refused)};
+    return std::nullopt;
+}
+
+/** "--name VALUE" as the usage shows it. */
+std::string
+flagForm(const Flag &flag)
+{
+    return flag.kind == FlagKind::toggle
+               ? flag.name
+               : concat(flag.name, " ", flag.value);
+}
+
+} // namespace
+
+Flag
+toggleFlag(std::string name, std::string help, std::function<void()> set)
+{
+    return {std::move(name), FlagKind::toggle, "", std::move(help),
+            [on = std::move(set)](std::uint64_t, const std::string &) {
+                on();
+                return std::string();
+            }};
+}
+
+Flag
+integerFlag(std::string name, std::string value, std::string help,
+            std::uint64_t min, std::uint64_t max,
+            std::function<void(std::uint64_t)> set)
+{
+    return {std::move(name), FlagKind::integer, std::move(value),
+            std::move(help),
+            [store = std::move(set)](std::uint64_t number,
+                                     const std::string &) {
+                store(number);
+                return std::string();
+            },
+            min, max};
+}
+
+Flag
+textFlag(std::string name, std::string value, std::string help,
+         std::function<std::string(const std::string &)> set)
+{
+    return {std::move(name), FlagKind::text, std::move(value),
+            std::move(help),
+            [take = std::move(set)](std::uint64_t,
+                                    const std::string &text) {
+                return take(text);
+            }};
+}
+
+Flag
+textFlag(std::string name, std::string value, std::string help,
+         std::string &dst)
+{
+    return textFlag(std::move(name), std::move(value), std::move(help),
+                    [&dst](const std::string &text) {
+                        dst = text;
+                        return std::string();
+                    });
+}
+
+std::optional<FlagError>
+parseFlags(const FlagTable &table, const std::vector<std::string> &args)
+{
+    const auto rowOf = [&table](const std::string &name) {
+        return static_cast<std::size_t>(
+            std::find_if(table.begin(), table.end(),
+                         [&](const Flag &f) { return f.name == name; }) -
+            table.begin());
+    };
+    std::vector<bool> given(table.size(), false);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::size_t row = rowOf(args[i]);
+        if (row == table.size())
+            return FlagError{Code::unknownFlag, args[i],
+                             concat("unknown flag '", args[i], "'")};
+        const Flag &flag = table[row];
+        given[row] = true;
+        std::string text;
+        if (flag.kind != FlagKind::toggle) {
+            if (++i == args.size())
+                return FlagError{Code::missingValue, flag.name,
+                                 concat(flag.name, " needs a value (",
+                                        flag.value, ")")};
+            text = args[i];
+            if (text.empty())
+                return FlagError{Code::emptyValue, flag.name,
+                                 concat(flag.name,
+                                        " needs a non-empty value (",
+                                        flag.value, ")")};
+        }
+        if (auto failed = applyFlag(flag, text))
+            return failed;
+    }
+    for (std::size_t row = 0; row < table.size(); ++row) {
+        const Flag &flag = table[row];
+        if (flag.required && !given[row])
+            return FlagError{Code::missingFlag, flag.name,
+                             concat(flag.name, " is required")};
+        const std::size_t needed = rowOf(flag.needs);
+        if (given[row] && !flag.needs.empty() &&
+            (needed == table.size() || !given[needed]))
+            return FlagError{Code::missingFlag, flag.needs,
+                             concat(flag.name, " needs ", flag.needs)};
+    }
+    return std::nullopt;
+}
+
+std::string
+flagUsage(const std::string &prog, const FlagTable &table,
+          const std::string &positional)
+{
+    std::string out = concat("usage: ", prog);
+    if (!positional.empty())
+        out += concat(" ", positional);
+    for (const Flag &flag : table)
+        out += flag.required ? concat(" ", flagForm(flag))
+                             : concat(" [", flagForm(flag), "]");
+    out += '\n';
+    for (const Flag &flag : table) {
+        // Help words wrapped into their column; a form too long for
+        // the gap puts the help on the next line.
+        const std::string form = concat("  ", flagForm(flag));
+        std::istringstream words(
+            flag.needs.empty()
+                ? flag.help
+                : concat(flag.help, " (needs ", flag.needs, ")"));
+        out += form;
+        std::size_t column =
+            form.size() < kHelpColumn ? form.size() : kLineWidth;
+        for (std::string word; words >> word;) {
+            if (column + 1 + word.size() > kLineWidth) {
+                out += concat("\n", std::string(kHelpColumn, ' '), word);
+                column = kHelpColumn + word.size();
+                continue;
+            }
+            const std::size_t gap =
+                column < kHelpColumn ? kHelpColumn - column : 1;
+            out += concat(std::string(gap, ' '), word);
+            column += gap + word.size();
+        }
+        out += '\n';
+    }
+    return out;
+}
+
+void
+parseFlagsOrExit(const FlagTable &table, int argc, char **argv, int first,
+                 const std::string &positional)
+{
+    const std::vector<std::string> args(argv + std::min(first, argc),
+                                        argv + argc);
+    if (const auto failed = parseFlags(table, args)) {
+        std::cerr << argv[0] << ": " << failed->message << "\n"
+                  << flagUsage(argv[0], table, positional);
+        std::exit(2);
+    }
+}
+
+} // namespace fasttrack

@@ -1,0 +1,146 @@
+/**
+ * @file
+ * The one command-line flag parser: every bench harness, the example
+ * runner and both daemon tools declare their flags as a table and
+ * parse argv against it.
+ *
+ * A row holds a flag's name, the kind of value it takes, the range its
+ * destination can hold, a setter and a help line, plus its cross-flag
+ * rule. parseFlags returns a typed error and never exits or throws;
+ * flagUsage renders the usage from the same rows, so the help cannot
+ * drift from what the parser accepts.
+ */
+
+#ifndef FT_COMMON_FLAGS_HPP
+#define FT_COMMON_FLAGS_HPP
+
+#include <concepts>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+namespace fasttrack {
+
+/** What a flag takes after its name. */
+enum class FlagKind
+{
+    toggle,
+    /** A base-10 integer in the row's [min, max]. */
+    integer,
+    /** A non-empty string. */
+    text,
+};
+
+/** One row of a flag table. */
+struct Flag
+{
+    std::string name;
+    FlagKind kind = FlagKind::toggle;
+    /** Stand-in for the value in the usage ("N", "DIR"). */
+    std::string value;
+    std::string help;
+    /** Applies one occurrence: integer flags read @p number, text flags
+     *  @p text. Returns why the value is refused, or empty. */
+    std::function<std::string(std::uint64_t number,
+                              const std::string &text)>
+        set;
+    /** Accepted range of an integer flag: what its destination holds. */
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
+    /** Another flag that must be given whenever this one is. */
+    std::string needs;
+    /** This flag must be given. */
+    bool required = false;
+
+    Flag needing(std::string other) &&
+    {
+        needs = std::move(other);
+        return std::move(*this);
+    }
+    Flag mandatory() &&
+    {
+        required = true;
+        return std::move(*this);
+    }
+};
+
+using FlagTable = std::vector<Flag>;
+
+/** Why parseFlags refused a command line. */
+struct FlagError
+{
+    enum class Code
+    {
+        unknownFlag,
+        missingValue,
+        emptyValue,
+        /** Not a base-10 integer, or trailing characters after one. */
+        notAnInteger,
+        /** Overflows, or lies outside the destination's range. */
+        outOfRange,
+        /** The setter refused the value. */
+        rejected,
+        /** A needed or mandatory flag was not given. */
+        missingFlag,
+    };
+    Code code = Code::unknownFlag;
+    /** The flag the error is about. */
+    std::string flag;
+    /** One line that names the flag. */
+    std::string message;
+};
+
+/** A flag that takes no value; @p set runs each time it is given. */
+Flag toggleFlag(std::string name, std::string help,
+                std::function<void()> set);
+
+/** An integer flag handed to @p set, accepted in [min, max]. */
+Flag integerFlag(std::string name, std::string value, std::string help,
+                 std::uint64_t min, std::uint64_t max,
+                 std::function<void(std::uint64_t)> set);
+
+/** An integer flag stored into @p dst, accepted in [min, max]; max
+ *  defaults to the largest value @p dst holds. */
+template <std::integral T>
+Flag
+integerFlag(std::string name, std::string value, std::string help,
+            T &dst, std::type_identity_t<T> min,
+            std::type_identity_t<T> max = std::numeric_limits<T>::max())
+{
+    return integerFlag(std::move(name), std::move(value), std::move(help),
+                       static_cast<std::uint64_t>(min),
+                       static_cast<std::uint64_t>(max),
+                       [&dst](std::uint64_t v) { dst = static_cast<T>(v); });
+}
+
+/** A text flag handed to @p set, which returns why it refuses the
+ *  value, or empty. */
+Flag textFlag(std::string name, std::string value, std::string help,
+              std::function<std::string(const std::string &)> set);
+
+/** A text flag stored into @p dst. */
+Flag textFlag(std::string name, std::string value, std::string help,
+              std::string &dst);
+
+/** Apply @p args (argv without the program name) to @p table: the
+ *  first error, or nullopt when every flag and rule holds. */
+std::optional<FlagError> parseFlags(const FlagTable &table,
+                                    const std::vector<std::string> &args);
+
+/** Usage rendered from @p table; @p positional names the arguments
+ *  that precede the flags. */
+std::string flagUsage(const std::string &prog, const FlagTable &table,
+                      const std::string &positional = "");
+
+/** parseFlags over argv[first..argc); on an error print it and the
+ *  usage to stderr and exit 2 — the shared contract of every tool. */
+void parseFlagsOrExit(const FlagTable &table, int argc, char **argv,
+                      int first = 1, const std::string &positional = "");
+
+} // namespace fasttrack
+
+#endif // FT_COMMON_FLAGS_HPP

@@ -15,32 +15,44 @@ toString(NocVariant variant)
     return "?";
 }
 
+std::string
+NocConfig::validationError() const
+{
+    using detail::concat;
+    if (n < 2)
+        return concat("NoC side must be >= 2, got ", n);
+    if (shortLinkStages > 8 || expressLinkStages > 8)
+        return "more than 8 extra link stages is not meaningful";
+    if (!isFastTrack())
+        return "";
+    if (d < 1 || d > n / 2)
+        return concat("express length D must be in [1, N/2]: D=", d,
+                      " N=", n);
+    if (r < 1 || r > d)
+        return concat("depopulation R must be in [1, D]: R=", r,
+                      " D=", d);
+    if (d % r != 0) {
+        return concat("R must divide D so express links chain through "
+                      "express-capable routers: R=", r, " D=", d);
+    }
+    if (r > 1 && n % r != 0) {
+        return concat("depopulated NoCs need R | N so the express "
+                      "braid stays balanced across the torus "
+                      "wraparound: R=", r, " N=", n);
+    }
+    if (variant == NocVariant::ftInject && n % d != 0) {
+        return concat("inject-only FastTrack needs D | N so deflected "
+                      "express packets realign: D=", d, " N=", n);
+    }
+    return "";
+}
+
 void
 NocConfig::validate() const
 {
-    if (n < 2)
-        FT_FATAL("NoC side must be >= 2, got ", n);
-    if (shortLinkStages > 8 || expressLinkStages > 8)
-        FT_FATAL("more than 8 extra link stages is not meaningful");
-    if (!isFastTrack())
-        return;
-    if (d < 1 || d > n / 2)
-        FT_FATAL("express length D must be in [1, N/2]: D=", d, " N=", n);
-    if (r < 1 || r > d)
-        FT_FATAL("depopulation R must be in [1, D]: R=", r, " D=", d);
-    if (d % r != 0) {
-        FT_FATAL("R must divide D so express links chain through "
-                 "express-capable routers: R=", r, " D=", d);
-    }
-    if (r > 1 && n % r != 0) {
-        FT_FATAL("depopulated NoCs need R | N so the express braid "
-                 "stays balanced across the torus wraparound: R=", r,
-                 " N=", n);
-    }
-    if (variant == NocVariant::ftInject && n % d != 0) {
-        FT_FATAL("inject-only FastTrack needs D | N so deflected "
-                 "express packets realign: D=", d, " N=", n);
-    }
+    const std::string error = validationError();
+    if (!error.empty())
+        FT_FATAL(error);
 }
 
 NocSpec

@@ -7,8 +7,10 @@
 #ifndef FT_NOC_CONFIG_HPP
 #define FT_NOC_CONFIG_HPP
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "fpga/area_model.hpp"
 
@@ -77,7 +79,12 @@ struct NocConfig
     bool isFastTrack() const { return variant != NocVariant::hoplite; }
     std::uint32_t pes() const { return n * n; }
 
-    /** Abort with a user-facing error if the combination is invalid. */
+    /** Why the combination is invalid (the first rule it breaks), or
+     *  empty when it is valid. Never aborts: a daemon checks hostile
+     *  requests with it. */
+    std::string validationError() const;
+
+    /** Abort with validationError() if the combination is invalid. */
     void validate() const;
 
     /** Express-link length as seen by the cost models (0 = none). */
@@ -96,6 +103,24 @@ struct NocConfig
                                std::uint32_t r,
                                NocVariant variant = NocVariant::ftFull);
 };
+
+/**
+ * Hand every NocConfig field to @p f as one argument pack, in
+ * declaration order. This is the one list of the fields: content keys
+ * and wire codecs (sim/run_codec.hpp) visit it, and its order is
+ * their byte order. The structured binding stops the build when a
+ * member is added without being listed here.
+ */
+template <typename Config, typename F>
+    requires std::same_as<std::remove_const_t<Config>, NocConfig>
+decltype(auto)
+visitFields(Config &config, F &&f)
+{
+    auto &[n, d, r, variant, allowExpressTurn, allowUpgrade,
+           turnPriority, shortLinkStages, expressLinkStages] = config;
+    return f(n, d, r, variant, allowExpressTurn, allowUpgrade,
+             turnPriority, shortLinkStages, expressLinkStages);
+}
 
 } // namespace fasttrack
 

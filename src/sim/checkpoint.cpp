@@ -1,6 +1,5 @@
 #include "sim/checkpoint.hpp"
 
-#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -8,7 +7,7 @@
 
 #include "common/fnv1a.hpp"
 #include "common/logging.hpp"
-#include "noc/config.hpp"
+#include "sim/run_codec.hpp"
 
 namespace fasttrack {
 
@@ -28,23 +27,6 @@ constexpr std::size_t kCycleDigits = 20;
 static_assert(std::numeric_limits<Cycle>::digits10 + 1 <=
                   kCycleDigits,
               "kCycleDigits cannot represent every Cycle value");
-
-/** Feed the NocConfig words a run's trajectory depends on — the same
- *  list sweepKey hashes (sim/sweep_cache.hpp). */
-void
-addConfig(Fnv1a &h, const NocConfig &config, std::uint32_t channels)
-{
-    h.add(config.n);
-    h.add(config.d);
-    h.add(config.r);
-    h.add(static_cast<std::uint64_t>(config.variant));
-    h.add(config.allowExpressTurn ? 1 : 0);
-    h.add(config.allowUpgrade ? 1 : 0);
-    h.add(config.turnPriority ? 1 : 0);
-    h.add(config.shortLinkStages);
-    h.add(config.expressLinkStages);
-    h.add(channels);
-}
 
 void
 encodeInjectorState(net::WireWriter &w, const InjectorState &st)
@@ -193,39 +175,16 @@ std::uint64_t
 checkpointKey(const NocConfig &config, std::uint32_t channels,
               const SyntheticWorkload &workload)
 {
-    Fnv1a h;
-    h.add(kCheckpointSchema);
-    h.add(static_cast<std::uint64_t>(SnapshotKind::synthetic));
-    addConfig(h, config, channels);
-    h.add(static_cast<std::uint64_t>(workload.pattern));
-    h.add(std::bit_cast<std::uint64_t>(workload.injectionRate));
-    h.add(workload.packetsPerPe);
-    h.add(workload.localRadius);
-    h.add(workload.seed);
-    return h.value();
+    return contentKey(kCheckpointSchema, SnapshotKind::synthetic, config,
+                      channels, workload);
 }
 
 std::uint64_t
 checkpointKey(const NocConfig &config, std::uint32_t channels,
               const Trace &trace)
 {
-    Fnv1a h;
-    h.add(kCheckpointSchema);
-    h.add(static_cast<std::uint64_t>(SnapshotKind::trace));
-    addConfig(h, config, channels);
-    h.add(trace.n);
-    h.add(trace.messages.size());
-    for (const TraceMessage &m : trace.messages) {
-        h.add(m.id);
-        h.add(m.src);
-        h.add(m.dst);
-        h.add(m.earliest);
-        h.add(m.delayAfterDeps);
-        h.add(m.deps.size());
-        for (std::uint64_t dep : m.deps)
-            h.add(dep);
-    }
-    return h.value();
+    return contentKey(kCheckpointSchema, SnapshotKind::trace, config,
+                      channels, trace.n, trace.messages);
 }
 
 std::vector<std::uint8_t>

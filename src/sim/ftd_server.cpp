@@ -6,6 +6,7 @@
 #include "common/parallel.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "sim/remote.hpp"
+#include "sim/run_codec.hpp"
 #include "sim/sweep_cache.hpp"
 
 namespace fasttrack {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -121,56 +120,6 @@ void
 bump(std::atomic<std::uint64_t> &counter, std::uint64_t by = 1)
 {
     counter.fetch_add(by, std::memory_order_relaxed);
-}
-
-/** Range/consistency checks mirroring NocConfig::validate, minus the
- *  process abort: a daemon must reject a hostile request, not die on
- *  it. The size caps bound what one frame can make the daemon
- *  allocate or step. */
-bool
-validConfigOnWire(const NocConfig &c)
-{
-    if (c.n < 2 || c.n > 1024)
-        return false;
-    if (c.shortLinkStages > 8 || c.expressLinkStages > 8)
-        return false;
-    if (c.isFastTrack()) {
-        if (c.d < 1 || c.d > c.n / 2)
-            return false;
-        if (c.r < 1 || c.r > c.d || c.d % c.r != 0)
-            return false;
-        if (c.r > 1 && c.n % c.r != 0)
-            return false;
-        if (c.variant == NocVariant::ftInject && c.n % c.d != 0)
-            return false;
-    }
-    return true;
-}
-
-bool
-validWorkloadOnWire(const SyntheticWorkload &w)
-{
-    if (!std::isfinite(w.injectionRate) || w.injectionRate <= 0.0 ||
-        w.injectionRate > 1.0)
-        return false;
-    if (w.packetsPerPe < 1 || w.packetsPerPe > (1u << 20))
-        return false;
-    if (w.pattern == TrafficPattern::local &&
-        (w.localRadius < 1 || w.localRadius > 1024))
-        return false;
-    return true;
-}
-
-bool
-validSweepRequest(const SweepRequest &request)
-{
-    if (!validConfigOnWire(request.config))
-        return false;
-    if (request.channels < 1 || request.channels > 64)
-        return false;
-    if (!validWorkloadOnWire(request.workload))
-        return false;
-    return request.maxCycles >= 1;
 }
 
 /**
@@ -443,6 +392,20 @@ remoteConfigured()
     return !g_config.endpoints.empty();
 }
 
+Flag
+remoteFlag(std::string help)
+{
+    return textFlag("--remote", "HOST:PORT[,HOST:PORT...]", std::move(help),
+                    [](const std::string &list) {
+                        RemoteConfig remote;
+                        std::string error;
+                        if (net::parseEndpointList(list, remote.endpoints,
+                                                   error))
+                            setRemoteConfig(std::move(remote));
+                        return error;
+                    });
+}
+
 RemoteStats
 remoteStats()
 {
@@ -590,423 +553,6 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
     }
     publishRun(run);
     return results;
-}
-
-// --- Message payload codecs ----------------------------------------
-
-std::vector<std::uint8_t>
-encodeSweepRequestPayload(const SweepRequest &request)
-{
-    net::WireWriter w;
-    w.u32(request.pointIndex);
-    const NocConfig &c = request.config;
-    w.u32(c.n);
-    w.u32(c.d);
-    w.u32(c.r);
-    w.u32(static_cast<std::uint32_t>(c.variant));
-    w.u8(c.allowExpressTurn ? 1 : 0);
-    w.u8(c.allowUpgrade ? 1 : 0);
-    w.u8(c.turnPriority ? 1 : 0);
-    w.u32(c.shortLinkStages);
-    w.u32(c.expressLinkStages);
-    w.u32(request.channels);
-    const SyntheticWorkload &wl = request.workload;
-    w.u32(static_cast<std::uint32_t>(wl.pattern));
-    w.f64(wl.injectionRate);
-    w.u32(wl.packetsPerPe);
-    w.u32(wl.localRadius);
-    w.u64(wl.seed);
-    w.u64(request.maxCycles);
-    return w.take();
-}
-
-bool
-decodeSweepRequestPayload(const std::vector<std::uint8_t> &payload,
-                          SweepRequest &out)
-{
-    SweepRequest request;
-    NocConfig &c = request.config;
-    SyntheticWorkload &wl = request.workload;
-    std::uint32_t variant = 0, pattern = 0;
-    std::uint8_t expressTurn = 0, upgrade = 0, turnPriority = 0;
-    net::WireReader r(payload);
-    const bool ok =
-        r.u32(request.pointIndex) && r.u32(c.n) && r.u32(c.d) &&
-        r.u32(c.r) && r.u32(variant) && r.u8(expressTurn) &&
-        r.u8(upgrade) && r.u8(turnPriority) &&
-        r.u32(c.shortLinkStages) && r.u32(c.expressLinkStages) &&
-        r.u32(request.channels) && r.u32(pattern) &&
-        r.f64(wl.injectionRate) && r.u32(wl.packetsPerPe) &&
-        r.u32(wl.localRadius) && r.u64(wl.seed) &&
-        r.u64(request.maxCycles) && r.atEnd();
-    if (!ok)
-        return false;
-    if (variant > static_cast<std::uint32_t>(NocVariant::ftInject) ||
-        pattern > static_cast<std::uint32_t>(TrafficPattern::transpose))
-        return false;
-    c.variant = static_cast<NocVariant>(variant);
-    c.allowExpressTurn = expressTurn != 0;
-    c.allowUpgrade = upgrade != 0;
-    c.turnPriority = turnPriority != 0;
-    wl.pattern = static_cast<TrafficPattern>(pattern);
-    if (!validSweepRequest(request))
-        return false;
-    out = request;
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeSweepResultPayload(std::uint32_t point_index, bool cache_hit,
-                         const std::vector<std::uint8_t> &result_payload)
-{
-    net::WireWriter w;
-    w.u32(point_index);
-    w.u8(cache_hit ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(result_payload.size()));
-    w.bytes(result_payload.data(), result_payload.size());
-    return w.take();
-}
-
-bool
-decodeSweepResultPayload(const std::vector<std::uint8_t> &payload,
-                         std::uint32_t &point_index, bool &cache_hit,
-                         SynthResult &out)
-{
-    net::WireReader r(payload);
-    std::uint8_t hit = 0;
-    std::uint32_t resultBytes = 0;
-    if (!r.u32(point_index) || !r.u8(hit) || !r.u32(resultBytes) ||
-        resultBytes == 0 || r.remaining() != resultBytes)
-        return false;
-    std::vector<std::uint8_t> resultPayload(resultBytes);
-    if (!r.bytes(resultPayload.data(), resultPayload.size()))
-        return false;
-    cache_hit = hit != 0;
-    return decodeSynthResult(resultPayload, out);
-}
-
-std::vector<std::uint8_t>
-encodeMetricsPayload(const std::map<std::string, double> &values)
-{
-    net::WireWriter w;
-    w.u32(static_cast<std::uint32_t>(values.size()));
-    for (const auto &[name, value] : values) {
-        w.str(name);
-        w.f64(value);
-    }
-    return w.take();
-}
-
-bool
-decodeMetricsPayload(const std::vector<std::uint8_t> &payload,
-                     std::map<std::string, double> &out)
-{
-    std::map<std::string, double> values;
-    net::WireReader r(payload);
-    std::uint32_t count = 0;
-    if (!r.u32(count))
-        return false;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::string name;
-        double value = 0.0;
-        if (!r.str(name) || !r.f64(value))
-            return false;
-        values[name] = value;
-    }
-    if (!r.atEnd())
-        return false;
-    out = std::move(values);
-    return true;
-}
-
-// --- Temporal-shard slice codecs -----------------------------------
-
-namespace {
-
-/** Smallest possible encoded TraceMessage (empty deps): the count
- *  bound that keeps a forged message count from forcing an
- *  allocation larger than the payload that claims it. */
-constexpr std::size_t kMinTraceMessageBytes = 8 + 4 + 4 + 8 + 8 + 4;
-
-/** Cap on a trace name on the wire (names label, never shape). */
-constexpr std::size_t kMaxTraceNameBytes = 4096;
-
-void
-encodeConfigFields(net::WireWriter &w, const NocConfig &c)
-{
-    w.u32(c.n);
-    w.u32(c.d);
-    w.u32(c.r);
-    w.u32(static_cast<std::uint32_t>(c.variant));
-    w.u8(c.allowExpressTurn ? 1 : 0);
-    w.u8(c.allowUpgrade ? 1 : 0);
-    w.u8(c.turnPriority ? 1 : 0);
-    w.u32(c.shortLinkStages);
-    w.u32(c.expressLinkStages);
-}
-
-bool
-decodeConfigFields(net::WireReader &r, NocConfig &c)
-{
-    std::uint32_t variant = 0;
-    std::uint8_t expressTurn = 0, upgrade = 0, turnPriority = 0;
-    if (!r.u32(c.n) || !r.u32(c.d) || !r.u32(c.r) || !r.u32(variant) ||
-        !r.u8(expressTurn) || !r.u8(upgrade) || !r.u8(turnPriority) ||
-        !r.u32(c.shortLinkStages) || !r.u32(c.expressLinkStages))
-        return false;
-    if (variant > static_cast<std::uint32_t>(NocVariant::ftInject))
-        return false;
-    c.variant = static_cast<NocVariant>(variant);
-    c.allowExpressTurn = expressTurn != 0;
-    c.allowUpgrade = upgrade != 0;
-    c.turnPriority = turnPriority != 0;
-    return validConfigOnWire(c);
-}
-
-void
-encodeWorkloadFields(net::WireWriter &w, const SyntheticWorkload &wl)
-{
-    w.u32(static_cast<std::uint32_t>(wl.pattern));
-    w.f64(wl.injectionRate);
-    w.u32(wl.packetsPerPe);
-    w.u32(wl.localRadius);
-    w.u64(wl.seed);
-}
-
-bool
-decodeWorkloadFields(net::WireReader &r, SyntheticWorkload &wl)
-{
-    std::uint32_t pattern = 0;
-    if (!r.u32(pattern) || !r.f64(wl.injectionRate) ||
-        !r.u32(wl.packetsPerPe) || !r.u32(wl.localRadius) ||
-        !r.u64(wl.seed))
-        return false;
-    if (pattern > static_cast<std::uint32_t>(TrafficPattern::transpose))
-        return false;
-    wl.pattern = static_cast<TrafficPattern>(pattern);
-    return validWorkloadOnWire(wl);
-}
-
-void
-encodeTraceFields(net::WireWriter &w, const Trace &trace)
-{
-    w.str(trace.name);
-    w.u32(trace.n);
-    w.u64(trace.messages.size());
-    for (const TraceMessage &m : trace.messages) {
-        w.u64(m.id);
-        w.u32(m.src);
-        w.u32(m.dst);
-        w.u64(m.earliest);
-        w.u64(m.delayAfterDeps);
-        w.u32(static_cast<std::uint32_t>(m.deps.size()));
-        for (std::uint64_t dep : m.deps)
-            w.u64(dep);
-    }
-}
-
-/**
- * Decode + validate a trace without Trace::validate (which aborts on
- * violation — unacceptable for hostile input). Mirrors its rules:
- * dense ids, node ranges, deps reference lower ids. Every count is
- * bounded by the bytes actually remaining before any allocation.
- */
-bool
-decodeTraceFields(net::WireReader &r, Trace &trace)
-{
-    if (!r.str(trace.name) || trace.name.size() > kMaxTraceNameBytes)
-        return false;
-    if (!r.u32(trace.n) || trace.n < 2 || trace.n > 1024)
-        return false;
-    std::uint64_t count = 0;
-    if (!r.u64(count) || count > r.remaining() / kMinTraceMessageBytes)
-        return false;
-    const std::uint64_t nodes =
-        static_cast<std::uint64_t>(trace.n) * trace.n;
-    trace.messages.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceMessage m;
-        std::uint32_t deps = 0;
-        if (!r.u64(m.id) || !r.u32(m.src) || !r.u32(m.dst) ||
-            !r.u64(m.earliest) || !r.u64(m.delayAfterDeps) ||
-            !r.u32(deps))
-            return false;
-        if (m.id != i || m.src >= nodes || m.dst >= nodes)
-            return false;
-        if (deps > r.remaining() / 8)
-            return false;
-        m.deps.reserve(deps);
-        for (std::uint32_t j = 0; j < deps; ++j) {
-            std::uint64_t dep = 0;
-            if (!r.u64(dep) || dep >= m.id)
-                return false;
-            m.deps.push_back(dep);
-        }
-        trace.messages.push_back(std::move(m));
-    }
-    return true;
-}
-
-/** Length-prefixed embedded snapshot; kind must match @p kind. */
-bool
-decodeEmbeddedSnapshot(net::WireReader &r, SnapshotKind kind,
-                       Snapshot &out)
-{
-    std::uint64_t bytes = 0;
-    if (!r.u64(bytes) || bytes > r.remaining())
-        return false;
-    std::vector<std::uint8_t> raw(static_cast<std::size_t>(bytes));
-    if (!r.bytes(raw.data(), raw.size()))
-        return false;
-    return decodeSnapshot(raw, out) && out.kind == kind;
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-encodeShardSliceRequestPayload(const ShardSliceRequest &request)
-{
-    net::WireWriter w;
-    w.u8(static_cast<std::uint8_t>(request.kind));
-    encodeConfigFields(w, request.config);
-    w.u32(request.channels);
-    if (request.kind == SnapshotKind::synthetic)
-        encodeWorkloadFields(w, request.workload);
-    else
-        encodeTraceFields(w, request.trace);
-    w.u64(request.sliceCycles);
-    w.u64(request.runMaxCycles);
-    w.u64(request.key);
-    w.u8(request.hasSnapshot ? 1 : 0);
-    if (request.hasSnapshot) {
-        const std::vector<std::uint8_t> snap =
-            encodeSnapshot(request.snapshot);
-        w.u64(snap.size());
-        w.bytes(snap.data(), snap.size());
-    }
-    return w.take();
-}
-
-bool
-decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
-                               ShardSliceRequest &out)
-{
-    ShardSliceRequest request;
-    net::WireReader r(payload);
-    std::uint8_t kind = 0;
-    if (!r.u8(kind) ||
-        (kind != static_cast<std::uint8_t>(SnapshotKind::synthetic) &&
-         kind != static_cast<std::uint8_t>(SnapshotKind::trace)))
-        return false;
-    request.kind = static_cast<SnapshotKind>(kind);
-    if (!decodeConfigFields(r, request.config))
-        return false;
-    // Slice execution resumes/captures engine state, which only
-    // single-channel devices support — reject, never FT_FATAL in
-    // planSnapshots on a daemon.
-    if (!r.u32(request.channels) || request.channels != 1)
-        return false;
-    if (request.kind == SnapshotKind::synthetic) {
-        if (!decodeWorkloadFields(r, request.workload))
-            return false;
-    } else {
-        if (!decodeTraceFields(r, request.trace))
-            return false;
-    }
-    std::uint8_t has_snapshot = 0;
-    if (!r.u64(request.sliceCycles) || !r.u64(request.runMaxCycles) ||
-        !r.u64(request.key) || !r.u8(has_snapshot))
-        return false;
-    // The slice budget bounds what one frame can make a daemon
-    // compute (the slice runs synchronously in the frame handler), so
-    // an unbounded value is hostile by definition.
-    if (request.sliceCycles < 1 ||
-        request.sliceCycles > kMaxSliceCycles ||
-        request.runMaxCycles < 1 || has_snapshot > 1)
-        return false;
-    request.hasSnapshot = has_snapshot != 0;
-    if (request.hasSnapshot &&
-        !decodeEmbeddedSnapshot(r, request.kind, request.snapshot))
-        return false;
-    if (!r.atEnd())
-        return false;
-    out = std::move(request);
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeShardSliceResultPayload(const ShardSliceResult &result)
-{
-    net::WireWriter w;
-    w.u8(static_cast<std::uint8_t>(result.kind));
-    w.u8(result.done ? 1 : 0);
-    if (result.kind == SnapshotKind::synthetic) {
-        const std::vector<std::uint8_t> synth =
-            encodeSynthResult(result.synth);
-        w.u32(static_cast<std::uint32_t>(synth.size()));
-        w.bytes(synth.data(), synth.size());
-    } else {
-        encodeNocStats(w, result.trace.stats);
-        w.u64(result.trace.completion);
-        w.u32(result.trace.pes);
-        w.u8(result.trace.completed ? 1 : 0);
-    }
-    w.u8(result.hasSnapshot ? 1 : 0);
-    if (result.hasSnapshot) {
-        const std::vector<std::uint8_t> snap =
-            encodeSnapshot(result.snapshot);
-        w.u64(snap.size());
-        w.bytes(snap.data(), snap.size());
-    }
-    return w.take();
-}
-
-bool
-decodeShardSliceResultPayload(const std::vector<std::uint8_t> &payload,
-                              ShardSliceResult &out)
-{
-    ShardSliceResult result;
-    net::WireReader r(payload);
-    std::uint8_t kind = 0, done = 0;
-    if (!r.u8(kind) ||
-        (kind != static_cast<std::uint8_t>(SnapshotKind::synthetic) &&
-         kind != static_cast<std::uint8_t>(SnapshotKind::trace)) ||
-        !r.u8(done) || done > 1)
-        return false;
-    result.kind = static_cast<SnapshotKind>(kind);
-    result.done = done != 0;
-    if (result.kind == SnapshotKind::synthetic) {
-        std::uint32_t bytes = 0;
-        if (!r.u32(bytes) || bytes == 0 || bytes > r.remaining())
-            return false;
-        std::vector<std::uint8_t> raw(bytes);
-        if (!r.bytes(raw.data(), raw.size()) ||
-            !decodeSynthResult(raw, result.synth))
-            return false;
-    } else {
-        std::uint8_t completed = 0;
-        if (!decodeNocStats(r, result.trace.stats) ||
-            !r.u64(result.trace.completion) ||
-            !r.u32(result.trace.pes) || !r.u8(completed) ||
-            completed > 1)
-            return false;
-        result.trace.completed = completed != 0;
-    }
-    std::uint8_t has_snapshot = 0;
-    if (!r.u8(has_snapshot) || has_snapshot > 1)
-        return false;
-    result.hasSnapshot = has_snapshot != 0;
-    // An unfinished slice must hand the continuation over; a finished
-    // one must not — anything else is a lying peer.
-    if (result.hasSnapshot == result.done)
-        return false;
-    if (result.hasSnapshot &&
-        !decodeEmbeddedSnapshot(r, result.kind, result.snapshot))
-        return false;
-    if (!r.atEnd())
-        return false;
-    out = std::move(result);
-    return true;
 }
 
 // --- Sharded run driver --------------------------------------------

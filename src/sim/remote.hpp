@@ -20,10 +20,8 @@
  * path — a sweep never fails because the fleet did, it only slows
  * down.
  *
- * This header also carries the message-payload codecs for
- * sweepRequest / sweepResult / metricsEpoch frames, built on the
- * endian-stable wire codec so requests and results travel between
- * hosts of any endianness.
+ * The message-payload codecs this client and the ftd server share
+ * live in sim/run_codec.hpp.
  */
 
 #ifndef FT_SIM_REMOTE_HPP
@@ -34,9 +32,10 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
-#include "sim/checkpoint.hpp"
+#include "sim/run_codec.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -74,6 +73,10 @@ void clearRemoteConfig();
 
 /** True when at least one endpoint is configured. */
 bool remoteConfigured();
+
+/** The --remote HOST:PORT[,HOST:PORT...] flag row every tool shares:
+ *  installs the endpoints it lists with setRemoteConfig. */
+Flag remoteFlag(std::string help);
 
 /** Counters of one remote run (a remoteBatchedRuns or runShardedSim
  *  invocation). remoteStats() reports the most recent run so a second
@@ -147,112 +150,6 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
  * knobs, and shard_cycles >= 1.
  */
 RunResult runShardedSim(const RunRequest &request, Cycle shard_cycles);
-
-// --- Message payload codecs (shared with the ftd server) -----------
-
-/** One sweep point on the wire. */
-struct SweepRequest
-{
-    std::uint32_t pointIndex = 0;
-    NocConfig config;
-    std::uint32_t channels = 1;
-    SyntheticWorkload workload;
-    Cycle maxCycles = kDefaultMaxCycles;
-};
-
-std::vector<std::uint8_t>
-encodeSweepRequestPayload(const SweepRequest &request);
-bool decodeSweepRequestPayload(const std::vector<std::uint8_t> &payload,
-                               SweepRequest &out);
-
-/** SweepResult payload: point index, cache-hit flag, then the
- *  sweep-cache SynthResult payload (sim/sweep_cache.hpp codec). */
-std::vector<std::uint8_t>
-encodeSweepResultPayload(std::uint32_t point_index, bool cache_hit,
-                         const std::vector<std::uint8_t> &result_payload);
-bool decodeSweepResultPayload(const std::vector<std::uint8_t> &payload,
-                              std::uint32_t &point_index,
-                              bool &cache_hit, SynthResult &out);
-
-/** MetricsEpoch payload: name/value pairs in name order. */
-std::vector<std::uint8_t>
-encodeMetricsPayload(const std::map<std::string, double> &values);
-bool decodeMetricsPayload(const std::vector<std::uint8_t> &payload,
-                          std::map<std::string, double> &out);
-
-/** Upper bound on a slice's cycle budget. The daemon runs a slice
- *  synchronously in its frame handler, so this (enforced when the
- *  request is decoded, and by runShardedSim on the client) bounds
- *  the compute one snapshotRequest frame can demand — 50x the
- *  default whole-run guard, far past any sane slice, but finite. */
-inline constexpr Cycle kMaxSliceCycles = 1'000'000'000;
-
-/** a + b without wrapping — slice budgets arrive off the wire, so
- *  consumed + sliceCycles must saturate rather than overflow. */
-inline constexpr Cycle
-saturatingAddCycles(Cycle a, Cycle b)
-{
-    return a + b < a ? ~Cycle{0} : a + b;
-}
-
-/**
- * One temporal-shard slice on the wire (snapshotRequest payload).
- * The request is self-contained — the daemon is stateless across
- * slices: it carries the run's full inputs (config + workload or
- * trace), the slice/guard budgets, the checkpoint key the client
- * derived (the daemon re-derives and must agree before trusting the
- * snapshot), and the previous slice's trimmed snapshot (absent on
- * the first slice).
- */
-struct ShardSliceRequest
-{
-    SnapshotKind kind = SnapshotKind::synthetic;
-    NocConfig config;
-    /** Always 1: slice execution needs engine-state capture. */
-    std::uint32_t channels = 1;
-    /** Valid when kind == synthetic. */
-    SyntheticWorkload workload;
-    /** Valid when kind == trace. */
-    Trace trace;
-    /** Run-relative cycles this slice should advance
-     *  (1..kMaxSliceCycles; the decoder rejects anything else). */
-    Cycle sliceCycles = 1;
-    /** Run-relative guard of the whole run (SimConfig::maxCycles). */
-    Cycle runMaxCycles = kDefaultMaxCycles;
-    /** checkpointKey(config, channels, workload|trace). */
-    std::uint64_t key = 0;
-    bool hasSnapshot = false;
-    Snapshot snapshot;
-};
-
-std::vector<std::uint8_t>
-encodeShardSliceRequestPayload(const ShardSliceRequest &request);
-/** Hostile-input safe: bounds-checks every count before allocating
- *  and validates trace/workload/config ranges without aborting. */
-bool decodeShardSliceRequestPayload(
-    const std::vector<std::uint8_t> &payload, ShardSliceRequest &out);
-
-/** snapshotResult payload: the slice's outcome + handoff snapshot. */
-struct ShardSliceResult
-{
-    SnapshotKind kind = SnapshotKind::synthetic;
-    /** Run finished (drained/completed or hit runMaxCycles); no
-     *  further slices are needed. */
-    bool done = false;
-    /** Valid when kind == synthetic. Stats are slice-local; cycles
-     *  is run-relative (the temporal-shard merge contract). */
-    SynthResult synth;
-    /** Valid when kind == trace. */
-    TraceResult trace;
-    /** The trimmed next-slice snapshot (present iff !done). */
-    bool hasSnapshot = false;
-    Snapshot snapshot;
-};
-
-std::vector<std::uint8_t>
-encodeShardSliceResultPayload(const ShardSliceResult &result);
-bool decodeShardSliceResultPayload(
-    const std::vector<std::uint8_t> &payload, ShardSliceResult &out);
 
 } // namespace fasttrack
 

@@ -1,13 +1,13 @@
 #include "sim/sweep_cache.hpp"
 
 #include <atomic>
-#include <bit>
 
 #include "common/parallel.hpp"
 #include "net/wire.hpp"
 #include "noc/engine_state.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "sim/remote.hpp"
+#include "sim/run_codec.hpp"
 #include "telemetry/sink.hpp"
 
 namespace fasttrack {
@@ -22,25 +22,8 @@ std::uint64_t
 sweepKey(const NocConfig &config, std::uint32_t channels,
          const SyntheticWorkload &workload, Cycle max_cycles)
 {
-    sched::Fnv1a h;
-    h.add(kSweepCacheSchema);
-    h.add(config.n);
-    h.add(config.d);
-    h.add(config.r);
-    h.add(static_cast<std::uint64_t>(config.variant));
-    h.add(config.allowExpressTurn ? 1 : 0);
-    h.add(config.allowUpgrade ? 1 : 0);
-    h.add(config.turnPriority ? 1 : 0);
-    h.add(config.shortLinkStages);
-    h.add(config.expressLinkStages);
-    h.add(channels);
-    h.add(static_cast<std::uint64_t>(workload.pattern));
-    h.add(std::bit_cast<std::uint64_t>(workload.injectionRate));
-    h.add(workload.packetsPerPe);
-    h.add(workload.localRadius);
-    h.add(workload.seed);
-    h.add(max_cycles);
-    return h.value();
+    return contentKey(kSweepCacheSchema, config, channels, workload,
+                      max_cycles);
 }
 
 std::vector<std::uint8_t>

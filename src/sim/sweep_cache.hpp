@@ -11,13 +11,11 @@
  * Key schema (FNV-1a over the words listed, in order; bump
  * kSweepCacheSchema whenever this list, the field meanings, or the
  * encoded payload change):
- *   kSweepCacheSchema,
- *   NocConfig{n, d, r, variant, allowExpressTurn, allowUpgrade,
- *             turnPriority, shortLinkStages, expressLinkStages},
- *   channels,
- *   SyntheticWorkload{pattern, bit_cast<u64>(injectionRate),
- *                     packetsPerPe, localRadius, seed},
+ *   kSweepCacheSchema, NocConfig, channels, SyntheticWorkload,
  *   maxCycles
+ * Each struct contributes its fields in the order its visitFields
+ * lists them — the one normative field order; sim/run_codec.hpp
+ * spells it out and maps each field to its key word.
  *
  * The payload is the full SynthResult (all NocStats counters and the
  * four latency/hop histograms), so a cache hit reproduces every

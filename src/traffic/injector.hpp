@@ -10,6 +10,7 @@
 #define FT_TRAFFIC_INJECTOR_HPP
 
 #include <array>
+#include <concepts>
 #include <cstdlib>
 #include <new>
 #include <type_traits>
@@ -253,6 +254,19 @@ struct SyntheticWorkload
     std::uint32_t localRadius = 2;
     std::uint64_t seed = 1;
 };
+
+/** Hand every SyntheticWorkload field to @p f, in declaration order
+ *  (see visitFields(NocConfig) in noc/config.hpp). */
+template <typename Workload, typename F>
+    requires std::same_as<std::remove_const_t<Workload>,
+                          SyntheticWorkload>
+decltype(auto)
+visitFields(Workload &workload, F &&f)
+{
+    auto &[pattern, injectionRate, packetsPerPe, localRadius, seed] =
+        workload;
+    return f(pattern, injectionRate, packetsPerPe, localRadius, seed);
+}
 
 /**
  * Serializable state of one SyntheticInjector (sim/checkpoint.hpp):

@@ -9,9 +9,11 @@
 #ifndef FT_TRAFFIC_TRACE_HPP
 #define FT_TRAFFIC_TRACE_HPP
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -33,6 +35,17 @@ struct TraceMessage
      *  (dataflow token semantics). */
     std::vector<std::uint64_t> deps;
 };
+
+/** Hand every TraceMessage field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename Message, typename F>
+    requires std::same_as<std::remove_const_t<Message>, TraceMessage>
+decltype(auto)
+visitFields(Message &message, F &&f)
+{
+    auto &[id, src, dst, earliest, delayAfterDeps, deps] = message;
+    return f(id, src, dst, earliest, delayAfterDeps, deps);
+}
 
 /** A full workload trace for an N x N NoC. */
 struct Trace

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Command-line contract of the tools that share the flag table.
+
+Runs bench_all, run_experiment, ftd and ftd_client with malformed,
+out-of-range and rule-breaking flags. Each must exit 2 (never abort
+with 134) and print one error line that names the flag. Also checks
+that `ftd --host 127.0.0.1 --port 0` still prints the
+`ftd: listening on HOST:PORT` line that scripts parse for the port.
+
+Usage:
+  cli_flags.py --bench-all PATH --run-experiment PATH \\
+               --ftd PATH --ftd-client PATH
+
+Exit 0 when every case holds, 1 otherwise.
+"""
+
+import argparse
+import select
+import signal
+import subprocess
+import sys
+
+TIMEOUT_S = 30
+
+
+def expect_usage_error(failures, cmd, flag):
+    """Run @cmd; require exit 2 and a first stderr line naming @flag."""
+    try:
+        p = subprocess.run(cmd, stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, text=True,
+                           timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        failures.append(f'{" ".join(cmd[1:])}: still running after '
+                        f'{TIMEOUT_S} s (want exit 2 naming {flag})')
+        return
+    first = p.stderr.splitlines()[0] if p.stderr else ''
+    if p.returncode != 2 or flag not in first:
+        failures.append(f'{" ".join(cmd[1:])}: exit {p.returncode}, '
+                        f'stderr {first!r} (want exit 2 naming {flag})')
+
+
+def expect_listening(failures, ftd):
+    """ftd on an ephemeral loopback port announces where it listens."""
+    d = subprocess.Popen([ftd, '--host', '127.0.0.1', '--port', '0'],
+                         stdout=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([d.stdout], [], [], TIMEOUT_S)
+        banner = d.stdout.readline().strip() if ready else ''
+        if not banner.startswith('ftd: listening on 127.0.0.1:'):
+            failures.append(f'ftd banner {banner!r}')
+    finally:
+        d.send_signal(signal.SIGTERM)
+        try:
+            d.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            d.kill()
+            d.wait()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument('--bench-all', required=True)
+    parser.add_argument('--run-experiment', required=True)
+    parser.add_argument('--ftd', required=True)
+    parser.add_argument('--ftd-client', required=True)
+    args = parser.parse_args()
+
+    bench = [args.bench_all]
+    # Flags are parsed before the config file is read, so the file
+    # need not exist for these cases.
+    run = [args.run_experiment, 'no-such.cfg']
+    # An ephemeral port, so a build that accepted the flag would not
+    # collide with a running daemon while it serves until the timeout.
+    ftd = [args.ftd, '--port', '0']
+    client = [args.ftd_client, '--remote', '127.0.0.1:1']
+
+    cases = [
+        (bench + ['--threads', 'abc'], '--threads'),
+        (bench + ['--threads', '4294967297'], '--threads'),
+        (bench + ['--telemetry-epoch', '5x'], '--telemetry-epoch'),
+        (bench + ['--result-cache'], '--result-cache'),
+        (bench + ['--snapshot-dir', ''], '--snapshot-dir'),
+        (bench + ['--snapshot-every', '5'], '--snapshot-dir'),
+        (bench + ['--shard-cycles', '5'], '--remote'),
+        (bench + ['--remote', 'nohost'], '--remote'),
+        (bench + ['--smoke', '--bogus'], '--bogus'),
+        (run + ['--max-cycles', 'abc'], '--max-cycles'),
+        (run + ['--max-cycles', '99999999999999999999999'],
+         '--max-cycles'),
+        (run + ['--shard-cycles', '-'], '--shard-cycles'),
+        (run + ['--snapshot-every', '5x'], '--snapshot-every'),
+        (run + ['--snapshot-every', '5'], '--snapshot-dir'),
+        (run + ['--shard-cycles', '5'], '--remote'),
+        (ftd + ['--idle-timeout-ms', '3000000000'], '--idle-timeout-ms'),
+        ([args.ftd, '--port', '65536'], '--port'),
+        (ftd + ['--threads', '0'], '--threads'),
+        (client + ['--n', '4294967298'], '--n'),
+        (client + ['--seed', ''], '--seed'),
+        ([args.ftd_client, '--n', '4'], '--remote'),
+    ]
+    failures = []
+    for cmd, flag in cases:
+        expect_usage_error(failures, cmd, flag)
+    expect_listening(failures, args.ftd)
+
+    for failure in failures:
+        print(f'FAIL {failure}')
+    print(f'{len(cases) + 1 - len(failures)}/{len(cases) + 1} '
+          'CLI cases hold')
+    return 1 if failures else 0
+
+
+if __name__ == '__main__':
+    sys.exit(main())

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "golden_hash.hpp"
+#include "run_input_variants.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -366,30 +367,35 @@ sampleRequest(std::uint64_t seed)
 
 TEST(DistributedCodec, SweepRequestRoundTrips)
 {
-    const SweepRequest request = sampleRequest(9001);
-    SweepRequest decoded;
-    ASSERT_TRUE(decodeSweepRequestPayload(
-        encodeSweepRequestPayload(request), decoded));
-    EXPECT_EQ(decoded.pointIndex, request.pointIndex);
-    EXPECT_EQ(decoded.config.n, request.config.n);
-    EXPECT_EQ(decoded.config.d, request.config.d);
-    EXPECT_EQ(decoded.config.r, request.config.r);
-    EXPECT_EQ(decoded.config.variant, request.config.variant);
-    EXPECT_EQ(decoded.channels, request.channels);
-    EXPECT_EQ(decoded.workload.pattern, request.workload.pattern);
-    EXPECT_EQ(decoded.workload.injectionRate,
-              request.workload.injectionRate);
-    EXPECT_EQ(decoded.workload.packetsPerPe,
-              request.workload.packetsPerPe);
-    EXPECT_EQ(decoded.workload.seed, request.workload.seed);
-    EXPECT_EQ(decoded.maxCycles, request.maxCycles);
-    // The key the daemon derives from the decoded request must equal
-    // the one the client derives from the original — the cross-node
-    // cache-sharing contract.
-    EXPECT_EQ(sweepKey(decoded.config, decoded.channels,
-                       decoded.workload, decoded.maxCycles),
-              sweepKey(request.config, request.channels,
-                       request.workload, request.maxCycles));
+    // Every input field must survive encode -> decode: each variant
+    // changes one field, so a field the codec drops fails by name.
+    for (const RunInput &in : runInputVariants()) {
+        SweepRequest request;
+        request.pointIndex = 3;
+        request.config = in.config;
+        request.channels = in.channels;
+        request.workload = in.workload;
+        request.maxCycles = in.maxCycles;
+        SweepRequest decoded;
+        ASSERT_TRUE(decodeSweepRequestPayload(
+            encodeSweepRequestPayload(request), decoded))
+            << in.field;
+        EXPECT_EQ(decoded.pointIndex, request.pointIndex);
+        EXPECT_TRUE(sameFields(decoded.config, request.config))
+            << in.field;
+        EXPECT_EQ(decoded.channels, request.channels) << in.field;
+        EXPECT_TRUE(sameFields(decoded.workload, request.workload))
+            << in.field;
+        EXPECT_EQ(decoded.maxCycles, request.maxCycles) << in.field;
+        // The key the daemon derives from the decoded request must
+        // equal the one the client derives from the original — the
+        // cross-node cache-sharing contract.
+        EXPECT_EQ(sweepKey(decoded.config, decoded.channels,
+                           decoded.workload, decoded.maxCycles),
+                  sweepKey(request.config, request.channels,
+                           request.workload, request.maxCycles))
+            << in.field;
+    }
 }
 
 TEST(DistributedCodec, SweepRequestRejectsHostilePayloads)

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,8 @@
 #include "net/wire.hpp"
 #include "sched/blob_cache.hpp"
 #include "sched/work_stealing_pool.hpp"
+#include "run_input_variants.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep_cache.hpp"
 
@@ -306,23 +309,25 @@ TEST(SweepCache, CodecRoundTripsAndRejectsTruncation)
 
 TEST(SweepCache, KeySeparatesEveryInput)
 {
-    const NocConfig cfg = NocConfig::fastTrack(4, 2, 1);
-    const SyntheticWorkload base = smallWorkload(0.4, 11);
-    const std::uint64_t key = sweepKey(cfg, 1, base);
-
-    SyntheticWorkload w = base;
-    w.seed = 12;
-    EXPECT_NE(sweepKey(cfg, 1, w), key);
-    w = base;
-    w.injectionRate = 0.40001;
-    EXPECT_NE(sweepKey(cfg, 1, w), key);
-    w = base;
-    w.packetsPerPe += 1;
-    EXPECT_NE(sweepKey(cfg, 1, w), key);
-
-    EXPECT_NE(sweepKey(cfg, 2, base), key);
-    EXPECT_NE(sweepKey(NocConfig::fastTrack(4, 2, 2), 1, base), key);
-    EXPECT_NE(sweepKey(cfg, 1, base, 12345), key);
+    // One variant per input field: every one must move the sweep key,
+    // and every one but maxCycles must move the checkpoint key — the
+    // cycle guard bounds a run but never shapes its trajectory.
+    const std::vector<RunInput> inputs = runInputVariants();
+    const RunInput &base = inputs.front();
+    std::set<std::uint64_t> sweepKeys;
+    for (const RunInput &in : inputs) {
+        EXPECT_TRUE(sweepKeys
+                        .insert(sweepKey(in.config, in.channels,
+                                         in.workload, in.maxCycles))
+                        .second)
+            << in.field;
+        const bool moves = checkpointKey(in.config, in.channels,
+                                         in.workload) !=
+                           checkpointKey(base.config, base.channels,
+                                         base.workload);
+        EXPECT_EQ(moves, in.field != "base" && in.field != "maxCycles")
+            << in.field;
+    }
 }
 
 TEST(BlobCache, DiskRoundTrip)

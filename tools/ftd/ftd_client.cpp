@@ -16,60 +16,17 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
-#include "net/endpoint.hpp"
+#include "common/flags.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "sim/experiment.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
 #include "telemetry/metrics.hpp"
-
-namespace {
-
-void
-usage(const char *prog)
-{
-    std::cerr
-        << "usage: " << prog
-        << " --remote HOST:PORT[,HOST:PORT...] [--n N] [--d D]"
-           " [--r R] [--hoplite] [--packets N] [--seed N]"
-           " [--no-local-cache] [--stats FILE]\n"
-        << "  --remote LIST      ftd endpoints to fan out to\n"
-        << "  --n N              torus side (default 8)\n"
-        << "  --d D              express link length (default 2)\n"
-        << "  --r R              depopulation factor (default 2)\n"
-        << "  --hoplite          sweep the Hoplite baseline instead\n"
-        << "  --packets N        packets per PE (default 1024)\n"
-        << "  --seed N           base workload seed (default 1)\n"
-        << "  --no-local-cache   skip the client-side sweep cache so\n"
-        << "                     every point travels the wire\n"
-        << "  --stats FILE       write remote/client counters as CSV\n";
-}
-
-long long
-parsePositive(const char *prog, int argc, char **argv, int i,
-              const char *flag)
-{
-    char *end = nullptr;
-    const long long n =
-        i + 1 < argc ? std::strtoll(argv[i + 1], &end, 10) : 0;
-    if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 1) {
-        std::cerr << prog << ": " << flag
-                  << " needs a positive integer\n";
-        usage(prog);
-        std::exit(2);
-    }
-    return n;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -82,69 +39,29 @@ main(int argc, char **argv)
     std::uint64_t seed = 1;
     bool localCache = true;
     std::string statsFile;
-    std::vector<net::Endpoint> endpoints;
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--remote") == 0) {
-            std::string error;
-            if (i + 1 >= argc ||
-                !net::parseEndpointList(argv[i + 1], endpoints,
-                                        error)) {
-                std::cerr << argv[0] << ": --remote: "
-                          << (i + 1 >= argc ? "needs a value" : error)
-                          << "\n";
-                usage(argv[0]);
-                return 2;
-            }
-            ++i;
-        } else if (std::strcmp(argv[i], "--n") == 0) {
-            n = static_cast<std::uint32_t>(
-                parsePositive(argv[0], argc, argv, i, "--n"));
-            ++i;
-        } else if (std::strcmp(argv[i], "--d") == 0) {
-            d = static_cast<std::uint32_t>(
-                parsePositive(argv[0], argc, argv, i, "--d"));
-            ++i;
-        } else if (std::strcmp(argv[i], "--r") == 0) {
-            r = static_cast<std::uint32_t>(
-                parsePositive(argv[0], argc, argv, i, "--r"));
-            ++i;
-        } else if (std::strcmp(argv[i], "--hoplite") == 0) {
-            hoplite = true;
-        } else if (std::strcmp(argv[i], "--packets") == 0) {
-            packets = static_cast<std::uint32_t>(
-                parsePositive(argv[0], argc, argv, i, "--packets"));
-            ++i;
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            seed = static_cast<std::uint64_t>(
-                parsePositive(argv[0], argc, argv, i, "--seed"));
-            ++i;
-        } else if (std::strcmp(argv[i], "--no-local-cache") == 0) {
-            localCache = false;
-        } else if (std::strcmp(argv[i], "--stats") == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-                std::cerr << argv[0] << ": --stats needs a file\n";
-                usage(argv[0]);
-                return 2;
-            }
-            statsFile = argv[i + 1];
-            ++i;
-        } else {
-            std::cerr << argv[0] << ": unknown flag '" << argv[i]
-                      << "'\n";
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (endpoints.empty()) {
-        std::cerr << argv[0] << ": --remote is required\n";
-        usage(argv[0]);
-        return 2;
-    }
+    const FlagTable flags = {
+        remoteFlag("ftd endpoints to fan out to").mandatory(),
+        integerFlag("--n", "N", "torus side (default 8)", n, 1),
+        integerFlag("--d", "D", "express link length (default 2)", d, 1),
+        integerFlag("--r", "R", "depopulation factor (default 2)", r, 1),
+        toggleFlag("--hoplite", "sweep the Hoplite baseline instead",
+                   [&hoplite] { hoplite = true; }),
+        integerFlag("--packets", "N", "packets per PE (default 1024)",
+                    packets, 1),
+        integerFlag("--seed", "N", "base workload seed (default 1)", seed,
+                    1),
+        toggleFlag("--no-local-cache",
+                   "skip the client-side sweep cache so every point "
+                   "travels the wire",
+                   [&localCache] { localCache = false; }),
+        textFlag("--stats", "FILE",
+                 "write remote/client counters as CSV", statsFile),
+    };
+    parseFlagsOrExit(flags, argc, argv);
 
     sched::ensureGlobalPool();
-    RemoteConfig remote;
-    remote.endpoints = std::move(endpoints);
+    RemoteConfig remote = remoteConfig();
     remote.useLocalCache = localCache;
     setRemoteConfig(std::move(remote));
 
