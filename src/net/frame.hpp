@@ -78,7 +78,7 @@ enum class MessageType : std::uint16_t
     /** Server -> client accept: u32 wire version, u32 sweep schema,
      *  u32 granted window (the server's per-session queue bound). */
     helloAck = 2,
-    /** Client -> server: one sweep point (sim/remote.hpp codec). */
+    /** Client -> server: one sweep point (sim/run_codec.hpp codec). */
     sweepRequest = 3,
     /** Server -> client: one sweep point result. */
     sweepResult = 4,
@@ -90,7 +90,7 @@ enum class MessageType : std::uint16_t
     error = 6,
     /** Client -> server: orderly session end. */
     goodbye = 7,
-    /** Client -> server: one temporal-shard slice (sim/remote.hpp
+    /** Client -> server: one temporal-shard slice (sim/run_codec.hpp
      *  ShardSliceRequest codec; may span multiple partial frames). */
     snapshotRequest = 8,
     /** Server -> client: slice stats + the trimmed handoff snapshot

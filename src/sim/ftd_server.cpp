@@ -1,6 +1,5 @@
 #include "sim/ftd_server.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -107,7 +106,6 @@ FtdServer::handle(std::vector<net::Frame> batch)
     // Decode + validate + cache pre-pass. The pre-pass both supplies
     // the response's cache-hit flag and lets hits skip the simulator
     // entirely (their payload bytes are spliced straight through).
-    sched::BlobCache &cache = sweepCache();
     const bool cacheOn = sweepCacheEnabled();
     for (std::size_t i = 0; i < batch.size(); ++i) {
         Item &item = items[i];
@@ -125,15 +123,13 @@ FtdServer::handle(std::vector<net::Frame> batch)
         }
         if (!cacheOn)
             continue;
-        const std::uint64_t key =
-            sweepKey(item.request.config, item.request.channels,
-                     item.request.workload, item.request.maxCycles);
-        if (auto payload = cache.lookup(key)) {
-            SynthResult check;
-            if (decodeSynthResult(*payload, check)) {
-                item.cached = std::move(*payload);
-                item.hit = true;
-            }
+        SynthResult decoded;
+        if (auto payload = probeSweepCache(
+                sweepKey(item.request.config, item.request.channels,
+                         item.request.workload, item.request.maxCycles),
+                decoded)) {
+            item.cached = std::move(*payload);
+            item.hit = true;
         }
     }
 
@@ -210,64 +206,22 @@ FtdServer::handleSlice(const net::Frame &frame)
     // arrived: a snapshot may only continue exactly this run, so a
     // confused (or hostile) client gets a typed rejection instead of
     // a silently wrong continuation.
-    const std::uint64_t key =
-        request.kind == SnapshotKind::synthetic
-            ? checkpointKey(request.config, request.channels,
-                            request.workload)
-            : checkpointKey(request.config, request.channels,
-                            request.trace);
-    if (key != request.key)
+    if (request.inputKey() != request.key)
         return reject("slice key mismatch");
-
-    Cycle consumed = 0;
-    if (request.hasSnapshot) {
-        if (request.snapshot.cycle() < request.snapshot.runStart)
-            return reject("slice snapshot predates its run start");
-        consumed = request.snapshot.cycle() - request.snapshot.runStart;
-    }
-    if (consumed >= request.runMaxCycles)
+    if (request.hasSnapshot &&
+        request.snapshot.cycle() < request.snapshot.runStart)
+        return reject("slice snapshot predates its run start");
+    if (request.consumed() >= request.runMaxCycles)
         return reject("slice starts at or past runMaxCycles");
 
-    auto noc = makeNoc(request.config, request.channels);
-    Snapshot next;
-    RunRequest run;
-    run.device = noc.get();
-    if (request.kind == SnapshotKind::synthetic)
-        run.workload = &request.workload;
-    else
-        run.trace = &request.trace;
-    // sliceCycles is decode-bounded (kMaxSliceCycles) but consumed is
-    // only bounded by runMaxCycles, so the sum must saturate.
-    run.sim.maxCycles =
-        std::min(request.runMaxCycles,
-                 saturatingAddCycles(consumed, request.sliceCycles));
-    run.sim.resumeSnapshot =
-        request.hasSnapshot ? &request.snapshot : nullptr;
-    run.sim.captureFinal = &next;
-    const RunResult res = runSim(run);
-    // runSim degrades a rejected snapshot to a fresh run — right for
-    // an interactive resume, wrong for a slice whose stats would then
-    // double-count the run's start. Fail loudly instead.
-    if (request.hasSnapshot && !res.resumed)
-        return reject("slice snapshot was not restorable");
-    if (!res.finalCaptured)
-        return reject("slice state capture failed");
-
     ShardSliceResult result;
-    result.kind = request.kind;
-    result.synth = res.synth;
-    result.trace = res.trace;
-    const Cycle advanced = next.cycle() - next.runStart;
-    result.done = (request.kind == SnapshotKind::trace
-                       ? res.trace.completed
-                       : res.synth.completed) ||
-                  advanced >= request.runMaxCycles;
-    if (!result.done) {
-        // The handoff contract: the next slice resumes the traffic
-        // mid-flight but measures only itself (docs/checkpoint.md).
-        next.trimState();
-        result.hasSnapshot = true;
-        result.snapshot = std::move(next);
+    switch (runSlice(request, result)) {
+    case SliceStatus::notResumed:
+        return reject("slice snapshot was not restorable");
+    case SliceStatus::notCaptured:
+        return reject("slice state capture failed");
+    case SliceStatus::ok:
+        break;
     }
     slicesServed_.fetch_add(1, std::memory_order_relaxed);
 

@@ -72,9 +72,9 @@ class FtdServer
 
   private:
     std::vector<net::Frame> handle(std::vector<net::Frame> batch);
-    /** Execute one temporal-shard slice (snapshotRequest frame):
-     *  resume from the embedded trimmed snapshot, advance
-     *  sliceCycles, answer with the slice's stats + next snapshot. */
+    /** Serve one temporal-shard slice (snapshotRequest frame): check
+     *  its key and snapshot range, run it through runSlice, answer
+     *  with the slice's stats + next snapshot. */
     net::Frame handleSlice(const net::Frame &frame);
 
     net::FrameServer server_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -122,12 +123,32 @@ bump(std::atomic<std::uint64_t> &counter, std::uint64_t by = 1)
     counter.fetch_add(by, std::memory_order_relaxed);
 }
 
-/**
- * One connection's worth of work: connect, handshake, pipeline the
- * points of @p remaining, harvest results. Serviced indices are
- * removed from @p remaining; @p permanent is set when the endpoint
- * rejected us for a reason retrying cannot fix (version/schema).
- */
+/** How far an error frame's refusal reaches. */
+enum class ErrorScope
+{
+    /** kErrBadRequest: the request it names; the session goes on. */
+    request,
+    /** Anything else, or a frame that does not parse. */
+    session,
+    /** Version/schema mismatch: retrying this endpoint cannot help. */
+    endpoint,
+};
+
+/** Count an error frame and classify it; the one place that does. */
+ErrorScope
+classifyError(const net::Frame &frame, RunCounters &run)
+{
+    bump(run.errorFrames);
+    std::uint32_t code = 0;
+    std::string message;
+    if (!net::parseErrorFrame(frame, code, message))
+        return ErrorScope::session;
+    if (code == net::kErrBadVersion || code == net::kErrBadSchema)
+        return ErrorScope::endpoint;
+    return code == net::kErrBadRequest ? ErrorScope::request
+                                       : ErrorScope::session;
+}
+
 /**
  * Connect to @p endpoint and run the hello/helloAck handshake.
  * Returns an invalid socket on failure; @p permanent is set when the
@@ -163,13 +184,8 @@ connectAndHandshake(const RemoteConfig &cfg,
         return net::Socket();
     }
     if (ack.type == net::MessageType::error) {
-        bump(run.errorFrames);
+        permanent = classifyError(ack, run) == ErrorScope::endpoint;
         bump(run.connectFailures);
-        std::uint32_t code = 0;
-        std::string message;
-        if (net::parseErrorFrame(ack, code, message))
-            permanent = code == net::kErrBadVersion ||
-                        code == net::kErrBadSchema;
         return net::Socket();
     }
     std::uint32_t version = 0, schema = 0, granted = 0;
@@ -231,14 +247,47 @@ partSession(const RemoteConfig &cfg, const net::Endpoint &endpoint,
             return;
 }
 
+/** Before the attempt that follows @p failures failed ones, count a
+ *  reconnect and sleep out its backoff (net::backoffDelayMs). */
 void
-serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
-                std::vector<std::size_t> &remaining,
-                const std::vector<std::vector<std::uint8_t>> &payloads,
-                std::vector<SynthResult> &results,
-                std::vector<std::uint8_t> &origin,
-                std::vector<std::uint8_t> &remote_hit, RunCounters &run,
-                bool &permanent)
+reconnectDelay(const RemoteConfig &cfg, RunCounters &run,
+               unsigned failures)
+{
+    if (failures == 0)
+        return;
+    bump(run.reconnects);
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        net::backoffDelayMs(failures, cfg.backoffInitialMs,
+                            cfg.backoffCapMs)));
+}
+
+/** One request of a client session; its payload outlives the
+ *  session. */
+struct SessionRequest
+{
+    net::MessageType type = net::MessageType::sweepRequest;
+    std::uint64_t id = 0;
+    const std::vector<std::uint8_t> *payload = nullptr;
+};
+
+/**
+ * The one client session loop, for sweep points and slices alike:
+ * connect, handshake, send @p requests in order with at most the
+ * granted window outstanding, and read answers until none is in
+ * flight. Epochs count against the requests sent (takeEpoch). Error
+ * frames are classified once (classifyError): a version/schema error
+ * sets @p permanent, and a kErrBadRequest leaves the request it names
+ * unserved while the session goes on. An answer or a refusal must
+ * name a request sent and not yet settled; an answer then goes to
+ * @p accept with that request's index, and a false return marks it
+ * rogue. A rogue frame or a broken transport ends the session. Once
+ * every request has been answered, the session parts (partSession).
+ */
+template <typename Accept>
+void
+runSession(const RemoteConfig &cfg, const net::Endpoint &endpoint,
+           const std::vector<SessionRequest> &requests, RunCounters &run,
+           bool &permanent, Accept &&accept)
 {
     std::uint32_t window = 0;
     net::Socket sock = connectAndHandshake(cfg, endpoint, run, window,
@@ -246,86 +295,54 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
     if (!sock.valid())
         return;
 
-    // --- Pipeline --------------------------------------------------
-    std::size_t next = 0; // next entry of `remaining` to send
-    std::size_t inflight = 0;
-    std::size_t epochs = 0;
-    bool dead = false;
-    while (!dead) {
-        while (inflight < window && next < remaining.size()) {
-            const std::size_t idx = remaining[next];
-            net::Frame request;
-            request.type = net::MessageType::sweepRequest;
-            request.requestId = idx;
-            request.payload = payloads[idx];
-            if (net::sendFrame(sock, request, cfg.ioTimeoutMs) !=
-                net::FrameStatus::ok) {
-                dead = true;
-                break;
-            }
-            ++inflight;
-            ++next;
+    std::vector<bool> settled(requests.size(), false);
+    std::size_t sent = 0, inflight = 0, answered = 0, epochs = 0;
+    for (;;) {
+        for (; inflight < window && sent < requests.size();
+             ++sent, ++inflight) {
+            net::Frame frame;
+            frame.type = requests[sent].type;
+            frame.requestId = requests[sent].id;
+            frame.payload = *requests[sent].payload;
+            if (net::sendMessage(sock, frame, cfg.ioTimeoutMs) !=
+                net::FrameStatus::ok)
+                return;
         }
-        if (dead || inflight == 0)
+        if (inflight == 0)
             break;
 
         net::Frame frame;
-        if (net::recvFrame(sock, frame, cfg.resultWaitMs,
-                           cfg.ioTimeoutMs) != net::FrameStatus::ok)
-            break;
+        if (net::recvMessage(sock, frame, cfg.resultWaitMs,
+                             cfg.ioTimeoutMs) != net::FrameStatus::ok)
+            return;
         if (frame.type == net::MessageType::metricsEpoch) {
-            if (!takeEpoch(frame, endpoint, run, epochs, next))
-                break;
+            if (!takeEpoch(frame, endpoint, run, epochs, sent))
+                return;
             continue;
         }
-        if (frame.type == net::MessageType::error) {
-            bump(run.errorFrames);
-            std::uint32_t code = 0;
-            std::string message;
-            if (net::parseErrorFrame(frame, code, message)) {
-                permanent = code == net::kErrBadVersion ||
-                            code == net::kErrBadSchema;
-                // A per-request rejection: that point falls back
-                // locally, the session can keep serving the rest.
-                if (code == net::kErrBadRequest) {
-                    --inflight;
-                    continue;
-                }
-            }
-            break;
+        const bool refused = frame.type == net::MessageType::error;
+        if (refused) {
+            const ErrorScope scope = classifyError(frame, run);
+            permanent = scope == ErrorScope::endpoint;
+            if (scope != ErrorScope::request)
+                return;
         }
-        if (frame.type != net::MessageType::sweepResult)
-            break;
-        std::uint32_t point = 0;
-        bool hit = false;
-        SynthResult result;
-        if (!decodeSweepResultPayload(frame.payload, point, hit,
-                                      result))
-            break;
-        const std::size_t idx =
-            static_cast<std::size_t>(frame.requestId);
-        // The id must name a point this session actually sent and
-        // not yet received; anything else is a rogue peer.
-        const auto sentEnd = remaining.begin() +
-                             static_cast<std::ptrdiff_t>(next);
-        if (point != frame.requestId ||
-            std::find(remaining.begin(), sentEnd, idx) == sentEnd ||
-            origin[idx] != kOriginPending)
-            break;
-        results[idx] = result;
-        remote_hit[idx] = hit ? 1 : 0;
-        origin[idx] = kOriginRemote;
+        std::size_t i = 0;
+        while (i < sent &&
+               (settled[i] || requests[i].id != frame.requestId))
+            ++i;
+        if (i == sent)
+            return;
+        settled[i] = true;
         --inflight;
+        if (refused)
+            continue;
+        if (!accept(i, frame))
+            return;
+        ++answered;
     }
-
-    // Strip what this connection served.
-    std::erase_if(remaining, [&origin](std::size_t idx) {
-        return origin[idx] != kOriginPending;
-    });
-
-    // Part cleanly, collecting the final batch's trailing epoch.
-    if (remaining.empty())
-        partSession(cfg, endpoint, sock, run, epochs, next);
+    if (answered == requests.size())
+        partSession(cfg, endpoint, sock, run, epochs, sent);
 }
 
 /** Drive one endpoint until its points are served, the retry budget
@@ -340,25 +357,40 @@ runEndpointWorker(const RemoteConfig &cfg,
                   std::vector<std::uint8_t> &remote_hit,
                   RunCounters &run)
 {
+    const auto accept = [&](std::size_t i, const net::Frame &frame) {
+        std::uint32_t point = 0;
+        bool hit = false;
+        SynthResult result;
+        if (frame.type != net::MessageType::sweepResult ||
+            !decodeSweepResultPayload(frame.payload, point, hit,
+                                      result) ||
+            point != frame.requestId)
+            return false;
+        const std::size_t idx = points[i];
+        results[idx] = result;
+        remote_hit[idx] = hit ? 1 : 0;
+        origin[idx] = kOriginRemote;
+        return true;
+    };
     unsigned failures = 0; // consecutive attempts with no progress
     while (!points.empty() && failures < cfg.maxAttempts) {
-        if (failures > 0) {
-            bump(run.reconnects);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                net::backoffDelayMs(failures, cfg.backoffInitialMs,
-                                    cfg.backoffCapMs)));
-        }
+        reconnectDelay(cfg, run, failures);
+        std::vector<SessionRequest> requests;
+        requests.reserve(points.size());
+        for (std::size_t idx : points)
+            requests.push_back(
+                {net::MessageType::sweepRequest, idx, &payloads[idx]});
         bool permanent = false;
-        const std::size_t before = points.size();
-        serveConnection(cfg, endpoint, points, payloads, results,
-                        origin, remote_hit, run, permanent);
+        runSession(cfg, endpoint, requests, run, permanent, accept);
         if (permanent)
             break;
         // Progress resets the budget: a flaky worker that keeps
         // serving some of each window gets drained, not abandoned.
+        const std::size_t before = points.size();
+        std::erase_if(points, [&origin](std::size_t idx) {
+            return origin[idx] != kOriginPending;
+        });
         failures = points.size() < before ? 1 : failures + 1;
-        if (points.size() < before && points.empty())
-            break;
     }
 }
 
@@ -470,20 +502,13 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
 
     // Local cache pre-pass: a point this process already knows never
     // touches the wire.
-    sched::BlobCache &cache = sweepCache();
     const bool cacheOn = cfg.useLocalCache && sweepCacheEnabled();
     std::vector<std::uint64_t> keys(count);
     for (std::size_t i = 0; i < count; ++i) {
         keys[i] = sweepKey(config, channels, workloads[i], max_cycles);
-        if (!cacheOn)
-            continue;
-        if (auto payload = cache.lookup(keys[i])) {
-            SynthResult cached;
-            if (decodeSynthResult(*payload, cached)) {
-                results[i] = cached;
-                origin[i] = kOriginLocalCache;
-                bump(run.localCacheHits);
-            }
+        if (cacheOn && probeSweepCache(keys[i], results[i])) {
+            origin[i] = kOriginLocalCache;
+            bump(run.localCacheHits);
         }
     }
 
@@ -533,7 +558,8 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
             if (remoteHit[i] != 0)
                 bump(run.remoteCacheHits);
             if (cacheOn)
-                cache.store(keys[i], encodeSynthResult(results[i]));
+                sweepCache().store(keys[i],
+                                   encodeSynthResult(results[i]));
         } else if (origin[i] == kOriginPending) {
             fallback.push_back(i);
         }
@@ -560,65 +586,6 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
 namespace {
 
 /**
- * One remote slice attempt over one fresh connection: handshake,
- * send the snapshotRequest message, harvest the snapshotResult
- * (tolerating the one metricsEpoch frame the request is owed), part
- * cleanly. False on any transport/protocol/decode failure.
- */
-bool
-trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
-               const std::vector<std::uint8_t> &payload,
-               std::uint64_t request_id, RunCounters &run,
-               ShardSliceResult &out, bool &permanent)
-{
-    std::uint32_t window = 0;
-    net::Socket sock = connectAndHandshake(cfg, endpoint, run, window,
-                                           permanent);
-    if (!sock.valid())
-        return false;
-
-    net::Frame request;
-    request.type = net::MessageType::snapshotRequest;
-    request.requestId = request_id;
-    request.payload = payload;
-    if (net::sendMessage(sock, request, cfg.ioTimeoutMs) !=
-        net::FrameStatus::ok)
-        return false;
-
-    bool got = false;
-    std::size_t epochs = 0;
-    for (;;) {
-        net::Frame frame;
-        if (net::recvMessage(sock, frame, cfg.resultWaitMs,
-                             cfg.ioTimeoutMs) != net::FrameStatus::ok)
-            break;
-        if (frame.type == net::MessageType::metricsEpoch) {
-            if (!takeEpoch(frame, endpoint, run, epochs, 1))
-                break;
-            continue;
-        }
-        if (frame.type == net::MessageType::error) {
-            bump(run.errorFrames);
-            std::uint32_t code = 0;
-            std::string message;
-            if (net::parseErrorFrame(frame, code, message))
-                permanent = code == net::kErrBadVersion ||
-                            code == net::kErrBadSchema;
-            break;
-        }
-        if (frame.type != net::MessageType::snapshotResult ||
-            frame.requestId != request_id)
-            break;
-        if (decodeShardSliceResultPayload(frame.payload, out))
-            got = true;
-        break;
-    }
-    if (got)
-        partSession(cfg, endpoint, sock, run, epochs, 1);
-    return got;
-}
-
-/**
  * Client-side validation of a remote slice answer — the mirror of
  * the daemon's own range checks plus an actual restore probe. A
  * decoded snapshot is internally consistent but nothing ties it to
@@ -631,11 +598,10 @@ trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
  * slice will.
  */
 bool
-validateSliceAnswer(const RunRequest &request, SnapshotKind kind,
-                    Cycle consumed, const ShardSliceRequest &slice,
+validateSliceAnswer(const ShardSliceRequest &slice,
                     ShardSliceResult &answer)
 {
-    if (answer.kind != kind)
+    if (answer.kind != slice.kind)
         return false;
     if (answer.done)
         return true; // stats-only; no snapshot travels (decode pins)
@@ -645,6 +611,7 @@ validateSliceAnswer(const RunRequest &request, SnapshotKind kind,
     // huge "advance" that sails past every later comparison.
     if (answer.snapshot.cycle() < answer.snapshot.runStart)
         return false;
+    const Cycle consumed = slice.consumed();
     const Cycle advanced =
         answer.snapshot.cycle() - answer.snapshot.runStart;
     // The run must have moved (or a lying daemon pins an infinite
@@ -655,18 +622,61 @@ validateSliceAnswer(const RunRequest &request, SnapshotKind kind,
         advanced >= slice.runMaxCycles)
         return false;
     answer.snapshot.trimState();
-    auto probe = makeNoc(*request.config, 1);
+    auto probe = makeNoc(slice.config, slice.channels);
     if (!probe->restoreState(answer.snapshot.engine))
         return false;
-    if (kind == SnapshotKind::synthetic) {
-        SyntheticInjector injector(*probe, *request.workload);
+    if (slice.kind == SnapshotKind::synthetic) {
+        SyntheticInjector injector(*probe, slice.workload);
         return injector.restoreState(answer.snapshot.injector);
     }
-    TraceReplayer replayer(*probe, *request.trace);
+    TraceReplayer replayer(*probe, slice.trace);
     return replayer.restoreState(answer.snapshot.replay);
 }
 
 } // namespace
+
+SliceStatus
+runSlice(const ShardSliceRequest &request, ShardSliceResult &out)
+{
+    const bool synthetic = request.kind == SnapshotKind::synthetic;
+    auto noc = makeNoc(request.config, request.channels);
+    Snapshot next;
+    // sliceCycles is decode-bounded (kMaxSliceCycles) but consumed is
+    // only bounded by runMaxCycles, so the sum must saturate.
+    const RunResult res = runSim(
+        {.device = noc.get(),
+         .workload = synthetic ? &request.workload : nullptr,
+         .trace = synthetic ? nullptr : &request.trace,
+         .sim = {.maxCycles = std::min(
+                     request.runMaxCycles,
+                     saturatingAddCycles(request.consumed(),
+                                         request.sliceCycles)),
+                 .resumeSnapshot =
+                     request.hasSnapshot ? &request.snapshot : nullptr,
+                 .captureFinal = &next}});
+    // runSim degrades a rejected snapshot to a fresh run — right for
+    // an interactive resume, wrong for a slice whose stats would then
+    // double-count the run's start.
+    if (request.hasSnapshot && !res.resumed)
+        return SliceStatus::notResumed;
+    if (!res.finalCaptured)
+        return SliceStatus::notCaptured;
+
+    out = ShardSliceResult{};
+    out.kind = request.kind;
+    out.synth = res.synth;
+    out.trace = res.trace;
+    out.done = (synthetic ? res.synth.completed : res.trace.completed) ||
+               next.cycle() - next.runStart >= request.runMaxCycles;
+    if (!out.done) {
+        // The handoff contract: the next slice resumes the traffic
+        // mid-flight but measures only itself (docs/checkpoint.md).
+        next.trimState();
+        out.hasSnapshot = true;
+        out.snapshot = std::move(next);
+    }
+    return SliceStatus::ok;
+}
 
 RunResult
 runShardedSim(const RunRequest &request, Cycle shard_cycles)
@@ -689,38 +699,29 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
                  kMaxSliceCycles);
 
     const bool is_trace = request.trace != nullptr;
-    const SnapshotKind kind =
-        is_trace ? SnapshotKind::trace : SnapshotKind::synthetic;
     const RemoteConfig cfg = remoteConfig();
     RunCounters run;
 
     ShardSliceRequest slice;
-    slice.kind = kind;
+    slice.kind = is_trace ? SnapshotKind::trace : SnapshotKind::synthetic;
     slice.config = *request.config;
-    slice.channels = 1;
-    if (is_trace) {
+    if (is_trace)
         slice.trace = *request.trace;
-        slice.key = checkpointKey(*request.config, request.channels,
-                                  *request.trace);
-    } else {
+    else
         slice.workload = *request.workload;
-        slice.key = checkpointKey(*request.config, request.channels,
-                                  *request.workload);
-    }
     slice.sliceCycles = shard_cycles;
     slice.runMaxCycles = request.sim.maxCycles;
+    slice.key = slice.inputKey();
 
     RunResult result;
     result.isTrace = is_trace;
-    NocStats merged;
-    bool first_slice = true;
+    std::optional<NocStats> merged;
     // Once the fleet has proven dead (budget exhausted or a permanent
     // rejection), the remaining slices stay local rather than paying
     // the retry schedule once per slice.
     bool fleet_dead = cfg.endpoints.empty();
     std::size_t next_endpoint = 0;
     std::uint64_t slice_index = 0;
-    Cycle consumed = 0; // run-relative cycles completed so far
     // Provenance of slice.snapshot: a remote-origin snapshot, even a
     // restore-probed one, is never worth aborting the process over.
     bool snapshot_from_remote = false;
@@ -733,31 +734,30 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
         if (!fleet_dead) {
             const std::vector<std::uint8_t> payload =
                 encodeShardSliceRequestPayload(slice);
+            const std::vector<SessionRequest> requests{
+                {net::MessageType::snapshotRequest, slice_index,
+                 &payload}};
+            const auto accept = [&](std::size_t, const net::Frame &frame) {
+                served = frame.type == net::MessageType::snapshotResult &&
+                         decodeShardSliceResultPayload(frame.payload,
+                                                       answer);
+                return served;
+            };
             unsigned failures = 0;
             while (!served && failures < cfg.maxAttempts) {
-                if (failures > 0) {
-                    bump(run.reconnects);
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(net::backoffDelayMs(
-                            failures, cfg.backoffInitialMs,
-                            cfg.backoffCapMs)));
-                }
+                reconnectDelay(cfg, run, failures);
                 const net::Endpoint &endpoint =
                     cfg.endpoints[next_endpoint %
                                   cfg.endpoints.size()];
                 ++next_endpoint; // round-robin slices and retries
                 bool permanent = false;
-                served = trySliceRemote(cfg, endpoint, payload,
-                                        slice_index, run, answer,
-                                        permanent);
+                runSession(cfg, endpoint, requests, run, permanent,
+                           accept);
                 // Trust nothing a peer says unchecked: range checks
                 // plus a restore probe (validateSliceAnswer), so a
                 // hostile answer is one failed attempt, not a
                 // poisoned slice chain.
-                if (served &&
-                    !validateSliceAnswer(request, kind, consumed,
-                                         slice, answer))
-                    served = false;
+                served = served && validateSliceAnswer(slice, answer);
                 if (!served) {
                     if (permanent) {
                         fleet_dead = true;
@@ -773,89 +773,58 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
         if (served) {
             bump(run.slicesRemote);
         } else {
-            // Local slice: same budgets, same handoff contract, so a
-            // sharded run completes (identically) even with no fleet.
-            Snapshot next;
-            auto noc = makeNoc(*request.config, 1);
-            RunRequest local;
-            local.device = noc.get();
-            local.workload = request.workload;
-            local.trace = request.trace;
-            local.sim.maxCycles =
-                std::min(slice.runMaxCycles,
-                         saturatingAddCycles(consumed,
-                                             slice.sliceCycles));
-            local.sim.resumeSnapshot =
-                slice.hasSnapshot ? &slice.snapshot : nullptr;
-            local.sim.captureFinal = &next;
-            const RunResult local_result = runSim(local);
-            if (slice.hasSnapshot && !local_result.resumed) {
-                if (snapshot_from_remote) {
-                    // Belt and braces: a remote snapshot is probed
-                    // before being committed, so this should be
-                    // unreachable — but the contract is that fleet
-                    // failure degrades to local completion, never a
-                    // crash, so discard the remote chain and
-                    // recompute the whole run locally from scratch.
-                    FT_WARN("sharded run: remote snapshot chain "
-                            "failed local resume; recomputing the "
-                            "run locally");
-                    fleet_dead = true;
-                    slice.hasSnapshot = false;
-                    slice.snapshot = Snapshot{};
-                    snapshot_from_remote = false;
-                    consumed = 0;
-                    merged = NocStats{};
-                    first_slice = true;
-                    ++slice_index;
-                    continue;
-                }
+            // Local slice: the daemon's own slice step on the same
+            // request, so a sharded run completes (identically) even
+            // with no fleet.
+            const SliceStatus status = runSlice(slice, answer);
+            if (status == SliceStatus::notResumed &&
+                snapshot_from_remote) {
+                // Belt and braces: a remote snapshot is probed
+                // before being committed, so this should be
+                // unreachable — but the contract is that fleet
+                // failure degrades to local completion, never a
+                // crash, so discard the remote chain and recompute
+                // the whole run locally from scratch.
+                FT_WARN("sharded run: remote snapshot chain failed "
+                        "local resume; recomputing the run locally");
+                fleet_dead = true;
+                slice.hasSnapshot = false;
+                slice.snapshot = Snapshot{};
+                snapshot_from_remote = false;
+                merged.reset();
+                ++slice_index;
+                continue;
+            }
+            if (status == SliceStatus::notResumed)
                 FT_FATAL("sharded run: local slice failed to resume "
                          "its own snapshot");
-            }
-            if (!local_result.finalCaptured)
+            if (status == SliceStatus::notCaptured)
                 FT_FATAL("sharded run: device lost engine-state "
                          "capture mid-run");
-            answer = ShardSliceResult{};
-            answer.kind = kind;
-            answer.synth = local_result.synth;
-            answer.trace = local_result.trace;
-            const Cycle advanced = next.cycle() - next.runStart;
-            answer.done = (is_trace ? local_result.trace.completed
-                                    : local_result.synth.completed) ||
-                          advanced >= slice.runMaxCycles;
-            if (!answer.done) {
-                answer.hasSnapshot = true;
-                answer.snapshot = std::move(next);
-            }
             bump(run.slicesFallback);
         }
 
         const NocStats &slice_stats =
             is_trace ? answer.trace.stats : answer.synth.stats;
-        if (first_slice) {
+        if (merged)
+            merged->merge(slice_stats);
+        else
             merged = slice_stats;
-            first_slice = false;
-        } else {
-            merged.merge(slice_stats);
-        }
 
         done = answer.done;
         if (done) {
             if (is_trace) {
                 result.trace = answer.trace;
-                result.trace.stats = merged;
+                result.trace.stats = *merged;
             } else {
                 result.synth = answer.synth;
-                result.synth.stats = merged;
+                result.synth.stats = *merged;
             }
         } else {
-            consumed = answer.snapshot.cycle() -
-                       answer.snapshot.runStart;
-            // The handoff contract (Snapshot::trimState): the next
-            // slice resumes the traffic mid-flight but measures only
-            // itself, so the per-slice stats merge back to the whole.
-            answer.snapshot.trimState();
+            // Both slice paths hand the snapshot back trimmed
+            // (Snapshot::trimState): the next slice resumes the
+            // traffic mid-flight but measures only itself, so the
+            // per-slice stats merge back to the whole.
             slice.snapshot = std::move(answer.snapshot);
             slice.hasSnapshot = true;
             snapshot_from_remote = served;

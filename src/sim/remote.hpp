@@ -151,6 +151,29 @@ remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
  */
 RunResult runShardedSim(const RunRequest &request, Cycle shard_cycles);
 
+/** What runSlice reports besides its answer. */
+enum class SliceStatus
+{
+    ok,
+    /** The request's snapshot did not restore. */
+    notResumed,
+    /** The device could not capture the slice's end state. */
+    notCaptured,
+};
+
+/**
+ * The one temporal-shard slice step, shared by the ftd daemon and
+ * runShardedSim's local fallback: resume @p request's snapshot (when
+ * it has one), run to min(runMaxCycles, consumed + sliceCycles),
+ * capture the end state, decide done, and hand the trimmed next
+ * snapshot back in @p out. A snapshot that does not restore is
+ * notResumed rather than a fresh run, whose stats would count the
+ * run's start twice. Trust checks on @p request are the caller's: the
+ * daemon re-derives the key and range-checks the snapshot first.
+ */
+SliceStatus runSlice(const ShardSliceRequest &request,
+                     ShardSliceResult &out);
+
 } // namespace fasttrack
 
 #endif // FT_SIM_REMOTE_HPP

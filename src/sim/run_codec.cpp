@@ -149,35 +149,22 @@ putTrace(net::WireWriter &w, const Trace &trace)
         put(w, m);
 }
 
-/**
- * Decode + validate a trace without Trace::validate (which aborts on
- * violation — unacceptable for hostile input). Mirrors its rules:
- * dense ids, node ranges, deps reference lower ids.
- */
+/** Decode a trace and check it with Trace::validationError (never
+ *  Trace::validate, which exits), plus the wire's own caps. */
 bool
 getTrace(net::WireReader &r, Trace &trace)
 {
-    if (!r.str(trace.name) || trace.name.size() > kMaxTraceNameBytes)
-        return false;
-    if (!r.u32(trace.n) || trace.n < 2 || trace.n > kMaxWireSide)
-        return false;
     std::uint64_t count = 0;
-    if (!r.u64(count) ||
+    if (!r.str(trace.name) || trace.name.size() > kMaxTraceNameBytes ||
+        !r.u32(trace.n) || trace.n > kMaxWireSide || !r.u64(count) ||
         count > r.remaining() / minWireBytes<TraceMessage>())
         return false;
-    const std::uint64_t nodes =
-        static_cast<std::uint64_t>(trace.n) * trace.n;
     trace.messages.resize(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceMessage &m = trace.messages[i];
-        if (!get(r, m) || m.id != i || m.src >= nodes || m.dst >= nodes)
+    for (TraceMessage &m : trace.messages) {
+        if (!get(r, m))
             return false;
-        for (std::uint64_t dep : m.deps) {
-            if (dep >= m.id)
-                return false;
-        }
     }
-    return true;
+    return trace.validationError().empty();
 }
 
 bool
@@ -352,8 +339,8 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
         !wireAccepts(request.config))
         return false;
     // Slice execution resumes/captures engine state, which only
-    // single-channel devices support — reject, never FT_FATAL in
-    // planSnapshots on a daemon.
+    // single-channel devices support — reject, never FT_FATAL in the
+    // driver's snapshot-knob check on a daemon.
     if (!get(r, request.channels) || request.channels != 1)
         return false;
     if (request.kind == SnapshotKind::synthetic) {

@@ -145,6 +145,21 @@ struct ShardSliceRequest
     std::uint64_t key = 0;
     bool hasSnapshot = false;
     Snapshot snapshot;
+
+    /** The key this request's inputs derive (what key must hold). */
+    std::uint64_t inputKey() const
+    {
+        return kind == SnapshotKind::synthetic
+                   ? checkpointKey(config, channels, workload)
+                   : checkpointKey(config, channels, trace);
+    }
+    /** Run-relative cycles done before this slice (0 on the first).
+     *  Wraps for a snapshot taken before its runStart; a peer's
+     *  snapshot must be checked for that first. */
+    Cycle consumed() const
+    {
+        return hasSnapshot ? snapshot.cycle() - snapshot.runStart : 0;
+    }
 };
 
 std::vector<std::uint8_t>

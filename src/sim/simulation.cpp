@@ -1,6 +1,8 @@
 #include "sim/simulation.hpp"
 
 #include <filesystem>
+#include <optional>
+#include <type_traits>
 
 #include "check/invariants.hpp"
 #include "common/logging.hpp"
@@ -63,54 +65,56 @@ struct TelemetryCrossCheck
 };
 #endif
 
-/** Checkpoint controls shared by the synthetic and trace loops. */
-struct SnapshotPlan
+/** True when @p sim writes, resumes or captures snapshots. */
+bool
+checkpointing(const SimConfig &sim)
 {
-    bool snapshotting = false;
-    bool resuming = false;
-    /** sim.captureFinal: hand the end state back in memory. */
-    bool capturingFinal = false;
-
-    std::uint64_t key = 0;
-
-    bool active() const
-    {
-        return snapshotting || resuming || capturingFinal;
-    }
-};
+    return sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty() ||
+           sim.resumeSnapshot != nullptr || sim.captureFinal != nullptr;
+}
 
 /** Validate the snapshot knobs and probe device support once. A
  *  request that asks for checkpointing on a device that cannot
  *  capture state is a hard error, not a silent degradation. */
-SnapshotPlan
-planSnapshots(NocDevice &noc, const SimConfig &sim, std::uint64_t key)
+void
+checkSnapshotKnobs(const NocDevice &noc, const SimConfig &sim)
 {
-    SnapshotPlan plan;
-    plan.snapshotting = sim.snapshotEveryCycles != 0;
-    plan.resuming =
-        !sim.resumeFrom.empty() || sim.resumeSnapshot != nullptr;
-    plan.capturingFinal = sim.captureFinal != nullptr;
-    plan.key = key;
-    if (plan.snapshotting && sim.snapshotDir.empty())
+    if (sim.snapshotEveryCycles != 0 && sim.snapshotDir.empty())
         FT_FATAL("snapshotEveryCycles requires snapshotDir");
-    if (plan.active()) {
-        EngineState probe;
-        if (!noc.captureState(probe))
-            FT_FATAL("checkpointing requires a device with engine-"
-                     "state capture (single-channel Network); ",
-                     noc.config().describe(), " x",
-                     noc.channelCount(), " does not support it");
-    }
-    return plan;
+    if (!checkpointing(sim))
+        return;
+    EngineState probe;
+    if (!noc.captureState(probe))
+        FT_FATAL("checkpointing requires a device with engine-"
+                 "state capture (single-channel Network); ",
+                 noc.config().describe(), " x", noc.channelCount(),
+                 " does not support it");
 }
 
-/** Resolve resumeFrom (file, or directory holding snapshots) to a
- *  loaded snapshot. False => fresh run (warned, never fatal). */
+/**
+ * Resolve the resume source into @p out; false => fresh run (warned,
+ * never fatal). The in-memory snapshot wins over resumeFrom, a file or
+ * a directory whose latest snapshot is taken. The in-memory path only
+ * checks the workload kind here; content authenticity (the checkpoint
+ * key) is the supplier's job, since a wire snapshot never went
+ * through the keyed file container.
+ */
 bool
-loadResumeSnapshot(const std::string &resume_from, std::uint64_t key,
-                   SnapshotKind kind, Snapshot &out)
+resolveResumeSnapshot(const SimConfig &sim, std::uint64_t key,
+                      SnapshotKind kind, Snapshot &out)
 {
-    std::string path = resume_from;
+    if (sim.resumeSnapshot) {
+        if (sim.resumeSnapshot->kind != kind) {
+            FT_WARN("resume: in-memory snapshot is for a different "
+                    "workload kind, starting fresh");
+            return false;
+        }
+        out = *sim.resumeSnapshot;
+        return true;
+    }
+    if (sim.resumeFrom.empty())
+        return false;
+    std::string path = sim.resumeFrom;
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) {
         FT_WARN("resume: nothing at '", path, "', starting fresh");
@@ -119,7 +123,7 @@ loadResumeSnapshot(const std::string &resume_from, std::uint64_t key,
     if (std::filesystem::is_directory(path, ec)) {
         path = findLatestSnapshot(path);
         if (path.empty()) {
-            FT_WARN("resume: no snapshots in '", resume_from,
+            FT_WARN("resume: no snapshots in '", sim.resumeFrom,
                     "', starting fresh");
             return false;
         }
@@ -138,105 +142,106 @@ loadResumeSnapshot(const std::string &resume_from, std::uint64_t key,
     return true;
 }
 
-/**
- * Resolve the resume source — the in-memory snapshot wins over
- * resumeFrom — into @p out. False => fresh run. The in-memory path
- * only checks the workload kind here; content authenticity (the
- * checkpoint key) is the supplier's job, since a wire snapshot never
- * went through the keyed file container.
- */
+/** What the driver loop needs of a traffic source beyond tick(),
+ *  captureState() and restoreState(): its snapshot kind and slot,
+ *  when it is done, its queued backlog, and how its result reads. */
+template <typename Source>
+struct SourceTraits;
+
+template <>
+struct SourceTraits<SyntheticInjector>
+{
+    static constexpr SnapshotKind kind = SnapshotKind::synthetic;
+    static constexpr InjectorState Snapshot::*state = &Snapshot::injector;
+
+    static bool done(const SyntheticInjector &s) { return s.done(); }
+    static std::uint64_t backlog(const SyntheticInjector &s)
+    {
+        return s.queued();
+    }
+    static const NocStats &report(const SyntheticInjector &s,
+                                  const SyntheticWorkload &workload,
+                                  const NocDevice &noc, Cycle start,
+                                  RunResult &result)
+    {
+        result.synth.stats = noc.statsSnapshot();
+        result.synth.cycles = noc.now() - start;
+        result.synth.pes = noc.config().pes();
+        result.synth.offeredRate = workload.injectionRate;
+        result.synth.completed = s.done();
+        return result.synth.stats;
+    }
+};
+
+template <>
+struct SourceTraits<TraceReplayer>
+{
+    static constexpr SnapshotKind kind = SnapshotKind::trace;
+    static constexpr TraceReplayState Snapshot::*state = &Snapshot::replay;
+
+    static bool done(const TraceReplayer &s) { return s.finished(); }
+    /** Replay holds messages back on dependencies, not in queues. */
+    static std::uint64_t backlog(const TraceReplayer &) { return 0; }
+    static const NocStats &report(const TraceReplayer &s, const Trace &,
+                                  const NocDevice &noc, Cycle,
+                                  RunResult &result)
+    {
+        result.trace.stats = noc.statsSnapshot();
+        result.trace.completion = s.lastDelivery();
+        result.trace.pes = noc.config().pes();
+        result.trace.completed = s.finished();
+        return result.trace.stats;
+    }
+};
+
+/** Capture the run at this cycle boundary into @p snap: the one
+ *  capture behind periodic snapshots and the final-state handoff.
+ *  False (warned as @p what) when the device or source cannot. */
+template <typename Source>
 bool
-resolveResumeSnapshot(const SimConfig &sim, std::uint64_t key,
-                      SnapshotKind kind, Snapshot &out)
+captureRun(const NocDevice &noc, const Source &source, Cycle run_start,
+           const char *what, Snapshot &snap)
 {
-    if (sim.resumeSnapshot) {
-        if (sim.resumeSnapshot->kind != kind) {
-            FT_WARN("resume: in-memory snapshot is for a different "
-                    "workload kind, starting fresh");
-            return false;
-        }
-        out = *sim.resumeSnapshot;
-        return true;
-    }
-    return loadResumeSnapshot(sim.resumeFrom, key, kind, out);
-}
-
-/** Capture the end-of-run state into *sim.captureFinal (temporal
- *  sharding handoff). Failure warns; the caller sees finalCaptured
- *  stay false and treats the slice as failed. */
-template <typename CaptureDriver>
-void
-captureFinalState(NocDevice &noc, const SimConfig &sim,
-                  SnapshotKind kind, Cycle run_start,
-                  CaptureDriver &&capture_driver, RunResult &result)
-{
-    if (!sim.captureFinal)
-        return;
-    Snapshot &snap = *sim.captureFinal;
     snap = Snapshot{};
-    snap.kind = kind;
+    snap.kind = SourceTraits<Source>::kind;
     snap.runStart = run_start;
-    if (!noc.captureState(snap.engine) || !capture_driver(snap)) {
-        FT_WARN("final-state capture failed at cycle ", noc.now());
-        return;
-    }
-    result.finalCaptured = true;
+    if (noc.captureState(snap.engine) &&
+        source.captureState(snap.*SourceTraits<Source>::state))
+        return true;
+    FT_WARN(what, " capture failed at cycle ", noc.now());
+    return false;
 }
 
-/** Write one snapshot; failures degrade to a warning (the run is
- *  still correct, just not resumable from this point). */
-template <typename CaptureDriver>
+/** The one driver loop: drive @p input's traffic source on @p noc
+ *  under @p sim (telemetry epochs, periodic snapshots, resume and
+ *  final-state capture) and fill @p result. */
+template <typename Source, typename Input>
 void
-writeSnapshot(NocDevice &noc, const SnapshotPlan &plan,
-              const SimConfig &sim, SnapshotKind kind, Cycle run_start,
-              CaptureDriver &&capture_driver, RunResult &result)
+runCore(NocDevice &noc, const Input &input, const SimConfig &sim,
+        RunResult &result)
 {
-    Snapshot snap;
-    snap.kind = kind;
-    snap.runStart = run_start;
-    if (!noc.captureState(snap.engine) || !capture_driver(snap)) {
-        FT_WARN("snapshot capture failed at cycle ", noc.now());
-        return;
-    }
-    std::string path;
-    const SnapshotStatus status =
-        writeSnapshotFile(sim.snapshotDir, plan.key, snap, &path);
-    if (status != SnapshotStatus::ok) {
-        FT_WARN("snapshot write failed at cycle ", noc.now(), " (",
-                toString(status), ")");
-        return;
-    }
-    ++result.snapshotsWritten;
-}
-
-void
-runSyntheticCore(NocDevice &noc, const SyntheticWorkload &workload,
-                 const SimConfig &sim, RunResult &result)
-{
+    using Traits = SourceTraits<Source>;
     TelemetrySession *session = sim.telemetry;
     const bool sampling = session && session->claimSampler();
     if (session)
         session->observe(noc);
 
-    SyntheticInjector injector(noc, workload);
+    Source source(noc, input);
     Cycle start = noc.now();
     bool trimmed_resume = false;
 
     std::uint64_t key = 0;
     if (sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty())
-        key = checkpointKey(noc.config(), noc.channelCount(), workload);
-    const SnapshotPlan plan = planSnapshots(noc, sim, key);
-    if (plan.resuming) {
-        Snapshot snap;
-        if (resolveResumeSnapshot(sim, key, SnapshotKind::synthetic,
-                                  snap) &&
-            noc.restoreState(snap.engine) &&
-            injector.restoreState(snap.injector)) {
-            start = snap.runStart;
-            result.resumed = true;
-            result.resumedAtCycle = snap.cycle();
-            trimmed_resume = snap.engine.trimmed;
-        }
+        key = checkpointKey(noc.config(), noc.channelCount(), input);
+    checkSnapshotKnobs(noc, sim);
+    if (Snapshot resume;
+        resolveResumeSnapshot(sim, key, Traits::kind, resume) &&
+        noc.restoreState(resume.engine) &&
+        source.restoreState(resume.*Traits::state)) {
+        start = resume.runStart;
+        result.resumed = true;
+        result.resumedAtCycle = resume.cycle();
+        trimmed_resume = resume.engine.trimmed;
     }
 
 #if FT_CHECK_ENABLED
@@ -247,134 +252,63 @@ runSyntheticCore(NocDevice &noc, const SyntheticWorkload &workload,
     const Cycle epoch = sampling ? session->config().epoch : 0;
     Cycle next_sample = noc.now() + epoch;
     const Cycle every = sim.snapshotEveryCycles;
-    while (!injector.done() && noc.now() - start < sim.maxCycles) {
-        injector.tick();
+    while (!Traits::done(source) && noc.now() - start < sim.maxCycles) {
+        source.tick();
         noc.step();
-        if (plan.snapshotting && (noc.now() - start) % every == 0) {
-            writeSnapshot(noc, plan, sim, SnapshotKind::synthetic,
-                          start,
-                          [&](Snapshot &snap) {
-                              return injector.captureState(
-                                  snap.injector);
-                          },
-                          result);
+        // A failed capture or write degrades to a warning: the run is
+        // still correct, just not resumable from this point.
+        if (every != 0 && (noc.now() - start) % every == 0) {
+            Snapshot snap;
+            if (captureRun(noc, source, start, "snapshot", snap)) {
+                const SnapshotStatus status =
+                    writeSnapshotFile(sim.snapshotDir, key, snap);
+                if (status == SnapshotStatus::ok)
+                    ++result.snapshotsWritten;
+                else
+                    FT_WARN("snapshot write failed at cycle ",
+                            noc.now(), " (", toString(status), ")");
+            }
         }
         if (epoch && noc.now() >= next_sample) {
-            session->sampleEpoch(noc, injector.queued());
+            session->sampleEpoch(noc, Traits::backlog(source));
             next_sample += epoch;
         }
     }
     if (sampling) {
-        session->sampleEpoch(noc, injector.queued());
+        session->sampleEpoch(noc, Traits::backlog(source));
         session->releaseSampler();
     }
-    captureFinalState(noc, sim, SnapshotKind::synthetic, start,
-                      [&](Snapshot &snap) {
-                          return injector.captureState(snap.injector);
-                      },
-                      result);
+    // A non-sliced replay that hits the guard is a workload bug, as
+    // it always was; a sliced run legitimately stops mid-trace and
+    // reports completed=false instead.
+    if constexpr (std::is_same_v<Source, TraceReplayer>) {
+        if (!checkpointing(sim))
+            FT_ASSERT(source.finished(),
+                      "trace replay did not finish within ",
+                      sim.maxCycles, " cycles (",
+                      source.deliveredMessages(), "/",
+                      input.messages.size(), " delivered)");
+    }
+    // A failed final capture leaves finalCaptured false; the slice
+    // that asked for it treats that as its own failure.
+    if (sim.captureFinal)
+        result.finalCaptured = captureRun(noc, source, start,
+                                          "final-state",
+                                          *sim.captureFinal);
 
-    result.synth.stats = noc.statsSnapshot();
-    result.synth.cycles = noc.now() - start;
-    result.synth.pes = noc.config().pes();
-    result.synth.offeredRate = workload.injectionRate;
-    result.synth.completed = injector.done();
+    const NocStats &stats =
+        Traits::report(source, input, noc, start, result);
 #if FT_CHECK_ENABLED
     // A trimmed resume measures only its slice: delivered includes
     // packets the snapshot inherited in flight, so slice-local
     // injected != delivered is expected, not a conservation bug (the
     // checker's own ledger still verifies via verifyQuiescent).
     if (!trimmed_resume)
-        check::verifyDrainedStats(result.synth.stats.injected,
-                                  result.synth.stats.delivered,
+        check::verifyDrainedStats(stats.injected, stats.delivered,
                                   noc.quiescent());
     cross.verify(session, noc.now());
 #else
-    (void)trimmed_resume;
-#endif
-}
-
-void
-runTraceCore(NocDevice &noc, const Trace &trace, const SimConfig &sim,
-             RunResult &result)
-{
-    TelemetrySession *session = sim.telemetry;
-    const bool sampling = session && session->claimSampler();
-    if (session)
-        session->observe(noc);
-
-    TraceReplayer replayer(noc, trace);
-    Cycle start = noc.now();
-    bool trimmed_resume = false;
-
-    std::uint64_t key = 0;
-    if (sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty())
-        key = checkpointKey(noc.config(), noc.channelCount(), trace);
-    const SnapshotPlan plan = planSnapshots(noc, sim, key);
-    if (plan.resuming) {
-        Snapshot snap;
-        if (resolveResumeSnapshot(sim, key, SnapshotKind::trace,
-                                  snap) &&
-            noc.restoreState(snap.engine) &&
-            replayer.restoreState(snap.replay)) {
-            start = snap.runStart;
-            result.resumed = true;
-            result.resumedAtCycle = snap.cycle();
-            trimmed_resume = snap.engine.trimmed;
-        }
-    }
-
-#if FT_CHECK_ENABLED
-    TelemetryCrossCheck cross;
-    cross.arm(noc, session);
-#endif
-
-    const Cycle every = sim.snapshotEveryCycles;
-    while (!replayer.finished() && noc.now() - start < sim.maxCycles) {
-        replayer.tick();
-        noc.step();
-        if (plan.snapshotting && (noc.now() - start) % every == 0) {
-            writeSnapshot(noc, plan, sim, SnapshotKind::trace, start,
-                          [&](Snapshot &snap) {
-                              return replayer.captureState(
-                                  snap.replay);
-                          },
-                          result);
-        }
-    }
-    // A non-sliced replay that hits the guard is a workload bug, as
-    // it always was; a sliced run legitimately stops mid-trace and
-    // reports completed=false instead.
-    if (!plan.active()) {
-        FT_ASSERT(replayer.finished(),
-                  "trace replay did not finish within ", sim.maxCycles,
-                  " cycles (", replayer.deliveredMessages(), "/",
-                  trace.messages.size(), " delivered)");
-    }
-
-    captureFinalState(noc, sim, SnapshotKind::trace, start,
-                      [&](Snapshot &snap) {
-                          return replayer.captureState(snap.replay);
-                      },
-                      result);
-
-    result.trace.stats = noc.statsSnapshot();
-    result.trace.completion = replayer.lastDelivery();
-    result.trace.pes = noc.config().pes();
-    result.trace.completed = replayer.finished();
-    if (sampling) {
-        // Trace replay drives the device internally; the registry gets
-        // one end-of-run epoch instead of a periodic series.
-        session->sampleEpoch(noc, 0);
-        session->releaseSampler();
-    }
-#if FT_CHECK_ENABLED
-    if (replayer.finished() && !trimmed_resume)
-        check::verifyDrainedStats(result.trace.stats.injected,
-                                  result.trace.stats.delivered,
-                                  noc.quiescent());
-    cross.verify(session, noc.now());
-#else
+    (void)stats;
     (void)trimmed_resume;
 #endif
 }
@@ -417,36 +351,19 @@ runSim(const RunRequest &request)
     // Sweep-cache fast path: identical semantics to the historical
     // cachedRunSynthetic — bypassed (and counted as such) while
     // telemetry or snapshotting would make a replayed result a lie.
-    const bool snapshot_knobs =
-        request.sim.snapshotEveryCycles != 0 ||
-        !request.sim.resumeFrom.empty() ||
-        request.sim.resumeSnapshot != nullptr ||
-        request.sim.captureFinal != nullptr;
+    std::optional<std::uint64_t> store_key;
     if (request.useCache) {
-        sched::BlobCache &cache = sweepCache();
+        const SimConfig &sim = request.sim;
         if (!sweepCacheEnabled() || telemetry::installed() != nullptr ||
-            request.sim.telemetry != nullptr || snapshot_knobs) {
-            cache.noteBypass();
+            sim.telemetry != nullptr || checkpointing(sim)) {
+            sweepCache().noteBypass();
         } else {
-            const std::uint64_t key =
-                sweepKey(*request.config, request.channels,
-                         *request.workload, request.sim.maxCycles);
-            if (auto payload = cache.lookup(key)) {
-                SynthResult cached;
-                if (decodeSynthResult(*payload, cached)) {
-                    result.synth = cached;
-                    result.fromCache = true;
-                    return result;
-                }
-                // A validated blob that fails to parse means an
-                // encoder bug or a schema drift that forgot the
-                // version bump; recompute.
+            store_key = sweepKey(*request.config, request.channels,
+                                 *request.workload, sim.maxCycles);
+            if (probeSweepCache(*store_key, result.synth)) {
+                result.fromCache = true;
+                return result;
             }
-            auto noc = makeNoc(*request.config, request.channels);
-            runSyntheticCore(*noc, *request.workload, request.sim,
-                             result);
-            cache.store(key, encodeSynthResult(result.synth));
-            return result;
         }
     }
 
@@ -457,9 +374,12 @@ runSim(const RunRequest &request)
         noc = owned.get();
     }
     if (request.workload)
-        runSyntheticCore(*noc, *request.workload, request.sim, result);
+        runCore<SyntheticInjector>(*noc, *request.workload, request.sim,
+                                   result);
     else
-        runTraceCore(*noc, *request.trace, request.sim, result);
+        runCore<TraceReplayer>(*noc, *request.trace, request.sim, result);
+    if (store_key)
+        sweepCache().store(*store_key, encodeSynthResult(result.synth));
     return result;
 }
 

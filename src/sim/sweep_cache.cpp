@@ -67,6 +67,16 @@ sweepCache()
     return cache;
 }
 
+std::optional<std::vector<std::uint8_t>>
+probeSweepCache(std::uint64_t key, SynthResult &out)
+{
+    std::optional<std::vector<std::uint8_t>> payload =
+        sweepCache().lookup(key);
+    if (payload && !decodeSynthResult(*payload, out))
+        payload.reset();
+    return payload;
+}
+
 void
 setSweepCacheEnabled(bool enabled)
 {

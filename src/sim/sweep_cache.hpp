@@ -31,6 +31,7 @@
 #define FT_SIM_SWEEP_CACHE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sched/blob_cache.hpp"
@@ -64,6 +65,16 @@ bool decodeSynthResult(const std::vector<std::uint8_t> &payload,
  *  attach a disk store with sweepCache().setDir(dir) (the bench
  *  harnesses wire --result-cache DIR here). */
 sched::BlobCache &sweepCache();
+
+/**
+ * The one sweep-cache probe: look @p key up in sweepCache() and decode
+ * the entry into @p out. An entry that passes BlobCache validation but
+ * does not decode (an encoder bug, or a schema drift that forgot its
+ * version bump) is a miss, so the caller recomputes; @p out is then
+ * left untouched. On a hit, returns the entry's payload bytes.
+ */
+std::optional<std::vector<std::uint8_t>>
+probeSweepCache(std::uint64_t key, SynthResult &out);
 
 /** Enable/disable cache consultation by cachedRunSynthetic (on by
  *  default). Disabling forces every run to simulate; results must be

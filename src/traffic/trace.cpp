@@ -8,27 +8,38 @@
 
 namespace fasttrack {
 
-void
-Trace::validate() const
+std::string
+Trace::validationError() const
 {
-    FT_ASSERT(n >= 2, "trace torus side must be >= 2");
-    const std::uint32_t nodes = n * n;
+    if (n < 2)
+        return "trace torus side must be >= 2";
+    // Takes the index by value, so the loop keeps its own in a
+    // register; the text is built only on failure.
+    const auto fail = [this](std::size_t i, auto... what) {
+        return detail::concat("trace ", name, ": message ", i, what...);
+    };
+    const std::uint64_t nodes = std::uint64_t{n} * n;
     for (std::size_t i = 0; i < messages.size(); ++i) {
         const TraceMessage &m = messages[i];
         if (m.id != i)
-            FT_FATAL("trace ", name, ": message ", i, " has id ", m.id);
-        if (m.src >= nodes || m.dst >= nodes) {
-            FT_FATAL("trace ", name, ": message ", i,
-                     " references node outside ", n, "x", n);
-        }
+            return fail(i, " has id ", m.id);
+        if (m.src >= nodes || m.dst >= nodes)
+            return fail(i, " references node outside ", n, "x", n);
         for (std::uint64_t dep : m.deps) {
-            if (dep >= m.id) {
-                FT_FATAL("trace ", name, ": message ", i,
-                         " depends on id ", dep,
-                         " (deps must reference earlier messages)");
-            }
+            if (dep >= m.id)
+                return fail(i, " depends on id ", dep,
+                            " (deps must reference earlier messages)");
         }
     }
+    return "";
+}
+
+void
+Trace::validate() const
+{
+    const std::string error = validationError();
+    if (!error.empty())
+        FT_FATAL(error);
 }
 
 void
@@ -64,27 +75,28 @@ Trace::load(std::istream &is)
         } else if (word == "n") {
             ls >> trace.n;
         } else if (word == "messages") {
+            // Checked against the lines read, never trusted up front.
             ls >> expected;
-            trace.messages.reserve(expected);
         } else {
             TraceMessage m;
-            std::size_t ndeps = 0;
+            std::uint64_t ndeps = 0;
             std::istringstream ms(line);
             if (!(ms >> m.id >> m.src >> m.dst >> m.earliest >>
                   m.delayAfterDeps >> ndeps)) {
                 FT_FATAL("malformed trace line: ", line);
             }
-            m.deps.resize(ndeps);
-            for (std::size_t i = 0; i < ndeps; ++i) {
-                if (!(ms >> m.deps[i]))
-                    FT_FATAL("malformed trace deps: ", line);
-            }
+            // The count is bounded by the ids the line actually holds.
+            for (std::uint64_t dep = 0;
+                 m.deps.size() < ndeps && ms >> dep;)
+                m.deps.push_back(dep);
+            if (m.deps.size() != ndeps)
+                FT_FATAL("malformed trace deps: ", line);
             trace.messages.push_back(std::move(m));
         }
     }
     if (expected != 0 && trace.messages.size() != expected) {
-        FT_FATAL("trace declared ", expected, " messages but contains ",
-                 trace.messages.size());
+        FT_FATAL("malformed trace: declared ", expected,
+                 " messages but contains ", trace.messages.size());
     }
     trace.validate();
     return trace;

@@ -54,8 +54,12 @@ struct Trace
     std::uint32_t n = 0;
     std::vector<TraceMessage> messages;
 
-    /** Sanity-check ids, node ranges and dependency acyclicity
-     *  (deps must reference lower ids). Aborts on violation. */
+    /** Why the trace is invalid, or "" when it is not: ids must be
+     *  dense, nodes inside the n x n torus (n >= 2), and deps must
+     *  reference lower ids. The one rule list behind validate() and
+     *  the wire decoder. */
+    std::string validationError() const;
+    /** Exit with validationError() if the trace is invalid. */
     void validate() const;
 
     /** Plain-text round trip (one message per line). */

@@ -29,6 +29,8 @@
 #include "run_input_variants.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
+#include "sim/ftd_server.hpp"
+#include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
 
 namespace fasttrack {
@@ -422,6 +424,36 @@ TEST(SweepCache, CorruptDiskEntryIsRecomputed)
 
     EXPECT_EQ(resultHash(second), resultHash(first));
     EXPECT_EQ(after.corrupt, before.corrupt + 1);
+
+    // An entry that passes BlobCache validation but does not decode is
+    // a miss to the one probe behind all three callers: the local run,
+    // the remote client's pre-pass and the daemon's pre-pass (an
+    // in-process daemon shares this cache). Each recomputes the point.
+    const std::uint64_t reference =
+        resultHash(runSynthetic(cfg, 1, workload));
+    const std::uint64_t key = sweepKey(cfg, 1, workload);
+    const std::vector<std::uint8_t> junk{1, 2, 3};
+    sweepCache().store(key, junk);
+    EXPECT_EQ(resultHash(cachedRunSynthetic(cfg, 1, workload)), reference);
+
+    sweepCache().store(key, junk);
+    FtdServer daemon;
+    std::string error;
+    ASSERT_TRUE(daemon.start(error)) << error;
+    RemoteConfig remote;
+    remote.endpoints = {net::Endpoint{"127.0.0.1", daemon.boundPort()}};
+    remote.useLocalCache = true;
+    setRemoteConfig(remote);
+    const std::vector<SynthResult> viaDaemon = cachedRuns(cfg, 1, {workload});
+    clearRemoteConfig();
+    daemon.stop();
+    ASSERT_EQ(viaDaemon.size(), 1u);
+    EXPECT_EQ(resultHash(viaDaemon[0]), reference);
+    EXPECT_EQ(remoteStats().localCacheHits, 0u);
+    EXPECT_EQ(remoteStats().pointsRemote, 1u);
+    EXPECT_EQ(remoteStats().remoteCacheHits, 0u);
+    EXPECT_EQ(daemon.stats().pointsServed, 1u);
+    EXPECT_EQ(daemon.stats().cacheHits, 0u);
     sweepCache().setDir("");
     std::filesystem::remove_all(dir);
 }

@@ -22,6 +22,7 @@
 #include "sim/telemetry_session.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/ring_buffer.hpp"
+#include "workloads/dataflow.hpp"
 
 namespace fasttrack {
 namespace {
@@ -323,36 +324,46 @@ TEST(Telemetry, CheckerCrossValidationFlagsCounterMismatch)
 
 TEST(Telemetry, SessionExportsMetricsTimeSeries)
 {
-    const fs::path dir = artifactDir("metrics");
-    std::vector<std::string> artifacts;
-    {
-        telemetry::TelemetryConfig tcfg;
-        tcfg.dir = dir.string();
-        tcfg.epoch = 64; // small epoch: several rows
-        TelemetrySession session(std::move(tcfg));
-        const SimConfig sim{.telemetry = &session};
-        runSynthetic(NocConfig::fastTrack(4, 2, 1), 1, pinnedWorkload(),
-                     sim);
-        EXPECT_GE(session.metrics().epochs().size(), 2u);
-        artifacts = session.finish();
-        // finish() is idempotent.
-        EXPECT_EQ(artifacts, session.finish());
+    // Synthetic injection and trace replay share one driver loop, so
+    // both sample epochs on the same schedule.
+    const NocConfig config = NocConfig::fastTrack(4, 2, 1);
+    const Trace trace = dataflowTrace(
+        sparseLuDag({"telemetry_lu", 200, 8.0, 1.8, 3, 13}), 4);
+    for (const bool replay : {false, true}) {
+        const fs::path dir = artifactDir(replay ? "metrics_trace"
+                                                : "metrics");
+        std::vector<std::string> artifacts;
+        {
+            telemetry::TelemetryConfig tcfg;
+            tcfg.dir = dir.string();
+            tcfg.epoch = 64; // small epoch: several rows
+            TelemetrySession session(std::move(tcfg));
+            const SimConfig sim{.telemetry = &session};
+            if (replay)
+                runTrace(config, 1, trace, sim);
+            else
+                runSynthetic(config, 1, pinnedWorkload(), sim);
+            EXPECT_GE(session.metrics().epochs().size(), 2u) << replay;
+            artifacts = session.finish();
+            // finish() is idempotent.
+            EXPECT_EQ(artifacts, session.finish());
+        }
+        bool found_metrics = false;
+        for (const std::string &p : artifacts) {
+            if (p.find("metrics.csv") == std::string::npos)
+                continue;
+            found_metrics = true;
+            std::ifstream is(p);
+            std::string header;
+            ASSERT_TRUE(std::getline(is, header));
+            EXPECT_NE(header.find("link.utilization"), std::string::npos);
+            EXPECT_NE(header.find("injector.backlog"), std::string::npos);
+            std::string row;
+            EXPECT_TRUE(std::getline(is, row)); // at least one epoch row
+        }
+        EXPECT_TRUE(found_metrics) << replay;
+        fs::remove_all(dir);
     }
-    bool found_metrics = false;
-    for (const std::string &p : artifacts) {
-        if (p.find("metrics.csv") == std::string::npos)
-            continue;
-        found_metrics = true;
-        std::ifstream is(p);
-        std::string header;
-        ASSERT_TRUE(std::getline(is, header));
-        EXPECT_NE(header.find("link.utilization"), std::string::npos);
-        EXPECT_NE(header.find("injector.backlog"), std::string::npos);
-        std::string row;
-        EXPECT_TRUE(std::getline(is, row)); // at least one epoch row
-    }
-    EXPECT_TRUE(found_metrics);
-    fs::remove_all(dir);
 }
 
 } // namespace

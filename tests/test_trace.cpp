@@ -69,6 +69,27 @@ TEST(TraceDeathTest, ValidateRejectsBadTraces)
     Trace v = smallTrace();
     v.messages[0].id = 7;
     EXPECT_EXIT(v.validate(), ::testing::ExitedWithCode(1), "has id");
+
+    // A side-1 torus is a user error, not a failed assertion.
+    Trace w = smallTrace();
+    w.n = 1;
+    EXPECT_EXIT(w.validate(), ::testing::ExitedWithCode(1),
+                "side must be >= 2");
+}
+
+TEST(TraceDeathTest, LoadRejectsCountsTheFileCannotHold)
+{
+    // A count the file does not back must never size an allocation:
+    // each is a malformed trace (exit 1), not a std::length_error.
+    const auto load = [](const std::string &body) {
+        std::istringstream is("# fasttrack-trace v1\nname hostile\nn 4\n" +
+                              body);
+        Trace::load(is);
+    };
+    EXPECT_EXIT(load("messages 1\n0 0 1 0 0 4000000000000000000\n"),
+                ::testing::ExitedWithCode(1), "malformed trace");
+    EXPECT_EXIT(load("messages 4000000000000000000\n0 0 1 0 0 0\n"),
+                ::testing::ExitedWithCode(1), "malformed trace");
 }
 
 TEST(TraceReplay, DependenciesRespected)
