@@ -12,8 +12,8 @@
 #include "noc/network.hpp"
 #include "sim/simulation.hpp"
 #include "sim/telemetry_session.hpp"
-#include "traffic/trace_replay.hpp"
 #include "workloads/dataflow.hpp"
+#include "workloads/spmv.hpp"
 
 using namespace fasttrack;
 
@@ -147,16 +147,39 @@ BM_TelemetryStep(benchmark::State &state)
         session.sink().totalDropped());
 }
 
-void
-BM_TraceReplay(benchmark::State &state)
+Trace
+luBenchTrace()
 {
-    LuDagParams params{"bench", 4096, 12.0, 1.8, 3, 77};
-    const DataflowDag dag = sparseLuDag(params);
-    const Trace trace = dataflowTrace(dag, 8);
+    return dataflowTrace(
+        sparseLuDag(LuDagParams{"bench", 4096, 12.0, 1.8, 3, 77}), 8);
+}
+
+Trace
+spmvBenchTrace()
+{
+    MatrixParams params;
+    params.rows = 16384;
+    params.seed = 77;
+    return spmvTrace(generateMatrix(params), 8);
+}
+
+/**
+ * One replay of a trace on FT(64,2,1) per iteration, construction
+ * included. The two traces bound the replayer's regimes: the LU
+ * dataflow trace releases almost every message on a delivery, the
+ * SpMV trace has no dependencies at all, so every message is ready
+ * at cycle 0.
+ */
+void
+BM_TraceReplay(benchmark::State &state, Trace (*make)())
+{
+    const Trace trace = make();
+    const NocConfig config = NocConfig::fastTrack(8, 2, 1);
     for (auto _ : state) {
-        auto noc = makeNoc(NocConfig::fastTrack(8, 2, 1), 1);
-        TraceReplayer replayer(*noc, trace);
-        benchmark::DoNotOptimize(replayer.run(10'000'000));
+        const RunResult r = runSim({.config = &config,
+                                    .trace = &trace,
+                                    .sim = {.maxCycles = 10'000'000}});
+        benchmark::DoNotOptimize(r.trace.completion);
     }
     state.SetItemsProcessed(state.iterations() * trace.messages.size());
 }
@@ -180,4 +203,7 @@ BENCHMARK(BM_InjectorTick)
 BENCHMARK(BM_NetworkStepTraced)->Arg(16);
 // {n, traceEvents}: counters-only vs full event tracing.
 BENCHMARK(BM_TelemetryStep)->Args({16, 0})->Args({16, 1});
-BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TraceReplay, lu, &luBenchTrace)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TraceReplay, spmv, &spmvBenchTrace)
+    ->Unit(benchmark::kMillisecond);

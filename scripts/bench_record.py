@@ -7,8 +7,10 @@ recorded pre-refactor baseline, and writes BENCH_core_speed.json so
 a perf regression (or claimed win) is a diffable artifact instead
 of a number in a PR description. The BM_InjectorTick* results (the
 injector at sweep rates, drain phase included) are recorded beside
-them with their tick-only tick_ns_per_node_cycle counter; the
-headline stays BM_NetworkStep/16/1.
+them with their tick-only tick_ns_per_node_cycle counter, and so are
+the BM_TraceReplay* results (one whole replay of an LU dataflow trace
+and of a dependency-free SpMV trace); the headline stays
+BM_NetworkStep/16/1.
 
 Noise handling: each case runs --benchmark_repetitions times and the
 median repetition is recorded (single-core CI boxes and shared VMs
@@ -52,7 +54,7 @@ HEADLINE = "BM_NetworkStep/16/1"
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 # Name prefixes of the case families the ledger records.
-RECORDED = ("BM_NetworkStep", "BM_InjectorTick")
+RECORDED = ("BM_NetworkStep", "BM_InjectorTick", "BM_TraceReplay")
 
 
 def run_bench(bench, min_time, repetitions):

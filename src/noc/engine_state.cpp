@@ -54,9 +54,13 @@ EngineState::consistent() const
     }
     if (occupied != slabPackets.size())
         return false;
+    for (const Packet &packet : slabPackets) {
+        if (packet.src >= nodes || packet.dst >= nodes)
+            return false;
+    }
     NodeId prev = kInvalidNode;
     for (const auto &[node, packet] : offers) {
-        if (node >= nodes || packet.src != node)
+        if (node >= nodes || packet.src != node || packet.dst >= nodes)
             return false;
         if (prev != kInvalidNode && node <= prev)
             return false; // ascending, no duplicate slots

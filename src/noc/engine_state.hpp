@@ -87,10 +87,11 @@ struct EngineState
      */
     void trim();
 
-    /** Internal consistency: masks/packets/offers agree and the
-     *  measurement block matches the trimmed flag. Decoders call
-     *  this; restoreState re-checks in case the caller built the
-     *  state by hand. */
+    /** Internal consistency: masks/packets/offers agree, every
+     *  packet's src and dst lie inside the torus, and the measurement
+     *  block matches the trimmed flag. Decoders call this;
+     *  restoreState re-checks in case the caller built the state by
+     *  hand. */
     bool consistent() const;
 };
 

@@ -212,6 +212,23 @@ captureRun(const NocDevice &noc, const Source &source, Cycle run_start,
     return false;
 }
 
+/** Restore @p noc, then @p source, from @p snap. When the source
+ *  refuses its half, the device goes back to the state it had, so the
+ *  run starts fresh rather than half-restored. */
+template <typename Source>
+bool
+restoreRun(NocDevice &noc, Source &source, const Snapshot &snap)
+{
+    EngineState before;
+    if (!noc.captureState(before) || !noc.restoreState(snap.engine))
+        return false;
+    if (source.restoreState(snap.*SourceTraits<Source>::state))
+        return true;
+    const bool undone = noc.restoreState(before);
+    FT_ASSERT(undone, "could not undo a refused resume");
+    return false;
+}
+
 /** The one driver loop: drive @p input's traffic source on @p noc
  *  under @p sim (telemetry epochs, periodic snapshots, resume and
  *  final-state capture) and fill @p result. */
@@ -236,8 +253,7 @@ runCore(NocDevice &noc, const Input &input, const SimConfig &sim,
     checkSnapshotKnobs(noc, sim);
     if (Snapshot resume;
         resolveResumeSnapshot(sim, key, Traits::kind, resume) &&
-        noc.restoreState(resume.engine) &&
-        source.restoreState(resume.*Traits::state)) {
+        restoreRun(noc, source, resume)) {
         start = resume.runStart;
         result.resumed = true;
         result.resumedAtCycle = resume.cycle();

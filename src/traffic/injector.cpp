@@ -4,17 +4,6 @@
 
 namespace fasttrack {
 
-void
-ChunkArena::grow()
-{
-    FT_ASSERT(slotBytes_ <= kBlockBytes, "arena slot larger than block");
-    void *b = std::aligned_alloc(kBlockBytes, kBlockBytes);
-    FT_ASSERT(b != nullptr, "arena block allocation failed");
-    blocks_.push_back(b);
-    bump_ = static_cast<char *>(b);
-    remaining_ = kBlockBytes;
-}
-
 SyntheticInjector::SyntheticInjector(NocDevice &noc,
                                      const SyntheticWorkload &workload)
     : noc_(noc),

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "noc/buffered.hpp"
 #include "sim/simulation.hpp"
-#include "traffic/trace_replay.hpp"
 
 namespace fasttrack {
 namespace {
@@ -171,9 +170,9 @@ TEST(Buffered, WorksWithTraceReplay)
         TraceMessage{1, 15, 0, 0, 2, {0}},
     };
     BufferedNetwork noc(4, 4);
-    TraceReplayer replayer(noc, t);
-    replayer.run(10000);
-    EXPECT_TRUE(replayer.finished());
+    const RunResult r = runSim(
+        {.device = &noc, .trace = &t, .sim = {.maxCycles = 10000}});
+    EXPECT_TRUE(r.trace.completed);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
  * field set / cycle-guard default are pinned against silent drift.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "sim/simulation.hpp"
 #include "sim/sweep_cache.hpp"
 #include "workloads/dataflow.hpp"
+#include "workloads/mp_overlay.hpp"
 #include "workloads/spmv.hpp"
 
 namespace fasttrack {
@@ -329,6 +331,46 @@ TEST(Checkpoint, SlicedTraceRunIsBitIdenticalSpmv)
     const Trace trace = spmvTrace(generateMatrix(params), 8);
     expectSlicedTraceMatchesWhole(NocConfig::fastTrack(8, 2, 2), trace,
                                   "trace_spmv");
+}
+
+TEST(Checkpoint, TraceRestoreTakesTheReadyListInAnyOrder)
+{
+    // The decoder accepts any order, so restore must sort: a reversed
+    // ready list still finishes exactly like the uninterrupted run,
+    // and the next capture is ascending again.
+    const NocConfig cfg = NocConfig::fastTrack(4, 2, 1);
+    const Trace trace = mpOverlayTrace(parsecCatalog().front(), 4, 12);
+    const RunResult whole = runSim({.config = &cfg, .trace = &trace});
+    ASSERT_TRUE(whole.trace.completed);
+
+    Snapshot snap;
+    const Cycle cut = whole.trace.completion / 2;
+    ASSERT_TRUE(runSim({.config = &cfg,
+                        .trace = &trace,
+                        .sim = {.maxCycles = cut, .captureFinal = &snap}})
+                    .finalCaptured);
+    const std::vector<std::pair<Cycle, std::uint64_t>> ascending =
+        snap.replay.ready;
+    ASSERT_GE(ascending.size(), 2u);
+    ASSERT_TRUE(std::is_sorted(ascending.begin(), ascending.end()));
+    std::reverse(snap.replay.ready.begin(), snap.replay.ready.end());
+
+    Snapshot recaptured;
+    const RunResult restored =
+        runSim({.config = &cfg,
+                .trace = &trace,
+                .sim = {.maxCycles = cut,
+                        .resumeSnapshot = &snap,
+                        .captureFinal = &recaptured}});
+    ASSERT_TRUE(restored.resumed);
+    EXPECT_EQ(recaptured.replay.ready, ascending);
+
+    const RunResult resumed = runSim(
+        {.config = &cfg, .trace = &trace, .sim = {.resumeSnapshot = &snap}});
+    ASSERT_TRUE(resumed.resumed);
+    EXPECT_TRUE(resumed.trace.completed);
+    EXPECT_EQ(resumed.trace.completion, whole.trace.completion);
+    EXPECT_EQ(hashStats(resumed.trace.stats), hashStats(whole.trace.stats));
 }
 
 TEST(Checkpoint, FindLatestSnapshotPicksHighestCycleByName)

@@ -15,7 +15,6 @@
 #include "sim/simulation.hpp"
 #include "sim/steady_state.hpp"
 #include "traffic/segmentation.hpp"
-#include "traffic/trace_replay.hpp"
 #include "workloads/dataflow.hpp"
 
 namespace fasttrack {
@@ -40,9 +39,11 @@ TEST(Interop, EveryDeviceReplaysTheSameTrace)
     devices.emplace_back(new VcTorusNetwork(4, 2, 4));
 
     for (auto &dev : devices) {
-        TraceReplayer replayer(*dev, trace);
-        replayer.run(1'000'000);
-        EXPECT_TRUE(replayer.finished());
+        const RunResult r =
+            runSim({.device = dev.get(),
+                    .trace = &trace,
+                    .sim = {.maxCycles = 1'000'000}});
+        EXPECT_TRUE(r.trace.completed);
     }
 }
 
@@ -51,10 +52,11 @@ TEST(Interop, SegmentedTraceOnFastTrack)
     const Trace trace =
         segmentTrace(sampleTrace(4), /*message_bits=*/512,
                      /*datawidth=*/128);
-    auto noc = makeNoc(NocConfig::fastTrack(4, 2, 2), 1);
-    TraceReplayer replayer(*noc, trace);
-    replayer.run(2'000'000);
-    EXPECT_TRUE(replayer.finished());
+    const NocConfig config = NocConfig::fastTrack(4, 2, 2);
+    const RunResult r = runSim({.config = &config,
+                                .trace = &trace,
+                                .sim = {.maxCycles = 2'000'000}});
+    EXPECT_TRUE(r.trace.completed);
 }
 
 TEST(Interop, LinkCountersReconcileWithStats)

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "noc/network.hpp"
+#include "sim/simulation.hpp"
 #include "traffic/segmentation.hpp"
-#include "traffic/trace_replay.hpp"
 
 namespace fasttrack {
 namespace {
@@ -67,9 +67,10 @@ TEST(Segmentation, ReplayRespectsFragmentDependencies)
 {
     const Trace s = segmentTrace(baseTrace(), 512, 128);
     Network noc(NocConfig::hoplite(4));
-    TraceReplayer replayer(noc, s);
-    const Cycle completion = replayer.run(100000);
-    EXPECT_TRUE(replayer.finished());
+    const RunResult r = runSim(
+        {.device = &noc, .trace = &s, .sim = {.maxCycles = 100000}});
+    EXPECT_TRUE(r.trace.completed);
+    const Cycle completion = r.trace.completion;
     // Four fragments serialize through one source: the second
     // message's fragments cannot even start before all four of the
     // first arrive (>= 4 injection cycles + path + compute delay).
