@@ -13,6 +13,7 @@
 
 #include "noc/network.hpp"
 #include "sim/simulation.hpp"
+#include "traffic/chunked_queue.hpp"
 #include "traffic/injector.hpp"
 
 namespace fasttrack {
