@@ -84,9 +84,10 @@ cmdInfo(const std::string &path)
     const Trace trace = loadTrace(path);
     std::uint64_t self = 0, with_deps = 0;
     std::map<NodeId, std::uint64_t> per_src;
-    for (const auto &m : trace.messages) {
+    for (std::size_t id = 0; id < trace.messages.size(); ++id) {
+        const TraceMessage &m = trace.messages[id];
         self += m.src == m.dst;
-        with_deps += !m.deps.empty();
+        with_deps += !trace.depsOf(id).empty();
         ++per_src[m.src];
     }
     std::uint64_t busiest = 0;

@@ -183,8 +183,14 @@ std::uint64_t
 checkpointKey(const NocConfig &config, std::uint32_t channels,
               const Trace &trace)
 {
-    return contentKey(kCheckpointSchema, SnapshotKind::trace, config,
-                      channels, trace.n, trace.messages);
+    Fnv1a h;
+    const auto add = [&h](const auto &...in) { (addKeyWords(h, in), ...); };
+    // The messages key as a vector of {id, fields, deps} records:
+    // the count, then each record.
+    add(kCheckpointSchema, SnapshotKind::trace, config, channels, trace.n,
+        trace.messages.size());
+    trace.forEachMessage(add);
+    return h.value();
 }
 
 std::vector<std::uint8_t>

@@ -139,30 +139,42 @@ wireAccepts(const SyntheticWorkload &w)
 /** Cap on a trace name on the wire (names label, never shape). */
 constexpr std::size_t kMaxTraceNameBytes = 4096;
 
+/** A trace's messages as the count, then per message its id, its
+ *  fields and its dependencies. A trace whose messages grew without
+ *  add() writes fewer records than its count, so it never decodes. */
 void
 putTrace(net::WireWriter &w, const Trace &trace)
 {
     w.str(trace.name);
     w.u32(trace.n);
     w.u64(trace.messages.size());
-    for (const TraceMessage &m : trace.messages)
-        put(w, m);
+    trace.forEachMessage(
+        [&w](const auto &...record) { (put(w, record), ...); });
 }
 
 /** Decode a trace and check it with Trace::validationError (never
- *  Trace::validate, which exits), plus the wire's own caps. */
+ *  Trace::validate, which exits), plus the wire's own caps. A record
+ *  whose id is not its index is refused as it is read. */
 bool
 getTrace(net::WireReader &r, Trace &trace)
 {
+    // A record takes at least its id, its fields and a zero count.
+    const std::size_t min_record = sizeof(std::uint64_t) +
+                                   minWireBytes<TraceMessage>() +
+                                   minWireBytes<std::vector<std::uint64_t>>();
     std::uint64_t count = 0;
     if (!r.str(trace.name) || trace.name.size() > kMaxTraceNameBytes ||
         !r.u32(trace.n) || trace.n > kMaxWireSide || !r.u64(count) ||
-        count > r.remaining() / minWireBytes<TraceMessage>())
+        count > r.remaining() / min_record)
         return false;
-    trace.messages.resize(count);
-    for (TraceMessage &m : trace.messages) {
-        if (!get(r, m))
+    trace.reserve(count, 0);
+    std::vector<std::uint64_t> deps;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t id = 0;
+        TraceMessage m;
+        if (!r.u64(id) || id != i || !get(r, m) || !get(r, deps))
             return false;
+        trace.add(m, deps);
     }
     return trace.validationError().empty();
 }

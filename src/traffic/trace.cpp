@@ -1,18 +1,61 @@
 #include "traffic/trace.hpp"
 
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
-#include "common/logging.hpp"
-
 namespace fasttrack {
+
+namespace {
+
+/** The one value a header line holds after its keyword; exits on
+ *  anything else. */
+template <typename T>
+T
+headerValue(std::istream &ls, const std::string &line)
+{
+    T value{};
+    std::string extra;
+    if (!(ls >> value) || ls >> extra)
+        FT_FATAL("malformed trace line: ", line);
+    return value;
+}
+
+} // namespace
+
+void
+Trace::reserve(std::size_t message_count, std::size_t dep_count)
+{
+    messages.reserve(message_count);
+    depsEnd_.reserve(message_count);
+    deps_.reserve(dep_count);
+}
+
+std::uint64_t
+Trace::add(const TraceMessage &message, std::span<const std::uint64_t> deps)
+{
+    FT_ASSERT(deps.size() <=
+                  std::numeric_limits<std::uint32_t>::max() - deps_.size(),
+              "trace ", name, " has over 2^32 dependencies; the index is "
+              "32-bit");
+    deps_.insert(deps_.end(), deps.begin(), deps.end());
+    depsEnd_.push_back(static_cast<std::uint32_t>(deps_.size()));
+    messages.push_back(message);
+    return messages.size() - 1;
+}
 
 std::string
 Trace::validationError() const
 {
     if (n < 2)
         return "trace torus side must be >= 2";
+    if (depsEnd_.size() != messages.size()) {
+        return detail::concat("trace ", name, ": ", messages.size(),
+                              " messages but ", depsEnd_.size(),
+                              " added through add()");
+    }
     // Takes the index by value, so the loop keeps its own in a
     // register; the text is built only on failure.
     const auto fail = [this](std::size_t i, auto... what) {
@@ -21,12 +64,10 @@ Trace::validationError() const
     const std::uint64_t nodes = std::uint64_t{n} * n;
     for (std::size_t i = 0; i < messages.size(); ++i) {
         const TraceMessage &m = messages[i];
-        if (m.id != i)
-            return fail(i, " has id ", m.id);
         if (m.src >= nodes || m.dst >= nodes)
             return fail(i, " references node outside ", n, "x", n);
-        for (std::uint64_t dep : m.deps) {
-            if (dep >= m.id)
+        for (std::uint64_t dep : depsOf(i)) {
+            if (dep >= i)
                 return fail(i, " depends on id ", dep,
                             " (deps must reference earlier messages)");
         }
@@ -49,13 +90,17 @@ Trace::save(std::ostream &os) const
     os << "name " << (name.empty() ? "unnamed" : name) << "\n";
     os << "n " << n << "\n";
     os << "messages " << messages.size() << "\n";
-    for (const TraceMessage &m : messages) {
-        os << m.id << " " << m.src << " " << m.dst << " " << m.earliest
-           << " " << m.delayAfterDeps << " " << m.deps.size();
-        for (std::uint64_t dep : m.deps)
+    forEachMessage([&os](std::uint64_t id, const TraceMessage &m,
+                         std::span<const std::uint64_t> deps) {
+        os << id;
+        visitFields(m, [&os](const auto &...fields) {
+            ((os << " " << fields), ...);
+        });
+        os << " " << deps.size();
+        for (std::uint64_t dep : deps)
             os << " " << dep;
         os << "\n";
-    }
+    });
 }
 
 Trace
@@ -63,7 +108,8 @@ Trace::load(std::istream &is)
 {
     Trace trace;
     std::string line;
-    std::size_t expected = 0;
+    std::optional<std::uint64_t> declared;
+    std::vector<std::uint64_t> deps;
     while (std::getline(is, line)) {
         if (line.empty() || line[0] == '#')
             continue;
@@ -71,31 +117,39 @@ Trace::load(std::istream &is)
         std::string word;
         ls >> word;
         if (word == "name") {
-            ls >> trace.name;
+            // The rest of the line: a name may hold spaces.
+            std::getline(ls.ignore(1), trace.name);
         } else if (word == "n") {
-            ls >> trace.n;
+            trace.n = headerValue<std::uint32_t>(ls, line);
         } else if (word == "messages") {
             // Checked against the lines read, never trusted up front.
-            ls >> expected;
+            declared = headerValue<std::uint64_t>(ls, line);
         } else {
             TraceMessage m;
+            std::uint64_t id = 0;
             std::uint64_t ndeps = 0;
             std::istringstream ms(line);
-            if (!(ms >> m.id >> m.src >> m.dst >> m.earliest >>
-                  m.delayAfterDeps >> ndeps)) {
+            const bool parsed =
+                ms >> id && visitFields(m, [&ms](auto &...fields) {
+                    return static_cast<bool>((ms >> ... >> fields));
+                }) && ms >> ndeps;
+            if (!parsed)
                 FT_FATAL("malformed trace line: ", line);
-            }
+            if (id != trace.messages.size())
+                FT_FATAL("malformed trace: message ", trace.messages.size(),
+                         " has id ", id);
             // The count is bounded by the ids the line actually holds.
-            for (std::uint64_t dep = 0;
-                 m.deps.size() < ndeps && ms >> dep;)
-                m.deps.push_back(dep);
-            if (m.deps.size() != ndeps)
+            deps.clear();
+            for (std::uint64_t dep = 0; deps.size() < ndeps && ms >> dep;)
+                deps.push_back(dep);
+            std::string extra;
+            if (deps.size() != ndeps || ms >> extra)
                 FT_FATAL("malformed trace deps: ", line);
-            trace.messages.push_back(std::move(m));
+            trace.add(m, deps);
         }
     }
-    if (expected != 0 && trace.messages.size() != expected) {
-        FT_FATAL("malformed trace: declared ", expected,
+    if (declared && trace.messages.size() != *declared) {
+        FT_FATAL("malformed trace: declared ", *declared,
                  " messages but contains ", trace.messages.size());
     }
     trace.validate();

@@ -64,11 +64,11 @@ describesOneUndeliveredSet(const Trace &trace, const TraceReplayState &st,
                 return false;
         }
     }
-    for (const TraceMessage &m : trace.messages) {
+    for (std::size_t id = 0; id < count; ++id) {
         std::uint64_t waiting = 0;
-        for (std::uint64_t dep : m.deps)
+        for (std::uint64_t dep : trace.depsOf(id))
             waiting += undelivered[dep];
-        if (waiting != st.pendingDeps[m.id])
+        if (waiting != st.pendingDeps[id])
             return false;
     }
     return st.deliveredCount == count - undelivered_count;
@@ -91,25 +91,28 @@ TraceReplayer::TraceReplayer(NocDevice &noc, const Trace &trace)
     earliest_.resize(count);
     pendingDeps_.resize(count);
     dependentsAt_.assign(count + 1, 0);
-    std::uint64_t total_deps = 0;
+    // Trace::add bounds the dependencies at 32 bits, as this index
+    // needs.
+    std::size_t total_deps = 0;
     std::size_t free_count = 0;
-    for (const TraceMessage &m : trace_.messages) {
-        dst_[m.id] = m.dst;
-        earliest_[m.id] = m.earliest;
-        pendingDeps_[m.id] = static_cast<std::uint32_t>(m.deps.size());
-        total_deps += m.deps.size();
-        for (std::uint64_t dep : m.deps)
+    for (std::size_t id = 0; id < count; ++id) {
+        const TraceMessage &m = trace_.messages[id];
+        const auto deps = trace_.depsOf(id);
+        dst_[id] = m.dst;
+        earliest_[id] = m.earliest;
+        pendingDeps_[id] = static_cast<std::uint32_t>(deps.size());
+        total_deps += deps.size();
+        for (std::uint64_t dep : deps)
             ++dependentsAt_[dep];
-        if (m.deps.empty())
+        if (deps.empty())
             ++free_count;
     }
-    FT_ASSERT(total_deps <= kMaxIds, "trace has ", total_deps,
-              " dependencies; the dependents index is 32-bit");
     run_.reserve(free_count);
-    for (const TraceMessage &m : trace_.messages) {
-        if (m.deps.empty())
+    for (std::size_t id = 0; id < count; ++id) {
+        const TraceMessage &m = trace_.messages[id];
+        if (trace_.depsOf(id).empty())
             run_.push_back(
-                {m.earliest, static_cast<std::uint32_t>(m.id), m.src});
+                {m.earliest, static_cast<std::uint32_t>(id), m.src});
     }
     // Turn the per-message counts into range ends, then fill every
     // range back to front over descending dependents: the ends become
@@ -118,7 +121,7 @@ TraceReplayer::TraceReplayer(NocDevice &noc, const Trace &trace)
                      dependentsAt_.begin());
     dependents_.resize(total_deps);
     for (std::size_t m = count; m-- > 0;) {
-        for (std::uint64_t dep : trace_.messages[m].deps)
+        for (std::uint64_t dep : trace_.depsOf(m))
             dependents_[--dependentsAt_[dep]] =
                 static_cast<std::uint32_t>(m);
     }

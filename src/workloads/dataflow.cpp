@@ -113,20 +113,23 @@ dataflowTrace(const DataflowDag &dag, std::uint32_t n,
     Trace trace;
     trace.name = "dataflow:" + dag.name;
     trace.n = n;
+    // One message per edge; each of u's waits on every token into u.
+    const std::vector<std::uint32_t> indeg = dag.inDegrees();
+    std::size_t deps = 0;
+    for (std::uint32_t u = 0; u < dag.nodeCount; ++u)
+        deps += dag.succs[u].size() * indeg[u];
+    trace.reserve(dag.edgeCount(), deps);
 
     // Tokens entering each node, filled in topological (id) order.
     std::vector<std::vector<std::uint64_t>> incoming(dag.nodeCount);
     for (std::uint32_t u = 0; u < dag.nodeCount; ++u) {
         const NodeId src = u % pes;
         for (std::uint32_t v : dag.succs[u]) {
-            TraceMessage m;
-            m.id = trace.messages.size();
-            m.src = src;
-            m.dst = v % pes;
-            m.deps = incoming[u];
-            m.delayAfterDeps = compute_delay;
-            incoming[v].push_back(m.id);
-            trace.messages.push_back(std::move(m));
+            incoming[v].push_back(
+                trace.add({.src = src,
+                           .dst = v % pes,
+                           .delayAfterDeps = compute_delay},
+                          incoming[u]));
         }
     }
     trace.validate();

@@ -84,15 +84,9 @@ mpOverlayTrace(const ParsecBenchmark &bench, std::uint32_t n,
     Trace trace;
     trace.name = "parsec:" + bench.name;
     trace.n = n;
-    trace.messages.reserve(events.size());
-    for (const Pending &e : events) {
-        TraceMessage m;
-        m.id = trace.messages.size();
-        m.src = e.src;
-        m.dst = e.dst;
-        m.earliest = e.when;
-        trace.messages.push_back(std::move(m));
-    }
+    trace.reserve(events.size(), 0);
+    for (const Pending &e : events)
+        trace.add({.src = e.src, .dst = e.dst, .earliest = e.when});
     trace.validate();
     return trace;
 }

@@ -39,24 +39,23 @@ spmvTrace(const SparseMatrix &matrix, std::uint32_t n,
         }
     }
 
-    Trace trace;
-    trace.name = "spmv:" + matrix.name;
-    trace.n = n;
-    for (std::uint32_t j = 0; j < matrix.cols; ++j) {
-        auto &dests = consumers[j];
-        if (dests.empty())
-            continue;
+    // Deduplicate first, so the trace reserves its exact size.
+    std::size_t messages = 0;
+    for (auto &dests : consumers) {
         std::sort(dests.begin(), dests.end());
         dests.erase(std::unique(dests.begin(), dests.end()),
                     dests.end());
+        messages += dests.size();
+    }
+
+    Trace trace;
+    trace.name = "spmv:" + matrix.name;
+    trace.n = n;
+    trace.reserve(messages, 0);
+    for (std::uint32_t j = 0; j < matrix.cols; ++j) {
         const NodeId src = owner(j, matrix.rows, pes, mapping);
-        for (NodeId dst : dests) {
-            TraceMessage m;
-            m.id = trace.messages.size();
-            m.src = src;
-            m.dst = dst;
-            trace.messages.push_back(std::move(m));
-        }
+        for (NodeId dst : consumers[j])
+            trace.add({.src = src, .dst = dst});
     }
     trace.validate();
     return trace;

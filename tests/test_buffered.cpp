@@ -165,10 +165,8 @@ TEST(Buffered, WorksWithTraceReplay)
     Trace t;
     t.name = "buffered";
     t.n = 4;
-    t.messages = {
-        TraceMessage{0, 0, 15, 0, 0, {}},
-        TraceMessage{1, 15, 0, 0, 2, {0}},
-    };
+    t.add({0, 15, 0, 0});
+    t.add({15, 0, 0, 2}, {0});
     BufferedNetwork noc(4, 4);
     const RunResult r = runSim(
         {.device = &noc, .trace = &t, .sim = {.maxCycles = 10000}});

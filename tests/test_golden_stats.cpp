@@ -173,31 +173,33 @@ shuffledGolden()
     t.n = 4;
     for (std::uint64_t k = 0; k < 8; ++k) {
         const std::uint64_t local = 3 * k;
-        const std::uint64_t dependent = k % 2 == 0 ? local + 1 : local + 2;
-        const std::uint64_t free = k % 2 == 0 ? local + 2 : local + 1;
         const Cycle local_at = 3 * (7 - k) + 1;
         const auto node = static_cast<NodeId>(k);
         const auto src = static_cast<NodeId>(8 + k);
-        t.messages.resize(local + 3);
-        t.messages[local] = {local, node, node, local_at, 0, {}};
-        t.messages[dependent] = {dependent, src,
-                                 static_cast<NodeId>((src + 5) % 16), 0,
-                                 1, {local}};
-        t.messages[free] = {free, src, static_cast<NodeId>((src + 3) % 16),
-                            local_at + 2, 0, {}};
+        const TraceMessage dependent{
+            src, static_cast<NodeId>((src + 5) % 16), 0, 1};
+        const TraceMessage free{src, static_cast<NodeId>((src + 3) % 16),
+                                local_at + 2, 0};
+        t.add({node, node, local_at, 0});
+        if (k % 2 == 0) {
+            t.add(dependent, {local});
+            t.add(free);
+        } else {
+            t.add(free);
+            t.add(dependent, {local});
+        }
     }
     for (std::uint64_t i = 24; i < 48; ++i) {
         TraceMessage m;
-        m.id = i;
         m.src = static_cast<NodeId>(8 + i % 8);
         m.dst = static_cast<NodeId>((i * 5 + 1) % 16);
         if (i % 3 == 0) {
-            m.deps = {i - 2, i - 1};
             m.delayAfterDeps = i % 4;
+            t.add(m, {i - 2, i - 1});
         } else {
             m.earliest = (47 - i) * 2 % 29;
+            t.add(m);
         }
-        t.messages.push_back(m);
     }
     return t;
 }
@@ -278,7 +280,7 @@ TEST(GoldenStats, ReplayShuffledMidRunSnapshotBytes)
     // due and dependents released on delivery.
     bool free_ready = false, released_ready = false;
     for (const auto &[cycle, id] : snap.replay.ready) {
-        if (trace.messages[id].deps.empty())
+        if (trace.depsOf(id).empty())
             free_ready = true;
         else
             released_ready = true;

@@ -18,10 +18,8 @@ baseTrace()
     Trace t;
     t.name = "seg";
     t.n = 4;
-    t.messages = {
-        TraceMessage{0, 0, 5, 3, 0, {}},
-        TraceMessage{1, 5, 10, 0, 2, {0}},
-    };
+    t.add({0, 5, 3, 0});
+    t.add({5, 10, 0, 2}, {0});
     return t;
 }
 
@@ -51,13 +49,13 @@ TEST(Segmentation, ExpandsCountsAndMetadata)
         EXPECT_EQ(s.messages[i].src, 0u);
         EXPECT_EQ(s.messages[i].dst, 5u);
         EXPECT_EQ(s.messages[i].earliest, 3u);
-        EXPECT_TRUE(s.messages[i].deps.empty());
+        EXPECT_TRUE(s.depsOf(i).empty());
     }
     for (std::size_t i = 4; i < 8; ++i) {
         EXPECT_EQ(s.messages[i].src, 5u);
         // Each fragment of message 1 depends on all 4 fragments of
         // message 0.
-        EXPECT_EQ(s.messages[i].deps.size(), 4u);
+        EXPECT_EQ(s.depsOf(i).size(), 4u);
         EXPECT_EQ(s.messages[i].delayAfterDeps, 2u);
     }
     s.validate();

@@ -183,8 +183,8 @@ TEST(GraphAnalytics, SuperstepsChainDependencies)
     two.validate();
     EXPECT_EQ(two.messages.size(), g.edges.size() * 2);
     bool any_dep = false;
-    for (const auto &m : two.messages)
-        any_dep |= !m.deps.empty();
+    for (std::size_t id = 0; id < two.messages.size(); ++id)
+        any_dep |= !two.depsOf(id).empty();
     EXPECT_TRUE(any_dep);
 }
 
@@ -235,7 +235,7 @@ TEST(Dataflow, TraceDependenciesMirrorDag)
     std::size_t idx = 0;
     for (std::uint32_t u = 0; u < dag.nodeCount; ++u) {
         for (std::size_t e = 0; e < dag.succs[u].size(); ++e, ++idx) {
-            EXPECT_EQ(trace.messages[idx].deps.size(), indeg[u])
+            EXPECT_EQ(trace.depsOf(idx).size(), indeg[u])
                 << "message " << idx;
             EXPECT_EQ(trace.messages[idx].delayAfterDeps, 3u);
         }
