@@ -184,6 +184,21 @@ BM_TraceReplay(benchmark::State &state, Trace (*make)())
     state.SetItemsProcessed(state.iterations() * trace.messages.size());
 }
 
+/** One build of a trace per iteration, its workload model included:
+ *  the generator layer behind a trace replay's set-up. */
+void
+BM_TraceBuild(benchmark::State &state, Trace (*make)())
+{
+    std::size_t messages = 0;
+    for (auto _ : state) {
+        const Trace trace = make();
+        messages = trace.messages.size();
+        benchmark::DoNotOptimize(trace.messages.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * messages);
+}
+
 } // namespace
 
 BENCHMARK(BM_NetworkStep)
@@ -206,4 +221,8 @@ BENCHMARK(BM_TelemetryStep)->Args({16, 0})->Args({16, 1});
 BENCHMARK_CAPTURE(BM_TraceReplay, lu, &luBenchTrace)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TraceReplay, spmv, &spmvBenchTrace)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TraceBuild, spmv, &spmvBenchTrace)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TraceBuild, lu, &luBenchTrace)
     ->Unit(benchmark::kMillisecond);
