@@ -3,7 +3,8 @@
  * One base sweep-point input and one variant per input field, each
  * changing exactly that field. The key-separation and codec
  * round-trip tests walk this list, so a field that some key or codec
- * ignores shows up as a failure named after the field.
+ * ignores shows up as a failure named after the field. Also the one
+ * trace whose text, keys and wire bytes the pin tests fix.
  */
 
 #ifndef FT_TESTS_RUN_INPUT_VARIANTS_HPP
@@ -16,6 +17,7 @@
 #include "noc/config.hpp"
 #include "sim/simulation.hpp"
 #include "traffic/injector.hpp"
+#include "traffic/trace.hpp"
 
 namespace fasttrack {
 
@@ -77,6 +79,23 @@ runInputVariants()
     vary("seed", [](RunInput &v) { v.workload.seed = 12; });
     vary("maxCycles", [](RunInput &v) { v.maxCycles = 12'345; });
     return out;
+}
+
+/** The trace behind Trace.TextFormatIsPinned and
+ *  RunCodec.KeysAndWireBytesArePinned: a non-zero earliest, compute
+ *  delays and a two-dependency message, so that a dropped or swapped
+ *  field moves a pin. */
+inline Trace
+pinTrace()
+{
+    Trace t;
+    t.name = "pin";
+    t.n = 8;
+    t.add({1, 62, 0, 0});
+    t.add({63, 5, 7, 0});
+    t.add({9, 40, 3, 11}, {0, 1});
+    t.add({40, 2, 0, 4}, {2});
+    return t;
 }
 
 /** Every field of @p a equals the same field of @p b. */
