@@ -101,6 +101,66 @@ TEST(GoldenStats, InjectVariant8D2R2Random)
               17854748734557977273ull);
 }
 
+// One pin per routing knob and geometry fact the default lineup leaves
+// at one value: each policy flag off, a D that does not divide N (so
+// the wraparound breaks express alignment), an express link stage,
+// and two FastTrack channels, whose exit gate refuses packets on
+// express as well as short ports.
+
+/** FT(64,2,1) with one knob changed by @p edit. */
+template <typename Edit>
+NocConfig
+fastTrack8(Edit edit)
+{
+    NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    edit(cfg);
+    return cfg;
+}
+
+TEST(GoldenStats, FastTrack8D2R1RingFirstRandom)
+{
+    Network noc(fastTrack8([](NocConfig &c) { c.turnPriority = false; }));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 17),
+              11907176022795404371ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1NoExpressTurnRandom)
+{
+    Network noc(
+        fastTrack8([](NocConfig &c) { c.allowExpressTurn = false; }));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 18),
+              14994455828384339841ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1NoUpgradeRandom)
+{
+    Network noc(fastTrack8([](NocConfig &c) { c.allowUpgrade = false; }));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 19),
+              14183384076904996604ull);
+}
+
+TEST(GoldenStats, FastTrack8D3R1Random)
+{
+    Network noc(NocConfig::fastTrack(8, 3, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 20),
+              1257370604728999348ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1ExpressStageRandom)
+{
+    Network noc(
+        fastTrack8([](NocConfig &c) { c.expressLinkStages = 1; }));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 21),
+              9435952222270379557ull);
+}
+
+TEST(GoldenStats, MultiChannelFastTrack8D2R1x2Random)
+{
+    MultiChannelNoc noc(NocConfig::fastTrack(8, 2, 1), 2);
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 22),
+              4884933777170956048ull);
+}
+
 /** What a replay pin records: the stats hash and the makespan. */
 struct ReplayPin
 {
