@@ -9,9 +9,10 @@ of a number in a PR description. The BM_InjectorTick* results (the
 injector at sweep rates, drain phase included) are recorded beside
 them with their tick-only tick_ns_per_node_cycle counter, and so are
 the BM_TraceReplay* results (one whole replay of an LU dataflow trace
-and of a dependency-free SpMV trace) and the BM_TraceBuild* results
-(one build of each of those traces, generator included); the headline
-stays BM_NetworkStep/16/1.
+and of a dependency-free SpMV trace), the BM_TraceBuild* results (one
+build of each of those traces, generator included) and the
+BM_RouteCore* results (a fixed stream of router inputs through
+Router::routeCore alone); the headline stays BM_NetworkStep/16/1.
 
 Noise handling: each case runs --benchmark_repetitions times and the
 median repetition is recorded (single-core CI boxes and shared VMs
@@ -56,7 +57,7 @@ NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 # Name prefixes of the case families the ledger records.
 RECORDED = ("BM_NetworkStep", "BM_InjectorTick", "BM_TraceReplay",
-            "BM_TraceBuild")
+            "BM_TraceBuild", "BM_RouteCore")
 
 
 def run_bench(bench, min_time, repetitions):
