@@ -62,58 +62,6 @@ ringDistance(std::uint32_t from, std::uint32_t to, std::uint32_t n)
 }
 
 /**
- * Division and modulo by a fixed runtime divisor using Lemire's
- * round-up reciprocal multiply: one widening multiplication replaces
- * the hardware divide (exact for all 32-bit dividends). Used on the
- * simulator's hot path to turn flat node ids into torus coordinates.
- */
-class FastDiv
-{
-  public:
-    FastDiv() = default;
-    explicit FastDiv(std::uint32_t divisor) { init(divisor); }
-
-    void init(std::uint32_t divisor)
-    {
-        d_ = divisor;
-        // ceil(2^64 / d): floor((2^64 - 1) / d) + 1, which is also
-        // exact when d is a power of two.
-        c_ = ~std::uint64_t{0} / divisor + 1;
-    }
-
-    std::uint32_t div(std::uint32_t v) const
-    {
-#ifdef __SIZEOF_INT128__
-        if (d_ == 1)
-            return v;
-        return static_cast<std::uint32_t>(
-            (static_cast<unsigned __int128>(c_) * v) >> 64);
-#else
-        return v / d_;
-#endif
-    }
-
-    std::uint32_t mod(std::uint32_t v) const
-    {
-#ifdef __SIZEOF_INT128__
-        if (d_ == 1)
-            return 0;
-        const std::uint64_t low = c_ * v;
-        return static_cast<std::uint32_t>(
-            (static_cast<unsigned __int128>(low) * d_) >> 64);
-#else
-        return v % d_;
-#endif
-    }
-
-    std::uint32_t divisor() const { return d_; }
-
-  private:
-    std::uint64_t c_ = 0;
-    std::uint32_t d_ = 1;
-};
-
-/**
  * Exact v % d for a full 64-bit v against a fixed divisor, without the
  * hardware divider: a round-down reciprocal gives a quotient estimate
  * at most two short, fixed up with conditional subtractions. Traffic

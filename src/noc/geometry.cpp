@@ -21,25 +21,14 @@ EngineGeometry::EngineGeometry(const NocConfig &config) : topo_(config)
     slabDepth_ = static_cast<std::uint32_t>(
         std::max(short_lat, express_lat) + 1);
 
-    // At most four distinct sites exist on the torus (express-x and
-    // express-y presence); all routers of a kind share one candidate
-    // table instead of each building its own.
-    std::array<std::shared_ptr<const CandidateTable>, 4> tables{};
-    const auto tableFor = [&](Coord c) {
-        const std::size_t kind =
-            (topo_.hasExpressX(c.x) ? 2u : 0u) +
-            (topo_.hasExpressY(c.y) ? 1u : 0u);
-        if (!tables[kind]) {
-            auto t = std::make_shared<CandidateTable>();
-            t->build(Router::siteFor(topo_, c));
-            tables[kind] = std::move(t);
-        }
-        return tables[kind];
-    };
+    // The routers share the device's destination -> class lookups;
+    // their decision tables are process-wide (CandidateTable::forSite).
+    const auto classes = std::make_shared<const RingClasses>(
+        n, config.isFastTrack() ? config.d : 0);
 
     for (std::uint32_t id = 0; id < count; ++id) {
         const Coord c = toCoord(id, n);
-        routers_.emplace_back(topo_, c, tableFor(c));
+        routers_.emplace_back(topo_, c, classes);
 
         auto &t = targets_[id];
         t[static_cast<std::size_t>(OutPort::eSh)] = {

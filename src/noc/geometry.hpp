@@ -3,11 +3,12 @@
  * Per-configuration routing geometry of the stepping engine.
  *
  * Everything a cycle engine precomputes at construction — the router
- * objects with their shared candidate tables, the landing site of each
- * (router, output-port) link, the per-lane link latencies and the
- * frame-ring depth they imply — depends only on the NocConfig. Network
- * builds one EngineGeometry and reads it from its hot loop, keeping
- * the wiring apart from the per-run link and offer state.
+ * objects with their shared destination -> distance-class lookups, the
+ * landing site of each (router, output-port) link, the per-lane link
+ * latencies and the frame-ring depth they imply — depends only on the
+ * NocConfig. Network builds one EngineGeometry and reads it from its
+ * hot loop, keeping the wiring apart from the per-run link and offer
+ * state.
  */
 
 #ifndef FT_NOC_GEOMETRY_HPP

@@ -36,8 +36,9 @@ Network::stepImpl()
         dest_frame[port] =
             slab_.frameOf(cycle_ + geo_.portLatency()[port]);
 
-    /** Collects routeCore's outcome so the engine can emit checker,
-     *  tracer and measurement events in the architected order
+    /** Lands routeCore's forwards in the slab, counts each link
+     *  traversal, and collects the outcome so the engine can emit
+     *  checker, tracer and telemetry events in the architected order
      *  (injection, delivery, then traversals by port index). */
     struct Sink
     {
@@ -57,6 +58,7 @@ Network::stepImpl()
                       "forward onto a non-existent link");
             placed[idx] = net->slab_.place(dest_frame[idx], t.router,
                                            t.port, p);
+            ++net->linkTraversals_[id][idx];
         }
         void deliver(InPort, const Packet &p) { delivered = &p; }
     };
@@ -166,27 +168,30 @@ Network::stepImpl()
             deliverToClient(p, cycle_);
         }
 
-        for (std::size_t port = 0; port < kNumOutPorts; ++port) {
-            const Packet *p = sink.placed[port];
-            if (!p)
-                continue;
+        // Traversal events; the sink already counted the traversals,
+        // so the no-hook instantiation has no per-port loop at all.
+        if constexpr (HasTracer || HasTelem || check::kHooksEnabled) {
+            for (std::size_t port = 0; port < kNumOutPorts; ++port) {
+                const Packet *p = sink.placed[port];
+                if (!p)
+                    continue;
 #if FT_CHECK_ENABLED
-            if (checker_)
-                checker_->onTraversal(*p, id,
-                                      static_cast<OutPort>(port),
-                                      cycle_);
+                if (checker_)
+                    checker_->onTraversal(*p, id,
+                                          static_cast<OutPort>(port),
+                                          cycle_);
 #endif
-            if constexpr (HasTracer)
-                tracer_(*p, id, static_cast<OutPort>(port), cycle_);
-            if constexpr (HasTelem) {
-                const auto kind =
-                    isExpress(static_cast<OutPort>(port))
-                        ? telemetry::EventKind::expressHop
-                        : telemetry::EventKind::route;
-                FT_TELEM(HasTelem, tlog, kind, cycle_, id,
-                         static_cast<std::uint8_t>(port), p->id, 0);
+                if constexpr (HasTracer)
+                    tracer_(*p, id, static_cast<OutPort>(port), cycle_);
+                if constexpr (HasTelem) {
+                    const auto kind =
+                        isExpress(static_cast<OutPort>(port))
+                            ? telemetry::EventKind::expressHop
+                            : telemetry::EventKind::route;
+                    FT_TELEM(HasTelem, tlog, kind, cycle_, id,
+                             static_cast<std::uint8_t>(port), p->id, 0);
+                }
             }
-            ++linkTraversals_[id][port];
         }
 
         // This router's inputs are consumed; forwards all landed in

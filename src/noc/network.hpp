@@ -33,7 +33,7 @@ namespace fasttrack {
  * randomness, fixed router evaluation order.
  *
  * Engine layout: offer/accounting/measurement scaffolding comes from
- * EngineCore; the routing geometry (routers, candidate tables, link
+ * EngineCore; the routing geometry (routers, class lookups, link
  * landing sites and latencies) is an EngineGeometry
  * (noc/geometry.hpp); the link registers live in a dense LinkSlab frame ring rather than
  * per-router std::optional slots, and step() dispatches to a stepping
@@ -117,7 +117,7 @@ class Network : public EngineCore
 
     void onDrainedQuiescent() override;
 
-    /** Routers, candidate tables, landing sites, link latencies. */
+    /** Routers, class lookups, landing sites, link latencies. */
     EngineGeometry geo_;
     /** Dense link registers: ring of frames indexed by arrival cycle. */
     LinkSlab slab_;

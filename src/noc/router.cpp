@@ -21,17 +21,30 @@ Router::siteFor(const Topology &topology, Coord pos)
     return site;
 }
 
-Router::Router(const Topology &topology, Coord pos,
-               std::shared_ptr<const CandidateTable> table)
-    : pos_(pos), n_(topology.n()), site_(siteFor(topology, pos)),
-      turnPriority_(topology.config().turnPriority),
-      table_(std::move(table)), divN_(topology.n())
+RingClasses::RingClasses(std::uint32_t n, std::uint32_t d)
+    : xy(static_cast<std::size_t>(n) * n), cls(2 * std::size_t{n})
 {
-    if (!table_) {
-        auto own = std::make_shared<CandidateTable>();
-        own->build(site_);
-        table_ = std::move(own);
+    for (NodeId id = 0; id < xy.size(); ++id) {
+        const Coord c = toCoord(id, n);
+        xy[id] = static_cast<std::uint32_t>(c.x) |
+                 (static_cast<std::uint32_t>(c.y) << 16);
     }
+    for (std::uint32_t offset = 0; offset < cls.size(); ++offset)
+        cls[offset] = CandidateTable::classOf(offset % n, d);
+}
+
+Router::Router(const Topology &topology, Coord pos,
+               std::shared_ptr<const RingClasses> classes)
+    : pos_(pos), site_(siteFor(topology, pos)),
+      classes_(std::move(classes))
+{
+    if (!classes_)
+        classes_ = std::make_shared<RingClasses>(site_.n, site_.d);
+    table_ = &CandidateTable::forSite(site_);
+    xy_ = classes_->xy.data();
+    clsX_ = classes_->cls.data() + (site_.n - pos.x);
+    clsY_ = classes_->cls.data() + (site_.n - pos.y);
+    flip_ = topology.config().turnPriority ? 0 : 1;
 }
 
 Router::Result

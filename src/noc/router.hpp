@@ -3,15 +3,17 @@
  * Single-router combinational arbitration: assign every in-flight
  * input packet (plus, lowest priority, the PE's offered packet) to a
  * distinct output port in one cycle, following the routing policy's
- * ordered candidate lists.
+ * ordered candidate lists as precomputed by its CandidateTable.
  */
 
 #ifndef FT_NOC_ROUTER_HPP
 #define FT_NOC_ROUTER_HPP
 
 #include <array>
+#include <bit>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/annotations.hpp"
 #include "common/logging.hpp"
@@ -24,13 +26,31 @@
 namespace fasttrack {
 
 /**
+ * Per-device lookups from a destination id to its ring-distance
+ * classes (CandidateTable::classOf) at any router: everything the
+ * routing decision needs that depends on N and D. A device builds one
+ * and shares it across its routers.
+ */
+struct RingClasses
+{
+    RingClasses(std::uint32_t n, std::uint32_t d);
+
+    /** Node id -> x | y << 16. */
+    std::vector<std::uint32_t> xy;
+    /** Ring offset `to + n - from` (to, from < n) -> class of the
+     *  eastward distance from `from` to `to`. */
+    std::vector<std::uint8_t> cls;
+};
+
+/**
  * One FastTrack/Hoplite router.
  *
  * The router itself is stateless between cycles (all state lives in
  * the network's link registers); this class caches the per-site
- * geometry facts and implements the priority-ordered greedy matching.
- * Greedy assignment always succeeds: each input's candidate list ends
- * with all physically reachable outputs, and at every router the
+ * geometry facts and implements the priority-ordered greedy matching
+ * as lookups in its site kind's CandidateTable. Greedy assignment
+ * always succeeds: each input's candidate list ends with all
+ * physically reachable outputs, and at every router the
  * reachable-output count of the k-th priority input is at least k
  * (lane partitioning covers the inject variant).
  */
@@ -38,16 +58,15 @@ class Router
 {
   public:
     /**
-     * @param table precomputed candidate table for this router's site,
-     *        shared across routers with identical geometry facts (a
-     *        torus has at most four: express-x/express-y presence).
-     *        When null the router builds a private copy.
+     * @param classes the device's destination -> class lookups,
+     *        shared across its routers. When null the router builds a
+     *        private copy.
      */
     Router(const Topology &topology, Coord pos,
-           std::shared_ptr<const CandidateTable> table = nullptr);
+           std::shared_ptr<const RingClasses> classes = nullptr);
 
     /** Geometry facts the routing policy needs at @p pos (also the key
-     *  for sharing candidate tables between equivalent sites). */
+     *  of the shared candidate tables). */
     static RouterSite siteFor(const Topology &topology, Coord pos);
 
     /** Link-register contents feeding this router, indexed by InPort
@@ -116,152 +135,104 @@ class Router
                           NocStats &stats, Gate &&exit_ok,
                           Sink &&sink) const
     {
-        std::array<bool, kNumOutPorts> taken{};
+        const CandidateTable &table = *table_;
+        unsigned taken = 0; // bit i = OutPort i
         bool exit_granted = false;
-        bool pe_accepted = false;
-
-        const auto distances = [&](const Packet &p, std::uint32_t &dx,
-                                   std::uint32_t &dy) {
-            // Reciprocal-multiply id -> (x, y) split; one hardware
-            // divide per packet per cycle is measurable at scale.
-            const std::uint32_t dst_x = divN_.mod(p.dst);
-            const std::uint32_t dst_y = divN_.div(p.dst);
-            dx = ringDistance(pos_.x, dst_x, n_);
-            dy = ringDistance(pos_.y, dst_y, n_);
-        };
-
-        // DOR direction the packet ought to leave in; anything else is
-        // a misroute (Fig 18's deflection semantics).
-        enum class Dir { east, south, exit };
-        const auto desiredDir = [](std::uint32_t dx, std::uint32_t dy) {
-            if (dx > 0)
-                return Dir::east;
-            return dy > 0 ? Dir::south : Dir::exit;
-        };
-        const auto outDir = [](OutPort out) {
-            return (out == OutPort::eEx || out == OutPort::eSh)
-                       ? Dir::east
-                       : Dir::south;
-        };
-
-        const auto assign = [&](InPort in, Packet &p, std::uint32_t dx,
-                                std::uint32_t dy,
-                                const CandidateList &cands) {
-            const Dir want = desiredDir(dx, dy);
-            for (std::size_t i = 0; i < cands.size(); ++i) {
-                const Candidate &c = cands[i];
-                if (c.exit) {
-                    if (exit_granted || !exit_ok(p)) {
-                        // Client exit unavailable: fall through to the
-                        // deflection candidates.
-                        ++stats.exitBlocked;
-                        continue;
-                    }
-                    const auto idx = static_cast<std::size_t>(c.out);
-                    if (taken[idx])
-                        continue;
-                    taken[idx] = true;
-                    exit_granted = true;
-                    if (i != 0) {
-                        ++p.deflections;
-                        ++stats.deflectionsByPort[static_cast<int>(in)];
-                    }
-                    sink.deliver(in, p);
-                    return true;
-                }
-                const auto idx = static_cast<std::size_t>(c.out);
-                if (taken[idx])
-                    continue;
-                taken[idx] = true;
-                if (i != 0) {
-                    ++p.deflections;
-                    ++stats.deflectionsByPort[static_cast<int>(in)];
-                    if (isExpress(cands[0].out) && !isExpress(c.out))
-                        ++stats.laneDeflections;
-                }
-                if (outDir(c.out) != want)
-                    ++stats.misroutesByPort[static_cast<int>(in)];
-                if (isExpress(c.out)) {
-                    ++p.expressHops;
-                    ++stats.expressHopTraversals;
-                } else {
-                    ++p.shortHops;
-                    ++stats.shortHopTraversals;
-                }
-                sink.forward(c.out, p);
-                return true;
-            }
-            return false;
+        // Hop accounting of a forward, without branches.
+        const auto countHop = [&stats](Packet &p, unsigned decision) {
+            const unsigned ex =
+                (decision & CandidateTable::kExpress) ? 1 : 0;
+            p.expressHops = static_cast<std::uint16_t>(p.expressHops + ex);
+            p.shortHops = static_cast<std::uint16_t>(p.shortHops + (ex ^ 1));
+            stats.expressHopTraversals += ex;
+            stats.shortHopTraversals += ex ^ 1;
         };
 
         // In-flight packets first, in livelock-avoidance priority
-        // order. With the paper's rule, turning W traffic beats ring
-        // (N) traffic; the naive ablation order lets ring traffic win.
-        static constexpr InPort kTurnFirst[] = {
-            InPort::wEx, InPort::nEx, InPort::wSh, InPort::nSh};
-        static constexpr InPort kRingFirst[] = {
-            InPort::nEx, InPort::wEx, InPort::nSh, InPort::wSh};
-        const auto &order = turnPriority_ ? kTurnFirst : kRingFirst;
-
-        for (InPort in : order) {
-            const auto slot = static_cast<std::size_t>(in);
-            if (!(input_mask & (1u << slot)))
-                continue;
+        // order: by set bit, W_EX, N_EX, W_SH, N_SH. With the paper's
+        // rule turning W traffic beats ring (N) traffic; the naive
+        // ablation order swaps each W/N pair so ring traffic wins.
+        const unsigned mask = input_mask;
+        unsigned order =
+            flip_ ? ((mask & 0x5u) << 1) | ((mask >> 1) & 0x5u) : mask;
+        for (; order; order &= order - 1) {
+            const unsigned slot =
+                static_cast<unsigned>(std::countr_zero(order)) ^ flip_;
             Packet &p = inputs[slot];
-            std::uint32_t dx = 0, dy = 0;
-            distances(p, dx, dy);
-            const CandidateList &cands =
-                table_->route(in, table_->cls(dx), table_->cls(dy));
-            const bool ok = assign(in, p, dx, dy, cands);
-            FT_ASSERT(ok, "router at ", coordToString(pos_),
-                      " could not forward packet on ", toString(in));
+            const std::uint32_t xy = xy_[p.dst];
+            const std::size_t row = CandidateTable::row(
+                slot, clsX_[xy & 0xffffu], clsY_[xy >> 16]);
+
+            // The exit is always a list's first entry: try it first.
+            const OutPort exit = table.exitPort(row);
+            if (exit != OutPort::none) {
+                const unsigned bit = 1u << static_cast<unsigned>(exit);
+                if (exit_granted || !exit_ok(p)) {
+                    // Client exit unavailable: fall through to the
+                    // deflection candidates.
+                    ++stats.exitBlocked;
+                } else if (!(taken & bit)) {
+                    taken |= bit;
+                    exit_granted = true;
+                    sink.deliver(static_cast<InPort>(slot), p);
+                    continue;
+                }
+            }
+
+            const unsigned d = table.route(row, taken);
+            FT_ASSERT(!(d & CandidateTable::kNone), "router at ",
+                      coordToString(pos_),
+                      " could not forward packet on ",
+                      toString(static_cast<InPort>(slot)));
+            const unsigned out = d & CandidateTable::kPortMask;
+            taken |= 1u << out;
+            const unsigned defl = (d & CandidateTable::kDeflect) ? 1 : 0;
+            p.deflections = static_cast<std::uint16_t>(p.deflections + defl);
+            stats.deflectionsByPort[slot] += defl;
+            stats.laneDeflections += (d & CandidateTable::kLane) ? 1 : 0;
+            stats.misroutesByPort[slot] +=
+                (d & CandidateTable::kMisroute) ? 1 : 0;
+            countHop(p, d);
+            sink.forward(static_cast<OutPort>(out), p);
         }
 
         // PE injection last, and only onto a productive output.
-        if (pe_offer) {
-            Packet p = *pe_offer;
-            p.injected = now;
-            std::uint32_t dx = 0, dy = 0;
-            distances(p, dx, dy);
-            const std::uint8_t dxc = table_->cls(dx);
-            const std::uint8_t dyc = table_->cls(dy);
-            const CandidateList &cands = table_->inject(dxc, dyc);
-            p.expressClass = table_->injectExpress(dxc, dyc);
-            for (std::size_t i = 0; i < cands.size(); ++i) {
-                const auto idx =
-                    static_cast<std::size_t>(cands[i].out);
-                if (taken[idx])
-                    continue;
-                taken[idx] = true;
-                if (isExpress(cands[i].out)) {
-                    ++p.expressHops;
-                    ++stats.expressHopTraversals;
-                } else {
-                    ++p.shortHops;
-                    ++stats.shortHopTraversals;
-                }
-                sink.forward(cands[i].out, p);
-                pe_accepted = true;
-                ++stats.injected;
-                break;
-            }
-            if (!pe_accepted)
-                ++stats.injectionBlockedCycles;
+        if (!pe_offer)
+            return false;
+        const std::uint32_t xy = xy_[pe_offer->dst];
+        const unsigned d =
+            table.inject(clsX_[xy & 0xffffu], clsY_[xy >> 16], taken);
+        if (d & CandidateTable::kNone) {
+            ++stats.injectionBlockedCycles;
+            return false;
         }
-
-        return pe_accepted;
+        Packet p = *pe_offer;
+        p.injected = now;
+        p.expressClass = (d & CandidateTable::kExpressClass) != 0;
+        countHop(p, d);
+        sink.forward(
+            static_cast<OutPort>(d & CandidateTable::kPortMask), p);
+        ++stats.injected;
+        return true;
     }
 
     Coord pos() const { return pos_; }
     const RouterSite &site() const { return site_; }
 
   private:
+    /** Hot lookups first: this site kind's decisions... */
+    const CandidateTable *table_;
+    /** ...the device's destination -> (x, y) split... */
+    const std::uint32_t *xy_;
+    /** ...and class lookups offset by this router's column and row,
+     *  so clsX_[dst_x] is the class of the eastward distance. */
+    const std::uint8_t *clsX_;
+    const std::uint8_t *clsY_;
+    /** 1 under the ring-first ablation order (turnPriority off). */
+    unsigned flip_;
     Coord pos_;
-    std::uint32_t n_;
     RouterSite site_;
-    bool turnPriority_;
-    std::shared_ptr<const CandidateTable> table_;
-    FastDiv divN_;
+    std::shared_ptr<const RingClasses> classes_;
 };
 
 } // namespace fasttrack

@@ -5,38 +5,32 @@
 namespace fasttrack {
 
 SmartNetwork::SmartNetwork(std::uint32_t n, std::uint32_t hpc_max)
-    : EngineCore(n * n),
-      config_(NocConfig::hoplite(n)),
-      topo_(config_),
-      hpcMax_(hpc_max)
+    : EngineCore(n * n), geo_(NocConfig::hoplite(n)), hpcMax_(hpc_max)
 {
     FT_ASSERT(hpc_max >= 1, "HPC_max must be >= 1");
-    const std::uint32_t count = topo_.nodeCount();
-    routers_.reserve(count);
+    const std::uint32_t count = geo_.nodeCount();
     inputs_.resize(count);
     next_.resize(count);
     bypassLengths_.assign(hpcMax_, 0);
-    for (std::uint32_t id = 0; id < count; ++id)
-        routers_.emplace_back(topo_, toCoord(id, n));
 }
 
 NodeId
 SmartNetwork::eastOf(NodeId id) const
 {
-    return toNodeId(topo_.eastShort(toCoord(id, topo_.n())), topo_.n());
+    return geo_.targets(id)[static_cast<std::size_t>(OutPort::eSh)].router;
 }
 
 NodeId
 SmartNetwork::southOf(NodeId id) const
 {
-    return toNodeId(topo_.southShort(toCoord(id, topo_.n())),
-                    topo_.n());
+    return geo_.targets(id)[static_cast<std::size_t>(OutPort::sSh)].router;
 }
 
 void
 SmartNetwork::step()
 {
-    const std::uint32_t count = topo_.nodeCount();
+    const std::uint32_t count = geo_.nodeCount();
+    const std::vector<Router> &routers = geo_.routers();
 
     struct PendingTransfer
     {
@@ -54,8 +48,7 @@ SmartNetwork::step()
         if (offerMask_[id])
             offer = offerSlab_[id];
         Router::Result res =
-            routers_[id].route(inputs_[id], offer, true, cycle_,
-                               stats_);
+            routers[id].route(inputs_[id], offer, true, cycle_, stats_);
         if (res.peAccepted) {
             offerMask_[id] = 0;
             --pendingOffers_;
@@ -82,7 +75,7 @@ SmartNetwork::step()
     // through further routers while it wants to continue straight and
     // the next link segment is idle. Greedy in router-scan order,
     // matching a deterministic SSR priority.
-    const std::uint32_t n = topo_.n();
+    const std::uint32_t n = geo_.topo().n();
     for (PendingTransfer &t : transfers) {
         NodeId land = t.south ? southOf(t.from) : eastOf(t.from);
         std::uint32_t chain = 1;
@@ -123,7 +116,7 @@ SmartNetwork::step()
 std::uint64_t
 SmartNetwork::linkCount() const
 {
-    return 2ull * topo_.n() * topo_.n();
+    return 2ull * geo_.topo().n() * geo_.topo().n();
 }
 
 } // namespace fasttrack

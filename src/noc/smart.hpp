@@ -41,7 +41,7 @@ class SmartNetwork : public EngineCore
     SmartNetwork(std::uint32_t n, std::uint32_t hpc_max);
 
     void step() override;
-    const NocConfig &config() const override { return config_; }
+    const NocConfig &config() const override { return geo_.config(); }
     std::uint64_t linkCount() const override;
     std::uint32_t channelCount() const override { return 1; }
 
@@ -56,9 +56,8 @@ class SmartNetwork : public EngineCore
     NodeId eastOf(NodeId id) const;
     NodeId southOf(NodeId id) const;
 
-    NocConfig config_;
-    Topology topo_;
-    std::vector<Router> routers_;
+    /** Hoplite routers sharing one set of class lookups. */
+    EngineGeometry geo_;
     std::vector<Router::Inputs> inputs_;
     std::vector<Router::Inputs> next_;
     std::uint32_t hpcMax_;

@@ -18,30 +18,6 @@
 namespace fasttrack {
 namespace {
 
-TEST(Types, FastDivMatchesHardwareDivide)
-{
-    for (std::uint32_t d :
-         {1u, 2u, 3u, 5u, 7u, 8u, 12u, 16u, 31u, 32u, 33u, 255u, 256u,
-          1024u, 65535u}) {
-        const FastDiv f(d);
-        std::vector<std::uint32_t> probes;
-        for (std::uint32_t v = 0; v < 4 * d + 8; ++v)
-            probes.push_back(v);
-        for (std::uint32_t v :
-             {0x7fffffffu, 0x80000000u, 0xfffffffeu, 0xffffffffu})
-            probes.push_back(v);
-        for (std::uint32_t k = 1; k <= 4; ++k) {
-            probes.push_back(k * d - 1);
-            probes.push_back(k * d);
-            probes.push_back(k * d + 1);
-        }
-        for (std::uint32_t v : probes) {
-            EXPECT_EQ(f.div(v), v / d) << "v=" << v << " d=" << d;
-            EXPECT_EQ(f.mod(v), v % d) << "v=" << v << " d=" << d;
-        }
-    }
-}
-
 TEST(Types, FastMod64MatchesHardwareModulo)
 {
     for (std::uint64_t d :
