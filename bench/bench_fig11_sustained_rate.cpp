@@ -5,12 +5,8 @@
  * FT(64,2,2) and baseline Hoplite (1K packets/PE).
  */
 
-#include <iostream>
-
 #include "bench_util.hpp"
-
-#include "common/ascii_chart.hpp"
-#include "sim/experiment.hpp"
+#include "figures.hpp"
 
 using namespace fasttrack;
 
@@ -25,46 +21,9 @@ main(int argc, char **argv)
         "LOCAL, ~1x TRANSPOSE; no win below 10% injection; R=2 sits "
         "between");
 
-    const auto lineup = standardLineup(8);
-    const auto rates = injectionRateGrid();
-
-    for (TrafficPattern pattern : kAllPatterns) {
-        Table table(std::string(toString(pattern)) +
-                    ": sustained rate by injection rate");
-        std::vector<std::string> header{"inj-rate"};
-        for (const auto &nut : lineup)
-            header.push_back(nut.label);
-        table.setHeader(header);
-
-        std::vector<std::vector<SweepPoint>> sweeps;
-        for (const auto &nut : lineup)
-            sweeps.push_back(injectionSweep(nut, pattern, rates));
-
-        for (std::size_t r = 0; r < rates.size(); ++r) {
-            std::vector<std::string> row{Table::num(rates[r], 2)};
-            for (const auto &sweep : sweeps)
-                row.push_back(
-                    Table::num(sweep[r].result.sustainedRate(), 4));
-            table.addRow(row);
-        }
-        table.print(std::cout);
-        std::cout << "\n";
-
-        if (!Table::csvMode()) {
-            AsciiChart chart(std::string(toString(pattern)) +
-                             " (sustained rate vs injection rate)");
-            chart.setLogX(true);
-            chart.setAxisLabels("injection rate", "pkt/cyc/PE");
-            for (std::size_t c = 0; c < lineup.size(); ++c) {
-                std::vector<std::pair<double, double>> pts;
-                for (const SweepPoint &p : sweeps[c])
-                    pts.emplace_back(p.rate,
-                                     p.result.sustainedRate());
-                chart.addSeries(lineup[c].label, std::move(pts));
-            }
-            chart.print(std::cout);
-            std::cout << "\n";
-        }
-    }
+    bench::runPlans({bench::rateSweeps(
+        bench::Grid{}, "sustained rate", {bench::kRate},
+        bench::Chart{"sustained rate vs injection rate", false,
+                     "pkt/cyc/PE"})});
     return 0;
 }

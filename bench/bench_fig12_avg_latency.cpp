@@ -6,12 +6,8 @@
  * throughput) than Hoplite.
  */
 
-#include <iostream>
-
 #include "bench_util.hpp"
-
-#include "common/ascii_chart.hpp"
-#include "sim/experiment.hpp"
+#include "figures.hpp"
 
 using namespace fasttrack;
 
@@ -24,49 +20,13 @@ main(int argc, char **argv)
         "at the 100-cycle level FastTrack R=1 saturates at up to 5x "
         "higher injection (RANDOM/BITCOMPL), ~2x for LOCAL/TRANSPOSE");
 
-    const auto lineup = standardLineup(8);
     // Latency plots focus on the pre/post saturation knee.
-    const std::vector<double> rates = {0.01, 0.02, 0.05, 0.08, 0.10,
-                                       0.12, 0.15, 0.20, 0.25, 0.30,
-                                       0.40, 0.50};
-
-    for (TrafficPattern pattern : kAllPatterns) {
-        Table table(std::string(toString(pattern)) +
-                    ": average latency by injection rate");
-        std::vector<std::string> header{"inj-rate"};
-        for (const auto &nut : lineup)
-            header.push_back(nut.label);
-        table.setHeader(header);
-
-        std::vector<std::vector<SweepPoint>> sweeps;
-        for (const auto &nut : lineup)
-            sweeps.push_back(injectionSweep(nut, pattern, rates));
-
-        for (std::size_t r = 0; r < rates.size(); ++r) {
-            std::vector<std::string> row{Table::num(rates[r], 2)};
-            for (const auto &sweep : sweeps)
-                row.push_back(
-                    Table::num(sweep[r].result.avgLatency(), 1));
-            table.addRow(row);
-        }
-        table.print(std::cout);
-        std::cout << "\n";
-
-        if (!Table::csvMode()) {
-            AsciiChart chart(std::string(toString(pattern)) +
-                             " (avg latency vs injection rate, log y)");
-            chart.setLogX(true);
-            chart.setLogY(true);
-            chart.setAxisLabels("injection rate", "cycles");
-            for (std::size_t c = 0; c < lineup.size(); ++c) {
-                std::vector<std::pair<double, double>> pts;
-                for (const SweepPoint &p : sweeps[c])
-                    pts.emplace_back(p.rate, p.result.avgLatency());
-                chart.addSeries(lineup[c].label, std::move(pts));
-            }
-            chart.print(std::cout);
-            std::cout << "\n";
-        }
-    }
+    bench::Grid grid;
+    grid.rates = {0.01, 0.02, 0.05, 0.08, 0.10, 0.12,
+                  0.15, 0.20, 0.25, 0.30, 0.40, 0.50};
+    bench::runPlans({bench::rateSweeps(
+        grid, "average latency", {bench::kLatency},
+        bench::Chart{"avg latency vs injection rate, log y", true,
+                     "cycles"})});
     return 0;
 }

@@ -6,10 +6,8 @@
  * FT(N,2,1); the question is which spends the wires better.
  */
 
-#include <iostream>
-
 #include "bench_util.hpp"
-#include "sim/experiment.hpp"
+#include "figures.hpp"
 
 using namespace fasttrack;
 
@@ -23,45 +21,6 @@ main(int argc, char **argv)
         "wins average latency, despite Hoplite-3x costing 1.5x more "
         "LUTs");
 
-    const std::uint32_t sides[] = {4, 8, 16};
-    const auto rates = injectionRateGrid();
-
-    for (std::uint32_t n : sides) {
-        const auto lineup = isoWiringLineup(n);
-
-        std::vector<std::vector<SweepPoint>> sweeps;
-        for (const auto &nut : lineup) {
-            sweeps.push_back(injectionSweep(nut, TrafficPattern::random,
-                                            rates,
-                                            n >= 16 ? 256 : 1024));
-        }
-
-        Table rate_table(std::to_string(n * n) +
-                         " PEs: sustained rate (pkt/cycle/PE)");
-        Table lat_table(std::to_string(n * n) +
-                        " PEs: average latency (cycles)");
-        std::vector<std::string> header{"inj-rate"};
-        for (const auto &nut : lineup)
-            header.push_back(nut.label);
-        rate_table.setHeader(header);
-        lat_table.setHeader(header);
-
-        for (std::size_t r = 0; r < rates.size(); ++r) {
-            std::vector<std::string> rate_row{Table::num(rates[r], 2)};
-            std::vector<std::string> lat_row{Table::num(rates[r], 2)};
-            for (const auto &sweep : sweeps) {
-                rate_row.push_back(
-                    Table::num(sweep[r].result.sustainedRate(), 4));
-                lat_row.push_back(
-                    Table::num(sweep[r].result.avgLatency(), 1));
-            }
-            rate_table.addRow(rate_row);
-            lat_table.addRow(lat_row);
-        }
-        rate_table.print(std::cout);
-        std::cout << "\n";
-        lat_table.print(std::cout);
-        std::cout << "\n";
-    }
+    bench::runPlans({bench::isoWiringSweeps(bench::Grid{})});
     return 0;
 }

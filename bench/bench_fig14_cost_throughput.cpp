@@ -5,11 +5,8 @@
  * (sustained rate x PEs x clock); (b) ring wire count vs throughput.
  */
 
-#include <iostream>
-
 #include "bench_util.hpp"
-#include "fpga/area_model.hpp"
-#include "sim/experiment.hpp"
+#include "figures.hpp"
 
 using namespace fasttrack;
 
@@ -23,32 +20,6 @@ main(int argc, char **argv)
         "FT designs deliver 2.5-3x Hoplite, ~1.8x Hoplite-2x, ~1.2x "
         "Hoplite-3x, with fewer LUTs than the multi-channel designs");
 
-    AreaModel area;
-
-    std::vector<NocUnderTest> lineup = isoWiringLineup(8);
-    lineup.push_back({"Hoplite-2x", NocConfig::hoplite(8), 2});
-
-    Table table("cost vs throughput (256b datapath)");
-    table.setHeader({"NoC", "LUTs", "wire-count", "MHz",
-                     "rate(pkt/cyc/PE)", "Mpkts/s"});
-
-    for (const auto &nut : lineup) {
-        const SynthResult res =
-            saturationRun(nut, TrafficPattern::random);
-        const NocCost cost =
-            area.nocCost(nut.config.toSpec(256, nut.channels));
-        const double mpkts = res.sustainedRate() * nut.config.pes() *
-                             cost.frequencyMhz;
-        table.addRow({nut.label, Table::num(cost.luts),
-                      Table::num(static_cast<std::uint64_t>(
-                          cost.wireCount)),
-                      Table::num(cost.frequencyMhz, 0),
-                      Table::num(res.sustainedRate(), 4),
-                      Table::num(mpkts, 1)});
-    }
-    table.print(std::cout);
-
-    std::cout << "\nnote: FT(64,2,1) and Hoplite-3x use the same 48 "
-                 "ring tracks; FT(64,2,2) matches Hoplite-2x at 32.\n";
+    bench::runPlans({bench::costThroughput()});
     return 0;
 }

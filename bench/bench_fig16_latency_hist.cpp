@@ -5,10 +5,8 @@
  * the worst case: express links shorten the deflection penalty.
  */
 
-#include <iostream>
-
 #include "bench_util.hpp"
-#include "sim/experiment.hpp"
+#include "figures.hpp"
 
 using namespace fasttrack;
 
@@ -21,79 +19,6 @@ main(int argc, char **argv)
         "worst-case latency ~7x smaller than Hoplite for FT(64,2,1), "
         "~3x for the depopulated FT(64,2,2)");
 
-    const auto lineup = standardLineup(8);
-    const double rate = 0.08;
-
-    std::vector<SynthResult> results;
-    for (const auto &nut : lineup) {
-        SyntheticWorkload workload;
-        workload.pattern = TrafficPattern::random;
-        workload.injectionRate = rate;
-        results.push_back(
-            runSynthetic(nut.config, nut.channels, workload));
-    }
-
-    Table table("percentage of packets per log2 latency bucket");
-    std::vector<std::string> header{"latency<"};
-    for (const auto &nut : lineup)
-        header.push_back(nut.label);
-    table.setHeader(header);
-
-    // Common bucket grid across the three histograms.
-    std::uint64_t max_bound = 1;
-    for (const auto &res : results) {
-        while (max_bound <= res.worstLatency())
-            max_bound *= 2;
-    }
-    for (std::uint64_t bound = 2; bound <= max_bound; bound *= 2) {
-        std::vector<std::string> row{std::to_string(bound)};
-        for (const auto &res : results) {
-            std::uint64_t count = 0;
-            for (const auto &[value, c] :
-                 res.stats.totalLatency.bins()) {
-                if (value >= bound / 2 && value < bound)
-                    count += c;
-            }
-            const double pct = 100.0 * static_cast<double>(count) /
-                               static_cast<double>(
-                                   res.stats.totalLatency.count());
-            row.push_back(count ? Table::num(pct, 2) : ".");
-        }
-        table.addRow(row);
-    }
-    table.print(std::cout);
-
-    Table summary("latency summary (cycles) at 8% injection");
-    summary.setHeader({"NoC", "mean", "p50", "p99", "worst"});
-    for (std::size_t i = 0; i < lineup.size(); ++i) {
-        const auto &h = results[i].stats.totalLatency;
-        summary.addRow({lineup[i].label, Table::num(h.mean(), 1),
-                        Table::num(h.percentile(50)),
-                        Table::num(h.percentile(99)),
-                        Table::num(h.max())});
-    }
-    std::cout << "\n";
-    summary.print(std::cout);
-
-    // The paper's big 7x/3x tail gaps develop as the baseline nears
-    // saturation: repeat the summary at 30% injection, where Hoplite
-    // is saturated but both FastTrack NoCs still have headroom.
-    Table loaded("latency summary (cycles) at 30% injection "
-                 "(Hoplite past saturation)");
-    loaded.setHeader({"NoC", "mean", "p50", "p99", "worst"});
-    for (const auto &nut : lineup) {
-        SyntheticWorkload workload;
-        workload.pattern = TrafficPattern::random;
-        workload.injectionRate = 0.30;
-        const SynthResult res =
-            runSynthetic(nut.config, nut.channels, workload);
-        const auto &h = res.stats.totalLatency;
-        loaded.addRow({nut.label, Table::num(h.mean(), 1),
-                       Table::num(h.percentile(50)),
-                       Table::num(h.percentile(99)),
-                       Table::num(h.max())});
-    }
-    std::cout << "\n";
-    loaded.print(std::cout);
+    bench::runPlans({bench::latencyHistogram()});
     return 0;
 }

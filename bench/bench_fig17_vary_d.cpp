@@ -6,10 +6,8 @@
  * sizes.
  */
 
-#include <iostream>
-
 #include "bench_util.hpp"
-#include "sim/experiment.hpp"
+#include "figures.hpp"
 
 using namespace fasttrack;
 
@@ -23,42 +21,6 @@ main(int argc, char **argv)
         "packets travel far enough); depopulation (R=D) trades "
         "throughput for cost but still beats D=0");
 
-    const std::uint32_t sides[] = {4, 8, 16};
-
-    for (bool depopulated : {false, true}) {
-        Table table(depopulated ? "R=D (fully depopulated)"
-                                : "R=1 (fully populated)");
-        std::vector<std::string> header{"D"};
-        for (std::uint32_t n : sides)
-            header.push_back(std::to_string(n * n) + "-PE");
-        table.setHeader(header);
-
-        const std::uint32_t max_d = 16 / 2;
-        for (std::uint32_t d = 0; d <= max_d; ++d) {
-            std::vector<std::string> row{std::to_string(d)};
-            for (std::uint32_t n : sides) {
-                // NA: D too long for the ring, or a depopulated braid
-                // that cannot close across the wraparound (R must
-                // divide N).
-                if (d > n / 2 || (depopulated && d > 1 && n % d != 0)) {
-                    row.push_back(Table::na());
-                    continue;
-                }
-                const NocConfig cfg = d == 0
-                    ? NocConfig::hoplite(n)
-                    : NocConfig::fastTrack(n, d, depopulated ? d : 1);
-                SyntheticWorkload workload;
-                workload.pattern = TrafficPattern::random;
-                workload.injectionRate = 0.5;
-                workload.packetsPerPe = n >= 16 ? 256 : 1024;
-                const SynthResult res =
-                    runSynthetic(cfg, 1, workload);
-                row.push_back(Table::num(res.sustainedRate(), 4));
-            }
-            table.addRow(row);
-        }
-        table.print(std::cout);
-        std::cout << "\n";
-    }
+    bench::runPlans({bench::varyD(bench::Grid{}, "")});
     return 0;
 }

@@ -143,9 +143,9 @@ main(int argc, char **argv)
         std::cerr << "checkpoint: wrote " << run.snapshotsWritten
                   << " snapshot(s)\n";
     } else {
-        // cachedRuns computes the identical result (bit for bit)
+        // runPoints computes the identical result (bit for bit)
         // whether it runs here, on the pool, or on a --remote daemon.
-        res = cachedRuns(cfg, channels, {workload}, sim.maxCycles)
+        res = runPoints({{cfg, channels, workload, sim.maxCycles}})
                   .front();
     }
 

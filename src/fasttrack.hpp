@@ -57,6 +57,5 @@
 // Simulation drivers
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
-#include "sim/steady_state.hpp"
 
 #endif // FT_FASTTRACK_HPP

@@ -12,7 +12,6 @@
 #include <array>
 #include <bit>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -69,41 +68,12 @@ class Router
      *  of the shared candidate tables). */
     static RouterSite siteFor(const Topology &topology, Coord pos);
 
-    /** Link-register contents feeding this router, indexed by InPort
-     *  (wEx, nEx, wSh, nSh). */
-    using Inputs = std::array<std::optional<Packet>, 4>;
-
-    /** Outcome of one cycle of arbitration. */
-    struct Result
-    {
-        /** Forwarded packet per output port, indexed by OutPort. */
-        std::array<std::optional<Packet>, kNumOutPorts> out{};
-        /** Packet delivered to the local client this cycle, if any. */
-        std::optional<Packet> delivered;
-        /** Input port the delivered packet arrived on. */
-        InPort deliveredFrom = InPort::pe;
-        /** Whether the PE's offered packet was accepted. */
-        bool peAccepted = false;
-    };
-
     /**
-     * Route one cycle (optional-based convenience wrapper over
-     * routeCore; tests and external callers use this form).
-     * @param inputs in-flight packets on the four link inputs; consumed.
-     * @param pe_offer packet the client wants to inject, if any.
-     * @param exit_ok whether the client can accept a delivery this
-     *        cycle (multi-channel NoCs arbitrate this externally).
-     * @param now current cycle (stamped on accepted injections).
-     * @param stats measurement sink.
-     */
-    Result route(Inputs &inputs, const std::optional<Packet> &pe_offer,
-                 bool exit_ok, Cycle now, NocStats &stats) const;
-
-    /**
-     * The arbitration engine proper, parameterized at compile time on
-     * the exit-gate policy and the output sink so the network's
-     * stepping core can inline the whole router (no virtual calls, no
-     * std::function, no optional churn on the hot path).
+     * Route one cycle: the one arbitration entry point. Parameterized
+     * at compile time on the exit-gate policy and the output sink so
+     * the network's stepping core can inline the whole router (no
+     * virtual calls, no std::function, no optional churn on the hot
+     * path).
      *
      * @param inputs the router's four input-port packet registers
      *        (slab row); entries selected by @p input_mask are routed

@@ -1,5 +1,9 @@
 #include "noc/smart.hpp"
 
+#include <bit>
+#include <optional>
+
+#include "check/invariants.hpp"
 #include "common/logging.hpp"
 
 namespace fasttrack {
@@ -9,8 +13,10 @@ SmartNetwork::SmartNetwork(std::uint32_t n, std::uint32_t hpc_max)
 {
     FT_ASSERT(hpc_max >= 1, "HPC_max must be >= 1");
     const std::uint32_t count = geo_.nodeCount();
-    inputs_.resize(count);
-    next_.resize(count);
+    regs_.resize(count);
+    mask_.assign(count, 0);
+    nextRegs_.resize(count);
+    nextMask_.assign(count, 0);
     bypassLengths_.assign(hpcMax_, 0);
 }
 
@@ -42,29 +48,57 @@ SmartNetwork::step()
     // Link usage this cycle: [router][0]=E link, [1]=S link.
     std::vector<std::array<bool, 2>> link_used(count, {false, false});
 
+    // What one router's arbitration hands back.
+    struct Sink
+    {
+        std::array<std::optional<Packet>, kNumOutPorts> out;
+        std::optional<Packet> delivered;
+        void forward(OutPort port, const Packet &p)
+        {
+            out[static_cast<std::size_t>(port)] = p;
+        }
+        void deliver(InPort, const Packet &p) { delivered = p; }
+    };
+
     // Phase 1: ordinary Hoplite arbitration at every router.
     for (std::uint32_t id = 0; id < count; ++id) {
-        std::optional<Packet> offer;
-        if (offerMask_[id])
-            offer = offerSlab_[id];
-        Router::Result res =
-            routers[id].route(inputs_[id], offer, true, cycle_, stats_);
-        if (res.peAccepted) {
+        Sink sink;
+        const bool accepted = routers[id].routeCore(
+            regs_[id].data(), mask_[id],
+            offerMask_[id] ? &offerSlab_[id] : nullptr, cycle_, stats_,
+            [](const Packet &) { return true; }, sink);
+#if FT_CHECK_ENABLED
+        std::size_t outputs = 0;
+        for (const auto &o : sink.out)
+            outputs += o.has_value();
+        const RouterSite &site = routers[id].site();
+        check::verifyRouterResult(
+            routers[id].pos(),
+            static_cast<std::size_t>(std::popcount(mask_[id])),
+            offerMask_[id] != 0, accepted, outputs,
+            sink.delivered.has_value(),
+            sink.out[static_cast<std::size_t>(OutPort::eEx)] &&
+                !site.hasEx,
+            sink.out[static_cast<std::size_t>(OutPort::sEx)] &&
+                !site.hasEy);
+#endif
+        mask_[id] = 0;
+        if (accepted) {
             offerMask_[id] = 0;
             --pendingOffers_;
             ++inFlight_;
         }
-        if (res.delivered) {
-            const Packet &p = *res.delivered;
+        if (sink.delivered) {
+            const Packet &p = *sink.delivered;
             recordDeliveryStats(p, cycle_);
             deliverToClient(p, cycle_);
         }
-        auto &e_slot = res.out[static_cast<std::size_t>(OutPort::eSh)];
+        auto &e_slot = sink.out[static_cast<std::size_t>(OutPort::eSh)];
         if (e_slot) {
             link_used[id][0] = true;
             transfers.push_back({std::move(*e_slot), id, false});
         }
-        auto &s_slot = res.out[static_cast<std::size_t>(OutPort::sSh)];
+        auto &s_slot = sink.out[static_cast<std::size_t>(OutPort::sSh)];
         if (s_slot) {
             link_used[id][1] = true;
             transfers.push_back({std::move(*s_slot), id, true});
@@ -98,18 +132,17 @@ SmartNetwork::step()
             ++chain;
         }
         ++bypassLengths_[chain - 1];
-        auto &dst_slot =
-            next_[land][static_cast<std::size_t>(
-                t.south ? InPort::nSh : InPort::wSh)];
-        FT_ASSERT(!dst_slot, "SMART landing collision");
-        dst_slot = std::move(t.packet);
+        const auto port = static_cast<unsigned>(
+            t.south ? InPort::nSh : InPort::wSh);
+        FT_ASSERT(!(nextMask_[land] & (1u << port)),
+                  "SMART landing collision");
+        nextMask_[land] =
+            static_cast<std::uint8_t>(nextMask_[land] | (1u << port));
+        nextRegs_[land][port] = t.packet;
     }
 
-    inputs_.swap(next_);
-    for (auto &slots : next_) {
-        for (auto &slot : slots)
-            slot.reset();
-    }
+    regs_.swap(nextRegs_);
+    mask_.swap(nextMask_);
     ++cycle_;
 }
 

@@ -18,6 +18,7 @@
 #ifndef FT_NOC_SMART_HPP
 #define FT_NOC_SMART_HPP
 
+#include <array>
 #include <vector>
 
 #include "noc/engine_core.hpp"
@@ -58,8 +59,12 @@ class SmartNetwork : public EngineCore
 
     /** Hoplite routers sharing one set of class lookups. */
     EngineGeometry geo_;
-    std::vector<Router::Inputs> inputs_;
-    std::vector<Router::Inputs> next_;
+    /** Link registers feeding each router, indexed by InPort, with
+     *  their occupancy bits; next_* fills during a step. */
+    std::vector<std::array<Packet, 4>> regs_;
+    std::vector<std::uint8_t> mask_;
+    std::vector<std::array<Packet, 4>> nextRegs_;
+    std::vector<std::uint8_t> nextMask_;
     std::uint32_t hpcMax_;
     std::vector<std::uint64_t> bypassLengths_;
 };

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "sim/simulation.hpp"
 
 namespace fasttrack {
@@ -39,21 +38,35 @@ struct SweepPoint
 };
 
 /**
- * Sweep a configuration over injection rates for one traffic pattern.
- *
- * Each rate point runs under its own seed, splitmix64(seed ^ point
- * index), so per-point measurement noise is independent across the
- * sweep instead of correlated by a shared packet-generation stream.
- * Points execute on the scheduler's persistent work-stealing pool and
- * consult the sweep result cache (sim/sweep_cache.hpp).
+ * The run points of an injection sweep of @p nut over @p rates, in
+ * rate order. Each rate point runs under its own seed,
+ * splitmix64(seed ^ point index), so per-point measurement noise is
+ * independent across the sweep instead of correlated by a shared
+ * packet-generation stream.
  *
  * @param packets_per_pe closed-workload budget (paper: 1K).
+ */
+std::vector<RunPoint> sweepPoints(const NocUnderTest &nut,
+                                  TrafficPattern pattern,
+                                  const std::vector<double> &rates,
+                                  std::uint32_t packets_per_pe = 1024,
+                                  std::uint64_t seed = 1);
+
+/**
+ * Sweep a configuration over injection rates for one traffic pattern:
+ * sweepPoints run as one executor batch (runPoints, which consults
+ * the sweep result cache, sim/sweep_cache.hpp).
  */
 std::vector<SweepPoint> injectionSweep(const NocUnderTest &nut,
                                        TrafficPattern pattern,
                                        const std::vector<double> &rates,
                                        std::uint32_t packets_per_pe = 1024,
                                        std::uint64_t seed = 1);
+
+/** The run point of saturationRun. */
+RunPoint saturationPoint(const NocUnderTest &nut, TrafficPattern pattern,
+                         std::uint32_t packets_per_pe = 1024,
+                         std::uint64_t seed = 1);
 
 /**
  * Saturation throughput: sustained rate at 100% offered load
@@ -62,44 +75,6 @@ std::vector<SweepPoint> injectionSweep(const NocUnderTest &nut,
 SynthResult saturationRun(const NocUnderTest &nut, TrafficPattern pattern,
                           std::uint32_t packets_per_pe = 1024,
                           std::uint64_t seed = 1);
-
-/** Seed-replicated measurement with dispersion statistics. */
-struct RepeatedResult
-{
-    /** Sustained rate across seeds (pkt/cycle/PE). */
-    RunningStat rate;
-    /** Mean total latency across seeds (cycles). */
-    RunningStat avgLatency;
-    /** Worst-case latency across seeds (cycles). */
-    RunningStat worstLatency;
-    std::uint32_t completedRuns = 0;
-    /** Seeds whose run hit the cycle guard before draining. A replica
-     *  that fails is recorded, not silently dropped, so consumers can
-     *  see *which* seeds diverged. */
-    std::vector<std::uint64_t> failedSeeds;
-
-    /** Coefficient of variation of the sustained rate; small values
-     *  mean a single seed is representative. NaN when no run
-     *  completed — a fully failed replication must not read as
-     *  perfectly seed-stable (CV 0). */
-    double rateCv() const;
-};
-
-/**
- * Run the same workload under several seeds and aggregate; used to
- * check that single-seed bench results are seed-stable. Runs execute
- * on the scheduler pool through the sweep cache; the aggregation
- * order is the seed-list order, so results are deterministic for any
- * worker count.
- *
- * @param max_cycles per-run cycle guard; runs that hit it land in
- * failedSeeds instead of the dispersion statistics.
- */
-RepeatedResult repeatedRuns(const NocUnderTest &nut,
-                            TrafficPattern pattern, double rate,
-                            std::uint32_t packets_per_pe,
-                            const std::vector<std::uint64_t> &seeds,
-                            Cycle max_cycles = kDefaultMaxCycles);
 
 } // namespace fasttrack
 

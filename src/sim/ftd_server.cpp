@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/parallel.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "sim/remote.hpp"
 #include "sim/run_codec.hpp"
@@ -92,6 +91,8 @@ FtdServer::handle(std::vector<net::Frame> batch)
     {
         std::uint64_t requestId = 0;
         SweepRequest request;
+        /** Sweep key, when the pre-pass probed the cache. */
+        std::uint64_t key = 0;
         /** Blob-cache payload when the pre-pass hit. */
         std::vector<std::uint8_t> cached;
         bool hit = false;
@@ -123,33 +124,29 @@ FtdServer::handle(std::vector<net::Frame> batch)
         }
         if (!cacheOn)
             continue;
+        item.key = sweepKey(item.request);
         SynthResult decoded;
-        if (auto payload = probeSweepCache(
-                sweepKey(item.request.config, item.request.channels,
-                         item.request.workload, item.request.maxCycles),
-                decoded)) {
+        if (auto payload = probeSweepCache(item.key, decoded)) {
             item.cached = std::move(*payload);
             item.hit = true;
         }
     }
 
     // Cache misses run as one pool item per request, in arrival
-    // order. cachedRunSynthetic, not cachedRuns: a handler must never
-    // re-enter remote dispatch, even when this process also has
-    // remote endpoints configured (in-process daemons in tests).
-    std::vector<std::size_t> misses;
-    for (std::size_t i = 0; i < items.size(); ++i)
-        if (!items[i].bad && !items[i].hit && !items[i].slice)
-            misses.push_back(i);
-    sched::ensureGlobalPool();
-    const std::vector<std::vector<std::uint8_t>> computed = parallelMap(
-        misses,
-        [&](std::size_t i) {
-            const SweepRequest &r = items[i].request;
-            return encodeSynthResult(cachedRunSynthetic(
-                r.config, r.channels, r.workload, r.maxCycles));
-        },
-        0, "FtdServer::handle");
+    // order, without a second probe. computePoints, not runPoints: a
+    // handler must never re-enter remote dispatch, even when this
+    // process also has remote endpoints configured (in-process
+    // daemons in tests).
+    std::vector<RunPoint> misses;
+    std::vector<std::uint64_t> missKeys;
+    for (const Item &item : items) {
+        if (!item.bad && !item.hit && !item.slice) {
+            misses.push_back(item.request);
+            missKeys.push_back(item.key);
+        }
+    }
+    const std::vector<SynthResult> computed =
+        computePoints(misses, cacheOn ? &missKeys : nullptr);
 
     // Answer in arrival order, then append the telemetry epoch.
     std::vector<net::Frame> responses;
@@ -174,7 +171,8 @@ FtdServer::handle(std::vector<net::Frame> batch)
         frame.requestId = item.requestId;
         frame.payload = encodeSweepResultPayload(
             item.request.pointIndex, item.hit,
-            item.hit ? item.cached : computed[next_miss++]);
+            item.hit ? std::move(item.cached)
+                     : encodeSynthResult(computed[next_miss++]));
         responses.push_back(std::move(frame));
     }
 

@@ -13,9 +13,10 @@
  * that decodes but carries an invalid NocConfig/workload gets a
  * kErrBadRequest error frame, never a daemon abort. Valid points that
  * miss the blob cache run as one work-stealing-pool item each, in
- * arrival order, through cachedRunSynthetic — the same pool and cache
- * local sweeps use. A warm daemon answers straight from its cache,
- * flagged via the response's cache-hit bit.
+ * arrival order, through computePoints — the same pool and cache
+ * local sweeps use, with no second probe of the key the pre-pass
+ * missed. A warm daemon answers straight from its cache, flagged via
+ * the response's cache-hit bit.
  *
  * snapshotRequest frames carry one temporal-shard slice of a long
  * run (docs/distributed.md, "Temporal sharding"): the daemon resumes

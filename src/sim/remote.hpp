@@ -4,7 +4,7 @@
  * fabric (docs/distributed.md).
  *
  * When remote endpoints are configured (--remote host:port[,...]),
- * cachedRuns transparently fans sweep points out to ftd
+ * runPoints transparently fans sweep points out to ftd
  * daemons over the framed wire protocol (net/frame.hpp): points are
  * sharded round-robin across endpoints, pipelined within a
  * per-session window, and reassembled strictly by input index — so
@@ -78,7 +78,7 @@ bool remoteConfigured();
  *  installs the endpoints it lists with setRemoteConfig. */
 Flag remoteFlag(std::string help);
 
-/** Counters of one remote run (a remoteBatchedRuns or runShardedSim
+/** Counters of one remote run (a remoteRunPoints or runShardedSim
  *  invocation). remoteStats() reports the most recent run so a second
  *  sweep's numbers are its own, not cumulative totals;
  *  remoteLifetimeStats() keeps the process-wide accumulation. */
@@ -118,17 +118,18 @@ RemoteStats remoteLifetimeStats();
 void reportRemoteStats(telemetry::MetricsRegistry &metrics);
 
 /**
- * Compute one SynthResult per workload, fanning cache-miss points
- * out to the configured remote endpoints; unreachable work falls
- * back to cachedRunSynthetic on the local pool. Results are
- * input-ordered and bit-identical to the local path. Precondition:
- * remoteConfigured() and no telemetry sink installed (the caller —
- * cachedRuns — guards).
+ * The remote half of runPoints: compute @p points (distinct, with
+ * sweep keys @p keys) as one fan-out over the configured endpoints.
+ * Points this process's cache already holds never touch the wire;
+ * work the fleet cannot serve falls back to computePoints on the
+ * local pool, without a second cache probe. Results are input-ordered
+ * and bit-identical to the local path. Precondition:
+ * remoteConfigured() and no telemetry sink installed (runPoints
+ * guards).
  */
 std::vector<SynthResult>
-remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
-                  const std::vector<SyntheticWorkload> &workloads,
-                  Cycle max_cycles);
+remoteRunPoints(const std::vector<RunPoint> &points,
+                const std::vector<std::uint64_t> &keys);
 
 /**
  * Execute one run as a chain of temporal shards of @p shard_cycles

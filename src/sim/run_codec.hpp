@@ -74,14 +74,11 @@ contentKey(const T &...inputs)
     return h.value();
 }
 
-/** One sweep point on the wire. */
-struct SweepRequest
+/** One sweep point on the wire, with its index in the client's
+ *  batch. */
+struct SweepRequest : RunPoint
 {
     std::uint32_t pointIndex = 0;
-    NocConfig config;
-    std::uint32_t channels = 1;
-    SyntheticWorkload workload;
-    Cycle maxCycles = kDefaultMaxCycles;
 };
 
 std::vector<std::uint8_t>

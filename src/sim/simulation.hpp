@@ -53,6 +53,18 @@ struct SynthResult
  *  through SimConfig{} (tests/test_checkpoint.cpp pins this). */
 inline constexpr Cycle kDefaultMaxCycles = 20'000'000;
 
+/** One synthetic run point: the four inputs its sweep-cache key covers
+ *  (sim/sweep_cache.hpp). The executor runPoints takes a list of them;
+ *  a SweepRequest carries one over the wire. */
+struct RunPoint
+{
+    NocConfig config;
+    std::uint32_t channels = 1;
+    SyntheticWorkload workload;
+    /** Cycle guard (SimConfig::maxCycles). */
+    Cycle maxCycles = kDefaultMaxCycles;
+};
+
 class TelemetrySession;
 
 /**

@@ -52,6 +52,7 @@ inline constexpr std::uint32_t kSweepCacheSchema = 2;
 std::uint64_t sweepKey(const NocConfig &config, std::uint32_t channels,
                        const SyntheticWorkload &workload,
                        Cycle max_cycles = kDefaultMaxCycles);
+std::uint64_t sweepKey(const RunPoint &point);
 
 /** Serialize @p result as a sweep-cache payload. */
 std::vector<std::uint8_t> encodeSynthResult(const SynthResult &result);
@@ -115,17 +116,30 @@ cachedRunSynthetic(const NocConfig &config, std::uint32_t channels,
 }
 
 /**
- * cachedRunSynthetic for every workload, results in input order. Each
- * point is one work item on the work-stealing pool; with remote
- * endpoints configured (and no telemetry sink installed — remote
- * workers cannot stream trace events) the points go to
- * remoteBatchedRuns instead. Every result is the bit-deterministic
- * function of its inputs, so where a point ran never shows in it.
+ * The one executor over a list of run points; results in input order.
+ * A point whose sweepKey repeats an earlier point's runs once, and
+ * both get its result. The distinct points run as one batch: one work
+ * item each on the work-stealing pool, through the sweep cache
+ * (computePoints), or, with remote endpoints configured and no
+ * telemetry sink installed (remote workers cannot stream trace
+ * events), as one remote fan-out (remoteRunPoints). Every result is
+ * the bit-deterministic function of its point, so where a point ran
+ * never shows in it.
+ */
+std::vector<SynthResult> runPoints(const std::vector<RunPoint> &points);
+
+/**
+ * Simulate @p points as one pool batch, results in input order: the
+ * executor's local path, and the miss path of the callers that probe
+ * the sweep cache themselves first (the remote client and ftd). With
+ * @p probed_keys (one per point, each already looked up and missed),
+ * every result is stored under its key without a second probe, so a
+ * computed point counts one miss. Without, each point runs through
+ * the cache (runSim's useCache).
  */
 std::vector<SynthResult>
-cachedRuns(const NocConfig &config, std::uint32_t channels,
-           const std::vector<SyntheticWorkload> &workloads,
-           Cycle max_cycles = kDefaultMaxCycles);
+computePoints(const std::vector<RunPoint> &points,
+              const std::vector<std::uint64_t> *probed_keys = nullptr);
 
 } // namespace fasttrack
 

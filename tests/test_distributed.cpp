@@ -61,6 +61,17 @@ smallWorkloads(std::size_t count, std::uint64_t seed_base)
     return workloads;
 }
 
+/** runPoints over @p workloads on one channel of @p config. */
+std::vector<SynthResult>
+runAll(const NocConfig &config,
+       const std::vector<SyntheticWorkload> &workloads)
+{
+    std::vector<RunPoint> points;
+    for (const SyntheticWorkload &workload : workloads)
+        points.push_back({config, 1, workload});
+    return runPoints(points);
+}
+
 /** Install a remote config for the scope, clear it on exit (also on
  *  assertion failure) so later tests run the local path. */
 struct WithRemote
@@ -498,7 +509,7 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({a.port(), b.port()}));
-        remote = cachedRuns(config, 1, workloads);
+        remote = runAll(config, workloads);
     }
     // remoteStats() reports this run, not process-cumulative totals.
     const RemoteStats after = remoteStats();
@@ -514,8 +525,7 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
 
     // Remote execution is invisible in the bytes: per point, the
     // local path produces the identical result.
-    const std::vector<SynthResult> local =
-        cachedRuns(config, 1, workloads);
+    const std::vector<SynthResult> local = runAll(config, workloads);
     ASSERT_EQ(remote.size(), local.size());
     for (std::size_t i = 0; i < local.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
@@ -529,8 +539,7 @@ TEST(Distributed, WarmDaemonAnswersFromItsCache)
         smallWorkloads(4, 9200);
     WithRemote wr(loopbackConfig({daemon.port()}));
 
-    const std::vector<SynthResult> cold =
-        cachedRuns(config, 1, workloads);
+    const std::vector<SynthResult> cold = runAll(config, workloads);
     const RemoteStats cold1 = remoteStats();
     EXPECT_EQ(cold1.pointsRemote, workloads.size());
     EXPECT_EQ(cold1.remoteCacheHits, 0u);
@@ -540,8 +549,7 @@ TEST(Distributed, WarmDaemonAnswersFromItsCache)
     // cache instead of simulating. remoteStats() now describes the
     // warm run alone — the cold run's counters must not leak in
     // (the never-reset-counter regression).
-    const std::vector<SynthResult> warm =
-        cachedRuns(config, 1, workloads);
+    const std::vector<SynthResult> warm = runAll(config, workloads);
     const RemoteStats warm1 = remoteStats();
     EXPECT_EQ(warm1.pointsRemote, workloads.size());
     EXPECT_EQ(warm1.remoteCacheHits, workloads.size());
@@ -578,7 +586,7 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
 
     {
         WithRemote wr(loopbackConfig({a.port()}));
-        cachedRuns(config, 1, smallWorkloads(2, 9600));
+        runAll(config, smallWorkloads(2, 9600));
     }
     telemetry::MetricsRegistry first;
     reportRemoteStats(first);
@@ -589,7 +597,7 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
 
     {
         WithRemote wr(loopbackConfig({b.port()}));
-        cachedRuns(config, 1, smallWorkloads(2, 9601));
+        runAll(config, smallWorkloads(2, 9601));
     }
     telemetry::MetricsRegistry second;
     reportRemoteStats(second);
@@ -628,7 +636,7 @@ TEST(Distributed, EpochStreamingDaemonCannotHoldTheClient)
     RunResult sharded;
     {
         WithRemote wr(loopbackConfig({streaming.port()}));
-        remote = cachedRuns(config, 1, workloads);
+        remote = runAll(config, workloads);
         EXPECT_EQ(remoteStats().pointsRemote, workloads.size());
         EXPECT_EQ(remoteStats().pointsFallback, 0u);
         RunRequest request;
@@ -643,8 +651,7 @@ TEST(Distributed, EpochStreamingDaemonCannotHoldTheClient)
     EXPECT_GE(streaming.sessions(), 5);
     EXPECT_LT(streaming.maxStreamed(), EpochStreamingDaemon::kMaxStreamed);
 
-    const std::vector<SynthResult> local =
-        cachedRuns(config, 1, workloads);
+    const std::vector<SynthResult> local = runAll(config, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
     EXPECT_TRUE(sharded.synth.completed);
@@ -671,7 +678,7 @@ TEST(Distributed, EpochsBeyondTheRequestsSentEndTheSession)
     RunResult sharded;
     {
         WithRemote wr(std::move(remote));
-        viaFallback = cachedRuns(config, 1, workloads);
+        viaFallback = runAll(config, workloads);
         EXPECT_EQ(remoteStats().pointsFallback, workloads.size());
         EXPECT_EQ(remoteStats().pointsRemote, 0u);
         RunRequest request;
@@ -684,8 +691,7 @@ TEST(Distributed, EpochsBeyondTheRequestsSentEndTheSession)
     EXPECT_GE(streaming.sessions(), 4);
     EXPECT_LT(streaming.maxStreamed(), EpochStreamingDaemon::kMaxStreamed);
 
-    const std::vector<SynthResult> local =
-        cachedRuns(config, 1, workloads);
+    const std::vector<SynthResult> local = runAll(config, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i])) << i;
     EXPECT_TRUE(sharded.synth.completed);
@@ -706,7 +712,7 @@ TEST(Distributed, SweepSessionPartsWithoutTheEpochWait)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({daemon.port()}));
-        remote = cachedRuns(config, 1, workloads);
+        remote = runAll(config, workloads);
         EXPECT_EQ(remoteStats().pointsRemote, workloads.size());
         EXPECT_EQ(remoteStats().pointsFallback, 0u);
     }
@@ -714,8 +720,7 @@ TEST(Distributed, SweepSessionPartsWithoutTheEpochWait)
     EXPECT_GE(gap, 0.0);
     EXPECT_LT(gap, 100.0);
 
-    const std::vector<SynthResult> local =
-        cachedRuns(config, 1, workloads);
+    const std::vector<SynthResult> local = runAll(config, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
 }
@@ -723,27 +728,36 @@ TEST(Distributed, SweepSessionPartsWithoutTheEpochWait)
 TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)
 {
     const NocConfig config = NocConfig::fastTrack(4, 2, 1);
-    const std::vector<SyntheticWorkload> workloads =
-        smallWorkloads(3, 9300);
+    // Without, then with, the client's local cache pre-pass. Either
+    // way each fallback point is probed once: one miss, one store.
+    for (const bool local_cache : {false, true}) {
+        const std::vector<SyntheticWorkload> workloads =
+            smallWorkloads(3, local_cache ? 9350 : 9300);
+        RemoteConfig remote = loopbackConfig({deadPort()});
+        remote.maxAttempts = 2;
+        remote.connectTimeoutMs = 200;
+        remote.useLocalCache = local_cache;
+        const sched::BlobCache::Stats before = sweepCache().stats();
+        std::vector<SynthResult> viaFallback;
+        {
+            WithRemote wr(std::move(remote));
+            viaFallback = runAll(config, workloads);
+        }
+        const sched::BlobCache::Stats cache = sweepCache().stats();
+        EXPECT_EQ(cache.misses - before.misses, workloads.size())
+            << local_cache;
+        EXPECT_EQ(cache.stores - before.stores, workloads.size())
+            << local_cache;
+        const RemoteStats after = remoteStats();
+        EXPECT_EQ(after.pointsFallback, workloads.size());
+        EXPECT_GE(after.connectFailures, 2u);
+        EXPECT_EQ(after.pointsRemote, 0u);
 
-    RemoteConfig remote = loopbackConfig({deadPort()});
-    remote.maxAttempts = 2;
-    remote.connectTimeoutMs = 200;
-    std::vector<SynthResult> viaFallback;
-    {
-        WithRemote wr(std::move(remote));
-        viaFallback = cachedRuns(config, 1, workloads);
+        const std::vector<SynthResult> local = runAll(config, workloads);
+        for (std::size_t i = 0; i < workloads.size(); ++i)
+            EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i]))
+                << i;
     }
-    const RemoteStats after = remoteStats();
-    EXPECT_EQ(after.pointsFallback, workloads.size());
-    EXPECT_GE(after.connectFailures, 2u);
-    EXPECT_EQ(after.pointsRemote, 0u);
-
-    const std::vector<SynthResult> local =
-        cachedRuns(config, 1, workloads);
-    for (std::size_t i = 0; i < workloads.size(); ++i)
-        EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i]))
-            << i;
 }
 
 TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
@@ -766,7 +780,7 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({daemon.port()}));
-        remote = cachedRuns(noc, 1, workloads);
+        remote = runAll(noc, workloads);
     }
     const RemoteStats after = remoteStats();
     EXPECT_EQ(after.pointsRemote + after.pointsFallback,
@@ -774,8 +788,7 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
     EXPECT_GE(after.reconnects, 2u);
     EXPECT_GE(daemon.server.netStats().injectedDrops, 2u);
 
-    const std::vector<SynthResult> local =
-        cachedRuns(noc, 1, workloads);
+    const std::vector<SynthResult> local = runAll(noc, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
 }
@@ -948,14 +961,20 @@ TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
     }
 
     // Cold, then the same batch again: every point now a cache hit.
+    // A cold point is probed once, so it counts one miss.
     for (const bool warm : {false, true}) {
         const std::uint64_t first_id = warm ? 200 : 100;
+        const sched::BlobCache::Stats before = sweepCache().stats();
         ASSERT_NO_FATAL_FAILURE(
             sendSweepRequests(sock, requests, first_id));
         std::map<std::string, double> epoch;
         const std::vector<net::Frame> replies =
             recvSweepResults(sock, requests.size(), epoch);
         ASSERT_EQ(replies.size(), requests.size());
+        const sched::BlobCache::Stats cache = sweepCache().stats();
+        const std::uint64_t cold = warm ? 0 : requests.size();
+        EXPECT_EQ(cache.misses - before.misses, cold) << warm;
+        EXPECT_EQ(cache.stores - before.stores, cold) << warm;
         for (std::size_t i = 0; i < replies.size(); ++i) {
             EXPECT_EQ(replies[i].requestId, first_id + i);
             std::uint32_t point = 0;

@@ -6,9 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "noc/network.hpp"
 #include "sched/blob_cache.hpp"
 #include "sim/experiment.hpp"
@@ -26,36 +25,56 @@ resultHash(const SynthResult &res)
     return h.value();
 }
 
+/** The run points of @p nut under RANDOM traffic at @p rate, one per
+ *  seed of @p seeds. */
+std::vector<RunPoint>
+seedPoints(const NocUnderTest &nut, double rate, std::uint32_t packets,
+           const std::vector<std::uint64_t> &seeds,
+           Cycle max_cycles = kDefaultMaxCycles)
+{
+    std::vector<RunPoint> points;
+    for (std::uint64_t seed : seeds) {
+        RunPoint point{nut.config, nut.channels};
+        point.workload.pattern = TrafficPattern::random;
+        point.workload.injectionRate = rate;
+        point.workload.packetsPerPe = packets;
+        point.workload.seed = seed;
+        point.maxCycles = max_cycles;
+        points.push_back(point);
+    }
+    return points;
+}
+
 TEST(Experiment, SaturationRateIsSeedStable)
 {
     // Single-seed bench numbers must be representative: coefficient
     // of variation across seeds stays tight at saturation.
-    const RepeatedResult rep = repeatedRuns(
-        {"ft", NocConfig::fastTrack(8, 2, 1), 1},
-        TrafficPattern::random, 1.0, 256, {1, 2, 3, 4, 5});
-    ASSERT_EQ(rep.completedRuns, 5u);
-    EXPECT_TRUE(rep.failedSeeds.empty());
-    EXPECT_LT(rep.rateCv(), 0.05);
-    EXPECT_NEAR(rep.rate.mean(), 0.32, 0.04);
+    RunningStat rate;
+    for (const SynthResult &res :
+         runPoints(seedPoints({"ft", NocConfig::fastTrack(8, 2, 1), 1},
+                              1.0, 256, {1, 2, 3, 4, 5}))) {
+        ASSERT_TRUE(res.completed);
+        rate.add(res.sustainedRate());
+    }
+    EXPECT_LT(rate.stddev() / rate.mean(), 0.05);
+    EXPECT_NEAR(rate.mean(), 0.32, 0.04);
 }
 
 TEST(Experiment, UndersizedGuardRecordsFailedSeedsAndNaNCv)
 {
-    // Regression: a guard too small for any seed to drain used to
-    // leave no trace of *which* runs failed, and rateCv() reported a
-    // perfectly-stable 0.0 for a measurement that never happened.
-    // The second pass replays the timed-out points from the sweep
-    // cache: a cached cycle-guard timeout must still land in
-    // failedSeeds.
+    // Regression: a guard too small for any seed to drain must show
+    // as a failed run for every seed. The second pass replays the
+    // timed-out points from the sweep cache: a cached cycle-guard
+    // timeout must still come back incomplete.
+    const std::vector<std::uint64_t> seeds{1, 2, 3};
     for (int pass = 0; pass < 2; ++pass) {
-        const RepeatedResult rep = repeatedRuns(
-            {"hop", NocConfig::hoplite(8), 1}, TrafficPattern::random,
-            1.0, 1024, {1, 2, 3}, /*max_cycles=*/10);
-        EXPECT_EQ(rep.completedRuns, 0u) << "pass " << pass;
-        EXPECT_EQ(rep.failedSeeds,
-                  (std::vector<std::uint64_t>{1, 2, 3}))
-            << "pass " << pass;
-        EXPECT_TRUE(std::isnan(rep.rateCv())) << "pass " << pass;
+        const std::vector<SynthResult> runs =
+            runPoints(seedPoints({"hop", NocConfig::hoplite(8), 1}, 1.0,
+                                 1024, seeds, /*max_cycles=*/10));
+        ASSERT_EQ(runs.size(), seeds.size());
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            EXPECT_FALSE(runs[i].completed)
+                << "pass " << pass << " seed " << seeds[i];
     }
 }
 
@@ -90,19 +109,23 @@ TEST(Experiment, InjectionSweepDerivesPerPointSeeds)
 
 TEST(Experiment, LowLoadLatencyIsSeedStable)
 {
-    const RepeatedResult rep = repeatedRuns(
-        {"hop", NocConfig::hoplite(8), 1}, TrafficPattern::random,
-        0.05, 256, {7, 8, 9});
-    ASSERT_EQ(rep.completedRuns, 3u);
-    EXPECT_LT(rep.avgLatency.stddev(), rep.avgLatency.mean() * 0.1);
+    RunningStat latency;
+    for (const SynthResult &res :
+         runPoints(seedPoints({"hop", NocConfig::hoplite(8), 1}, 0.05,
+                              256, {7, 8, 9}))) {
+        ASSERT_TRUE(res.completed);
+        latency.add(res.avgLatency());
+    }
+    EXPECT_LT(latency.stddev(), latency.mean() * 0.1);
 }
 
 TEST(Experiment, RepeatedRunsSkipIncomplete)
 {
-    // A livelock-ish setup with a tiny guard: completedRuns reports
-    // honestly. (Guard small enough that 1K packets cannot drain.)
+    // A livelock-ish setup with a tiny guard: the completed count
+    // reports honestly. (Guard small enough that 1K packets cannot
+    // drain.)
     NocConfig cfg = NocConfig::hoplite(8);
-    RepeatedResult rep;
+    std::uint32_t completed = 0;
     for (std::uint64_t seed : {1ull, 2ull}) {
         SyntheticWorkload workload;
         workload.pattern = TrafficPattern::random;
@@ -111,9 +134,9 @@ TEST(Experiment, RepeatedRunsSkipIncomplete)
         workload.seed = seed;
         const SynthResult res = runSynthetic(cfg, 1, workload, 10);
         if (res.completed)
-            ++rep.completedRuns;
+            ++completed;
     }
-    EXPECT_EQ(rep.completedRuns, 0u);
+    EXPECT_EQ(completed, 0u);
 }
 
 TEST(Experiment, NodeCountersSumToGlobals)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Cross-cutting interoperability tests: every NoC device class runs
- * every workload machinery (traces, segmentation, steady state),
- * link counters reconcile with global stats, and unusual but legal
- * compositions (replicated FastTrack channels) behave.
+ * every workload machinery (traces, segmentation), link counters
+ * reconcile with global stats, and unusual but legal compositions
+ * (replicated FastTrack channels) behave.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "noc/smart.hpp"
 #include "noc/vc_torus.hpp"
 #include "sim/simulation.hpp"
-#include "sim/steady_state.hpp"
 #include "traffic/segmentation.hpp"
 #include "workloads/dataflow.hpp"
 
@@ -99,26 +98,6 @@ TEST(Interop, ReplicatedFastTrackChannels)
                      2'000'000);
     ASSERT_TRUE(two.completed && one.completed);
     EXPECT_GT(two.sustainedRate(), one.sustainedRate());
-}
-
-TEST(Interop, SteadyStateAcrossDeviceClasses)
-{
-    SteadyStateConfig cfg;
-    cfg.injectionRate = 0.05;
-    cfg.warmupCycles = 500;
-    cfg.measureCycles = 3000;
-
-    for (int kind = 0; kind < 3; ++kind) {
-        std::unique_ptr<NocDevice> dev;
-        switch (kind) {
-          case 0: dev = makeNoc(NocConfig::fastTrack(8, 2, 1), 1); break;
-          case 1: dev.reset(new BufferedNetwork(8, 4)); break;
-          default: dev.reset(new VcTorusNetwork(8, 2, 4)); break;
-        }
-        const SteadyStateResult res = measureSteadyState(*dev, cfg);
-        EXPECT_NEAR(res.throughput, 0.05, 0.008) << kind;
-        EXPECT_FALSE(res.saturated) << kind;
-    }
 }
 
 TEST(Interop, ZeroLoadLatencyOrderingAcrossClasses)

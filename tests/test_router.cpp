@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "noc/router.hpp"
+#include "route_once.hpp"
 
 namespace fasttrack {
 namespace {
@@ -45,11 +45,11 @@ TEST_F(RouterTest, TurnBeatsRingTraffic)
     // W wants to turn South; N wants to continue South. The paper's
     // livelock rule: the turn wins, N deflects East.
     Router router = makeRouter(NocConfig::hoplite(kN), {3, 3});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({3, 6}, kN, 1); // turn S
     in[static_cast<int>(InPort::nSh)] = pkt({3, 7}, kN, 2); // continue
 
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     ASSERT_TRUE(res.out[static_cast<int>(OutPort::sSh)]);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::sSh)]->id, 1u);
     ASSERT_TRUE(res.out[static_cast<int>(OutPort::eSh)]);
@@ -65,11 +65,11 @@ TEST_F(RouterTest, RingFirstPriorityFlipsTheOutcome)
     NocConfig cfg = NocConfig::hoplite(kN);
     cfg.turnPriority = false;
     Router router = makeRouter(cfg, {3, 3});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({3, 6}, kN, 1);
     in[static_cast<int>(InPort::nSh)] = pkt({3, 7}, kN, 2);
 
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::sSh)]->id, 2u);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::eSh)]->id, 1u);
 }
@@ -78,11 +78,11 @@ TEST_F(RouterTest, WexBeatsEveryone)
 {
     // W_EX turning to S_SH displaces even a W_SH exit.
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {3, 3});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wEx)] = pkt({3, 4}, kN, 1); // turn S_SH
     in[static_cast<int>(InPort::wSh)] = pkt({3, 3}, kN, 2); // exit here
 
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     // dy=1 is express-misaligned, so W_EX takes S_SH; the exiting W_SH
     // is deflected (exit shares S_SH).
     ASSERT_TRUE(res.out[static_cast<int>(OutPort::sSh)]);
@@ -94,9 +94,9 @@ TEST_F(RouterTest, WexBeatsEveryone)
 TEST_F(RouterTest, DeliveryAtDestination)
 {
     Router router = makeRouter(NocConfig::hoplite(kN), {2, 5});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({2, 5}, kN, 9);
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     ASSERT_TRUE(res.delivered.has_value());
     EXPECT_EQ(res.delivered->id, 9u);
     EXPECT_EQ(res.deliveredFrom, InPort::wSh);
@@ -107,10 +107,10 @@ TEST_F(RouterTest, DeliveryAtDestination)
 TEST_F(RouterTest, ExitGateForcesDeflection)
 {
     Router router = makeRouter(NocConfig::hoplite(kN), {2, 5});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({2, 5}, kN, 9);
-    const auto res = router.route(in, std::nullopt, /*exit_ok=*/false,
-                                  0, stats_);
+    const auto res = route(router, in, std::nullopt, /*exit_ok=*/false,
+                           0, stats_);
     EXPECT_FALSE(res.delivered.has_value());
     // Packet must still be forwarded somewhere.
     int forwarded = 0;
@@ -124,10 +124,10 @@ TEST_F(RouterTest, OnlyOneExitPerCycle)
 {
     // Two packets at destination: one exits, the other deflects.
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {2, 4});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({2, 4}, kN, 1);
     in[static_cast<int>(InPort::nSh)] = pkt({2, 4}, kN, 2);
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     ASSERT_TRUE(res.delivered.has_value());
     int forwarded = 0;
     for (const auto &o : res.out)
@@ -138,12 +138,12 @@ TEST_F(RouterTest, OnlyOneExitPerCycle)
 TEST_F(RouterTest, InjectionBlockedWhenOutputBusy)
 {
     Router router = makeRouter(NocConfig::hoplite(kN), {0, 0});
-    Router::Inputs in{};
+    RouterInputs in{};
     // In-flight W packet continues East...
     in[static_cast<int>(InPort::wSh)] = pkt({5, 0}, kN, 1);
     // ...and the PE wants to inject Eastbound too.
     const auto offer = std::optional<Packet>(pkt({3, 0}, kN, 2));
-    const auto res = router.route(in, offer, true, 0, stats_);
+    const auto res = route(router, in, offer, true, 0, stats_);
     EXPECT_FALSE(res.peAccepted);
     EXPECT_EQ(stats_.injectionBlockedCycles, 1u);
     // PE never steals from in-flight traffic.
@@ -153,9 +153,9 @@ TEST_F(RouterTest, InjectionBlockedWhenOutputBusy)
 TEST_F(RouterTest, InjectionTakesExpressWhenEligible)
 {
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {0, 0});
-    Router::Inputs in{};
+    RouterInputs in{};
     const auto offer = std::optional<Packet>(pkt({4, 0}, kN, 2));
-    const auto res = router.route(in, offer, true, 0, stats_);
+    const auto res = route(router, in, offer, true, 0, stats_);
     EXPECT_TRUE(res.peAccepted);
     ASSERT_TRUE(res.out[static_cast<int>(OutPort::eEx)]);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::eEx)]->expressHops, 1u);
@@ -164,10 +164,10 @@ TEST_F(RouterTest, InjectionTakesExpressWhenEligible)
 TEST_F(RouterTest, HopCountersTrackLaneClasses)
 {
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {0, 0});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({1, 0}, kN, 1); // short E
     in[static_cast<int>(InPort::wEx)] = pkt({4, 0}, kN, 2); // express E
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     EXPECT_EQ(stats_.shortHopTraversals, 1u);
     EXPECT_EQ(stats_.expressHopTraversals, 1u);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::eSh)]->shortHops, 1u);
@@ -208,7 +208,7 @@ TEST_P(RouterPermutationTest, AllInputsForwardedDistinctly)
     Rng rng(1234 + variant_idx * 100 + pos_idx);
 
     for (int trial = 0; trial < 300; ++trial) {
-        Router::Inputs in{};
+        RouterInputs in{};
         int loaded = 0;
         for (int port = 0; port < 4; ++port) {
             const auto p = static_cast<InPort>(port);
@@ -230,7 +230,7 @@ TEST_P(RouterPermutationTest, AllInputsForwardedDistinctly)
             }
         }
         const bool gate = rng.nextBool(0.8);
-        const auto res = router.route(in, std::nullopt, gate, 0, stats);
+        const auto res = route(router, in, std::nullopt, gate, 0, stats);
 
         int forwarded = 0;
         for (const auto &o : res.out)

@@ -226,8 +226,8 @@ TEST(SchedPool, ConcurrentSweepsShareThePool)
 
 TEST(SchedPool, SweepsIdenticalSerialAndPooled)
 {
-    // Every sweep point is its own pool item: injectionSweep and
-    // repeatedRuns must give the same bytes at --threads 1 as on the
+    // Every sweep point is its own pool item: an injection sweep and
+    // a seed list must give the same bytes at --threads 1 as on the
     // pool. The cache is off so both passes really simulate.
     WithPool wp(4);
     const unsigned threads = parallel_detail::defaultThreadsSlot().load();
@@ -236,15 +236,22 @@ TEST(SchedPool, SweepsIdenticalSerialAndPooled)
 
     const NocUnderTest nut{"ft", NocConfig::fastTrack(8, 2, 1), 1};
     const std::vector<double> rates{0.05, 0.1, 0.2, 0.35, 0.5, 0.75};
-    const std::vector<std::uint64_t> seeds{201, 202, 203, 204, 205};
+    std::vector<RunPoint> seeds;
+    for (std::uint64_t seed = 201; seed <= 205; ++seed) {
+        RunPoint point{nut.config, nut.channels};
+        point.workload.injectionRate = 0.2;
+        point.workload.packetsPerPe = 24;
+        point.workload.seed = seed;
+        point.maxCycles = 200000;
+        seeds.push_back(point);
+    }
     std::vector<std::vector<SweepPoint>> sweeps;
-    std::vector<RepeatedResult> reps;
+    std::vector<std::vector<SynthResult>> reps;
     for (const unsigned n : {1u, 4u}) {
         parallel_detail::setDefaultParallelThreads(n);
         sweeps.push_back(
             injectionSweep(nut, TrafficPattern::random, rates, 24, 7));
-        reps.push_back(repeatedRuns(nut, TrafficPattern::random, 0.2,
-                                    24, seeds, 200000));
+        reps.push_back(runPoints(seeds));
     }
     parallel_detail::setDefaultParallelThreads(threads);
     setSweepCacheEnabled(cached);
@@ -254,12 +261,10 @@ TEST(SchedPool, SweepsIdenticalSerialAndPooled)
         EXPECT_EQ(resultHash(sweeps[1][i].result),
                   resultHash(sweeps[0][i].result))
             << "rate point " << i;
-    EXPECT_EQ(reps[1].completedRuns, reps[0].completedRuns);
-    EXPECT_DOUBLE_EQ(reps[1].rate.mean(), reps[0].rate.mean());
-    EXPECT_DOUBLE_EQ(reps[1].avgLatency.mean(),
-                     reps[0].avgLatency.mean());
-    EXPECT_DOUBLE_EQ(reps[1].worstLatency.max(),
-                     reps[0].worstLatency.max());
+    ASSERT_EQ(reps[1].size(), seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i)
+        EXPECT_EQ(resultHash(reps[1][i]), resultHash(reps[0][i]))
+            << "seed " << seeds[i].workload.seed;
     EXPECT_GE(wp.pool.stats().tasks, rates.size() + seeds.size());
 }
 
@@ -444,7 +449,8 @@ TEST(SweepCache, CorruptDiskEntryIsRecomputed)
     remote.endpoints = {net::Endpoint{"127.0.0.1", daemon.boundPort()}};
     remote.useLocalCache = true;
     setRemoteConfig(remote);
-    const std::vector<SynthResult> viaDaemon = cachedRuns(cfg, 1, {workload});
+    const std::vector<SynthResult> viaDaemon =
+        runPoints({{cfg, 1, workload}});
     clearRemoteConfig();
     daemon.stop();
     ASSERT_EQ(viaDaemon.size(), 1u);

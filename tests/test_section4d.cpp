@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "noc/network.hpp"
-#include "noc/router.hpp"
+#include "route_once.hpp"
 
 namespace fasttrack {
 namespace {
@@ -42,10 +42,10 @@ TEST_F(Section4D, TurnCanDeflectColumnTrafficEast)
     // "Thus W -> S turn has higher priority and can cause N packet to
     // get deflected E, a turn that is not normally possible."
     Router router = makeRouter(NocConfig::hoplite(kN), {2, 2});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wSh)] = pkt({2, 5}, 1); // turning
     in[static_cast<int>(InPort::nSh)] = pkt({2, 6}, 2); // column
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::sSh)]->id, 1u);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::eSh)]->id, 2u);
 }
@@ -72,11 +72,11 @@ TEST_F(Section4D, WexTurnHasHighestPriority)
 {
     // "This assigns the highest priority to the WEx or NEx ports..."
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {4, 4});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wEx)] = pkt({4, 5}, 1);  // turn S_SH
     in[static_cast<int>(InPort::wSh)] = pkt({4, 6}, 2);  // also wants S
     in[static_cast<int>(InPort::nSh)] = pkt({4, 7}, 3);  // also wants S
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::sSh)]->id, 1u);
 }
 
@@ -86,10 +86,10 @@ TEST_F(Section4D, DeflectedWshReturnsAsExpress)
     // port and return as a higher priority WEx packet after exactly
     // one traversal around the ring."
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {4, 4});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wEx)] = pkt({4, 5}, 1); // takes S_SH
     in[static_cast<int>(InPort::wSh)] = pkt({4, 5}, 2); // deflected
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     // The deflected W_SH leaves on E_EX (wrap-aligned 8x8, D=2).
     ASSERT_TRUE(res.out[static_cast<int>(OutPort::eEx)]);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::eEx)]->id, 2u);
@@ -104,10 +104,10 @@ TEST_F(Section4D, NexDeflectsToEExAndReturns)
     NocConfig cfg = NocConfig::fastTrack(kN, 2, 1);
     cfg.allowExpressTurn = true;
     Router router = makeRouter(cfg, {4, 4});
-    Router::Inputs in{};
+    RouterInputs in{};
     in[static_cast<int>(InPort::wEx)] = pkt({4, 6}, 1);  // S_EX turn
     in[static_cast<int>(InPort::nEx)] = pkt({4, 6}, 2);  // S_EX too
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::sEx)]->id, 1u);
     ASSERT_TRUE(res.out[static_cast<int>(OutPort::eEx)]);
     EXPECT_EQ(res.out[static_cast<int>(OutPort::eEx)]->id, 2u);
@@ -118,12 +118,12 @@ TEST_F(Section4D, NPacketsMayTakeEitherEastPort)
     // "To avoid livelocks at exits, we must allow N packets to take
     // either E ports."
     Router router = makeRouter(NocConfig::fastTrack(kN, 2, 1), {4, 4});
-    Router::Inputs in{};
+    RouterInputs in{};
     // Both N inputs at destination; W_EX takes the short exit first.
     in[static_cast<int>(InPort::wEx)] = pkt({4, 4}, 1);  // exits S_SH
     in[static_cast<int>(InPort::nEx)] = pkt({4, 4}, 2);  // exit S_EX
     in[static_cast<int>(InPort::nSh)] = pkt({4, 4}, 3);  // blocked
-    const auto res = router.route(in, std::nullopt, true, 0, stats_);
+    const auto res = route(router, in, std::nullopt, true, 0, stats_);
     ASSERT_TRUE(res.delivered.has_value());
     // The losers leave on the two East ports (one each).
     const bool e_sh = res.out[static_cast<int>(OutPort::eSh)]
