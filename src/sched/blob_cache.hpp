@@ -83,10 +83,13 @@ class BlobCache
         std::uint64_t memoryEvictions = 0;
     };
 
-    /** Payload bytes the in-memory tier may hold. Within one pass of
-     *  the full bench_all grid a point recurs at most 2 MiB of inserts
-     *  later, so twice that keeps every such hit; more would only let
-     *  a long-lived daemon hold points nobody asks for again. */
+    /** Payload bytes the in-memory tier may hold. Sized for the
+     *  points bench_all's grid repeats within a pass, which the point
+     *  executor now drops before they run; it still keeps a grid
+     *  issued call by call in memory across its calls and lets a warm
+     *  daemon answer recent requests from memory, while bounding what
+     *  a long-lived daemon holds of points nobody asks for again
+     *  (docs/scheduler.md, "Memory tier"). */
     static constexpr std::uint64_t kMemoryBudgetBytes = std::uint64_t{4}
                                                         << 20;
 
