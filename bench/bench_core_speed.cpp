@@ -15,6 +15,7 @@
 #include "noc/network.hpp"
 #include "noc/router.hpp"
 #include "sim/simulation.hpp"
+#include "sim/sweep_cache.hpp"
 #include "sim/telemetry_session.hpp"
 #include "workloads/dataflow.hpp"
 #include "workloads/spmv.hpp"
@@ -282,6 +283,38 @@ BM_TraceBuild(benchmark::State &state, Trace (*make)())
     state.SetItemsProcessed(state.iterations() * messages);
 }
 
+/**
+ * The sweep-cache codec on the payload shape of the largest sweep
+ * entries: one saturated 8x8 FT(64,2,1) RANDOM result (rate 1.0, the
+ * paper's 1024 packets per PE), encoded and decoded back per
+ * iteration. A disk hit, a remote answer and a store each pay one
+ * side of it.
+ */
+void
+BM_SynthResultCodec(benchmark::State &state)
+{
+    const NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    SyntheticWorkload workload;
+    workload.pattern = TrafficPattern::random;
+    workload.injectionRate = 1.0;
+    workload.packetsPerPe = 1024;
+    const SynthResult result =
+        runSim({.config = &cfg, .workload = &workload}).synth;
+
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::vector<std::uint8_t> payload = encodeSynthResult(result);
+        SynthResult decoded;
+        if (!decodeSynthResult(payload, decoded))
+            state.SkipWithError("payload failed to decode");
+        bytes = payload.size();
+        benchmark::DoNotOptimize(decoded.stats.delivered);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+    state.counters["payload_bytes"] = static_cast<double>(bytes);
+}
+
 } // namespace
 
 BENCHMARK(BM_NetworkStep)
@@ -311,3 +344,4 @@ BENCHMARK_CAPTURE(BM_TraceBuild, spmv, &spmvBenchTrace)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TraceBuild, lu, &luBenchTrace)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SynthResultCodec)->Unit(benchmark::kMicrosecond);

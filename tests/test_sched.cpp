@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -312,6 +314,73 @@ TEST(SweepCache, CodecRoundTripsAndRejectsTruncation)
     padded.push_back(0);
     SynthResult sink;
     EXPECT_FALSE(decodeSynthResult(padded, sink));
+}
+
+using Bins = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/** A sweep-cache entry payload written field by field, in the order
+ *  encodeNocStats and encodeSynthResult use: the NocStats counters
+ *  (all zero), the four histograms' (value, count) lists exactly as
+ *  given, then cycles, pes, offered rate and the completed flag. */
+std::vector<std::uint8_t>
+handWrittenEntry(const std::array<Bins, 4> &hists)
+{
+    net::WireWriter w;
+    for (std::size_t i = 0; i < 8 + 2 * kNumInPorts; ++i)
+        w.u64(0);
+    for (const Bins &bins : hists) {
+        w.u64(bins.size());
+        for (const auto &[value, count] : bins) {
+            w.u64(value);
+            w.u64(count);
+        }
+    }
+    w.u64(1234);
+    w.u32(16);
+    w.f64(0.25);
+    w.u8(1);
+    return w.take();
+}
+
+TEST(SweepCache, HistogramDecodeSumsOutOfOrderAndRepeatedBins)
+{
+    // Total latency lists its bins in descending order with value 40
+    // twice; hop count repeats value 3 around another bin.
+    const std::array<Bins, 4> hists = {
+        Bins{{70'000, 1}, {40, 2}, {40, 3}, {12, 5}, {7, 1}},
+        Bins{{5, 2}},
+        Bins{{3, 1}, {9, 2}, {3, 4}},
+        Bins{}};
+    SynthResult expected;
+    expected.cycles = 1234;
+    expected.pes = 16;
+    expected.offeredRate = 0.25;
+    expected.completed = true;
+    Histogram *const into[] = {
+        &expected.stats.totalLatency, &expected.stats.networkLatency,
+        &expected.stats.hopCount, &expected.stats.deflectionCount};
+    for (std::size_t h = 0; h < hists.size(); ++h) {
+        for (const auto &[value, count] : hists[h]) {
+            for (std::uint64_t k = 0; k < count; ++k)
+                into[h]->add(value);
+        }
+    }
+
+    SynthResult decoded;
+    ASSERT_TRUE(decodeSynthResult(handWrittenEntry(hists), decoded));
+    EXPECT_EQ(decoded.stats.totalLatency.bins(),
+              expected.stats.totalLatency.bins());
+    EXPECT_EQ(decoded.stats.totalLatency.count(), 12u);
+    EXPECT_EQ(decoded.stats.totalLatency.mean(),
+              expected.stats.totalLatency.mean());
+    EXPECT_EQ(decoded.stats.hopCount.bins(),
+              expected.stats.hopCount.bins());
+    EXPECT_EQ(encodeSynthResult(decoded), encodeSynthResult(expected));
+
+    std::array<Bins, 4> zero = hists;
+    zero[2][1].second = 0;
+    SynthResult sink;
+    EXPECT_FALSE(decodeSynthResult(handWrittenEntry(zero), sink));
 }
 
 TEST(SweepCache, KeySeparatesEveryInput)
