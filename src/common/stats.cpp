@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -63,6 +65,78 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
+namespace {
+
+using Bin = Histogram::Bin;
+
+/** Append (@p value, @p count) to the ascending @p out, summing into
+ *  its last bin when that holds the same value; a zero count adds
+ *  nothing. */
+void
+appendBin(std::vector<Bin> &out, std::uint64_t value, std::uint64_t count)
+{
+    if (count == 0)
+        return;
+    if (!out.empty() && out.back().first == value)
+        out.back().second += count;
+    else
+        out.emplace_back(value, count);
+}
+
+/** The ascending union of the ascending @p a and @p b, the counts of
+ *  one value summed into one bin. */
+std::vector<Bin>
+mergeBins(const std::vector<Bin> &a, const std::vector<Bin> &b)
+{
+    std::vector<Bin> out;
+    out.reserve(a.size() + b.size());
+    auto i = a.begin();
+    auto j = b.begin();
+    while (i != a.end() || j != b.end()) {
+        const bool from_a =
+            j == b.end() || (i != a.end() && i->first <= j->first);
+        const Bin &next = from_a ? *i++ : *j++;
+        appendBin(out, next.first, next.second);
+    }
+    out.shrink_to_fit();
+    return out;
+}
+
+} // namespace
+
+Histogram::Histogram(const Histogram &other)
+    : bins_(other.sortedBins()), count_(other.count_), sum_(other.sum_)
+{
+}
+
+Histogram &
+Histogram::operator=(const Histogram &other)
+{
+    if (this != &other)
+        *this = Histogram(other);
+    return *this;
+}
+
+Histogram::Histogram(Histogram &&other) noexcept
+    : bins_(std::exchange(other.bins_, {})),
+      dense_(std::exchange(other.dense_, {})),
+      dirty_(std::exchange(other.dirty_, false)),
+      count_(std::exchange(other.count_, 0)),
+      sum_(std::exchange(other.sum_, 0))
+{
+}
+
+Histogram &
+Histogram::operator=(Histogram &&other) noexcept
+{
+    bins_ = std::exchange(other.bins_, {});
+    dense_ = std::exchange(other.dense_, {});
+    dirty_ = std::exchange(other.dirty_, false);
+    count_ = std::exchange(other.count_, 0);
+    sum_ = std::exchange(other.sum_, 0);
+    return *this;
+}
+
 void
 Histogram::growDense(std::uint64_t value)
 {
@@ -71,16 +145,75 @@ Histogram::growDense(std::uint64_t value)
 }
 
 void
+Histogram::addSparse(std::uint64_t value, std::uint64_t weight)
+{
+    if (weight == 0)
+        return;
+    // Such values are rare and arrive close to in order (the queueing
+    // delay of a long saturated run grows with time), so the insert
+    // lands at or near the end.
+    const auto at = std::lower_bound(
+        bins_.begin(), bins_.end(), value,
+        [](const Bin &b, std::uint64_t v) { return b.first < v; });
+    if (at != bins_.end() && at->first == value)
+        at->second += weight;
+    else
+        bins_.insert(at, {value, weight});
+}
+
+void
+Histogram::addBins(std::vector<Bin> bins)
+{
+    const auto ascending = [](const Bin &a, const Bin &b) {
+        return a.first < b.first;
+    };
+    if (!std::is_sorted(bins.begin(), bins.end(), ascending))
+        std::sort(bins.begin(), bins.end(), ascending);
+    // Sum the repeats of each value into one bin, in place.
+    auto last = bins.begin();
+    for (const auto &[value, n] : bins) {
+        count_ += n;
+        sum_ += value * n;
+        if (n == 0)
+            continue;
+        if (last != bins.begin() && std::prev(last)->first == value)
+            std::prev(last)->second += n;
+        else
+            *last++ = {value, n};
+    }
+    bins.erase(last, bins.end());
+    bins_ = bins_.empty() ? std::move(bins) : mergeBins(bins_, bins);
+}
+
+std::vector<Bin>
+Histogram::sortedBins() const
+{
+    if (!dirty_)
+        return bins_;
+    const auto pending = static_cast<std::size_t>(
+        std::count_if(dense_.begin(), dense_.end(),
+                      [](std::uint64_t n) { return n != 0; }));
+    std::vector<Bin> out;
+    out.reserve(bins_.size() + pending);
+    auto it = bins_.begin();
+    for (std::uint64_t v = 0; v < dense_.size(); ++v) {
+        if (dense_[v] == 0)
+            continue;
+        for (; it != bins_.end() && it->first <= v; ++it)
+            appendBin(out, it->first, it->second);
+        appendBin(out, v, dense_[v]);
+    }
+    out.insert(out.end(), it, bins_.end());
+    return out;
+}
+
+void
 Histogram::flush() const
 {
     if (!dirty_)
         return;
-    for (std::uint64_t v = 0; v < dense_.size(); ++v) {
-        if (dense_[v]) {
-            bins_[v] += dense_[v];
-            dense_[v] = 0;
-        }
-    }
+    bins_ = sortedBins();
+    std::fill(dense_.begin(), dense_.end(), 0);
     dirty_ = false;
 }
 
@@ -88,9 +221,7 @@ void
 Histogram::merge(const Histogram &other)
 {
     flush();
-    other.flush();
-    for (const auto &[value, n] : other.bins_)
-        bins_[value] += n;
+    bins_ = mergeBins(bins_, other.sortedBins());
     count_ += other.count_;
     sum_ += other.sum_;
 }
@@ -98,11 +229,7 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::reset()
 {
-    bins_.clear();
-    dense_.clear();
-    dirty_ = false;
-    count_ = 0;
-    sum_ = 0;
+    *this = Histogram{};
 }
 
 double
@@ -117,14 +244,14 @@ std::uint64_t
 Histogram::min() const
 {
     flush();
-    return bins_.empty() ? 0 : bins_.begin()->first;
+    return bins_.empty() ? 0 : bins_.front().first;
 }
 
 std::uint64_t
 Histogram::max() const
 {
     flush();
-    return bins_.empty() ? 0 : bins_.rbegin()->first;
+    return bins_.empty() ? 0 : bins_.back().first;
 }
 
 std::uint64_t
@@ -142,7 +269,7 @@ Histogram::percentile(double p) const
         if (seen >= target)
             return value;
     }
-    return bins_.rbegin()->first;
+    return bins_.back().first;
 }
 
 double

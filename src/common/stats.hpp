@@ -8,8 +8,8 @@
 #define FT_COMMON_STATS_HPP
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fasttrack {
@@ -43,14 +43,29 @@ class RunningStat
 
 /**
  * Exact histogram over non-negative integer samples (e.g. packet
- * latencies in cycles). Small values hit a dense counter array on the
- * write path; the sparse map is materialized lazily on first read, so
- * hot-loop add() costs one array increment instead of a map lookup.
- * Supports exact percentiles and log-spaced bucketing for printing.
+ * latencies in cycles). Its one stored form is a vector of
+ * (value, count) bins sorted by value. A histogram that is being
+ * written (a live device's stats) also keeps a dense counter array
+ * for small values, so the hot-loop add() costs one array increment;
+ * the first read merges those counters into the bins. A copy holds
+ * only the sorted bins: it merges the source's pending counters
+ * without touching the source. Supports exact percentiles and
+ * log-spaced bucketing for printing.
  */
 class Histogram
 {
   public:
+    /** One (value, count) pair; bins() lists them ascending by value,
+     *  each value once, no count zero. */
+    using Bin = std::pair<std::uint64_t, std::uint64_t>;
+
+    Histogram() = default;
+    Histogram(const Histogram &other);
+    Histogram &operator=(const Histogram &other);
+    /** A moved-from histogram is empty. */
+    Histogram(Histogram &&other) noexcept;
+    Histogram &operator=(Histogram &&other) noexcept;
+
     void add(std::uint64_t value, std::uint64_t weight = 1)
     {
         count_ += weight;
@@ -62,8 +77,12 @@ class Histogram
             dirty_ = true;
             return;
         }
-        bins_[value] += weight;
+        addSparse(value, weight);
     }
+
+    /** Add every (value, count) pair of @p bins as add(value, count)
+     *  would: any order, repeated values summed. */
+    void addBins(std::vector<Bin> bins);
 
     void merge(const Histogram &other);
     void reset();
@@ -93,8 +112,8 @@ class Histogram
     std::vector<std::pair<std::uint64_t, std::uint64_t>>
     logBuckets() const;
 
-    /** Raw sparse (value -> count) view, ascending by value. */
-    const std::map<std::uint64_t, std::uint64_t> &bins() const
+    /** The sorted (value, count) bins, ascending by value. */
+    const std::vector<Bin> &bins() const
     {
         flush();
         return bins_;
@@ -105,10 +124,16 @@ class Histogram
     static constexpr std::uint64_t kDenseCap = 65536;
 
     void growDense(std::uint64_t value);
-    /** Drain dense counters into the sparse map (totals unchanged). */
+    /** Insert a value past the dense range into the sorted bins. */
+    void addSparse(std::uint64_t value, std::uint64_t weight);
+    /** The bins with the dense counters merged in; *this unchanged. */
+    std::vector<Bin> sortedBins() const;
+    /** Merge the dense counters into the bins (totals unchanged). */
     void flush() const;
 
-    mutable std::map<std::uint64_t, std::uint64_t> bins_;
+    mutable std::vector<Bin> bins_;
+    /** Pending counts of values below kDenseCap; all zero unless
+     *  dirty_. Only a histogram being written holds it. */
     mutable std::vector<std::uint64_t> dense_;
     mutable bool dirty_ = false;
     std::uint64_t count_ = 0;

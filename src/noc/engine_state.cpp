@@ -7,6 +7,10 @@
 
 #include "noc/engine_state.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/logging.hpp"
 #include "noc/network.hpp"
 
@@ -122,12 +126,18 @@ decodeHistogram(net::WireReader &r, Histogram &h)
     std::uint64_t nbins = 0;
     if (!r.u64(nbins))
         return false;
+    // nbins comes from the input: reserve no more bins than the
+    // remaining bytes can hold (16 bytes each).
+    std::vector<Histogram::Bin> bins;
+    bins.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(nbins, r.remaining() / 16)));
     for (std::uint64_t i = 0; i < nbins; ++i) {
         std::uint64_t value = 0, count = 0;
         if (!r.u64(value) || !r.u64(count) || count == 0)
             return false;
-        h.add(value, count);
+        bins.emplace_back(value, count);
     }
+    h.addBins(std::move(bins));
     return true;
 }
 

@@ -101,8 +101,9 @@ struct EngineState
 void encodePacket(net::WireWriter &w, const Packet &p);
 bool decodePacket(net::WireReader &r, Packet &p);
 
-/** bin-count prefix + (value, count) pairs; decode rejects zero
- *  counts. */
+/** bin-count prefix + (value, count) pairs, ascending by value.
+ *  Decode adds the pairs to @p h in any order, repeats summed, and
+ *  rejects zero counts. */
 void encodeHistogram(net::WireWriter &w, const Histogram &h);
 bool decodeHistogram(net::WireReader &r, Histogram &h);
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "net/wire.hpp"
@@ -65,7 +66,7 @@ decodeSynthResult(const std::vector<std::uint8_t> &payload,
         return false;
     result.cycles = cycles;
     result.completed = completed != 0;
-    out = result;
+    out = std::move(result);
     return true;
 }
 
