@@ -94,6 +94,19 @@ TEST(Wire, EncodingIsLittleEndianByteForByte)
     EXPECT_EQ(w.buffer(), expected);
 }
 
+TEST(Wire, ByteSwapReversesEachWidth)
+{
+    // The swap a big-endian host applies to every field; no such host
+    // runs the suite, so pin it on literals here.
+    EXPECT_EQ(byteSwap(std::uint16_t{0x1122}), std::uint16_t{0x2211});
+    EXPECT_EQ(byteSwap(std::uint32_t{0x11223344u}), 0x44332211u);
+    EXPECT_EQ(byteSwap(std::uint64_t{0x0102030405060708ull}),
+              0x0807060504030201ull);
+    static_assert(byteSwap(std::uint32_t{0x000000ffu}) == 0xff000000u);
+    static_assert(byteSwap(byteSwap(std::uint64_t{0xdeadbeefull})) ==
+                  0xdeadbeefull);
+}
+
 TEST(Wire, TruncatedReadsFailCleanly)
 {
     WireWriter w;
