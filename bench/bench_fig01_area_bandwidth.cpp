@@ -12,8 +12,7 @@
 #include "bench_util.hpp"
 #include "fpga/area_model.hpp"
 #include "fpga/reference_data.hpp"
-#include "noc/buffered.hpp"
-#include "noc/vc_torus.hpp"
+#include "noc/input_queued.hpp"
 #include "sim/experiment.hpp"
 
 using namespace fasttrack;
@@ -86,7 +85,7 @@ main(int argc, char **argv)
     // Buffered baseline: *measured* switch rate from our CONNECT-class
     // simulator, costed with CONNECT's published LUTs and clock.
     {
-        BufferedNetwork noc(8, 16);
+        auto noc = InputQueuedNetwork::mesh(8, 16);
         SyntheticWorkload workload;
         workload.pattern = TrafficPattern::random;
         workload.injectionRate = 1.0;
@@ -108,7 +107,7 @@ main(int argc, char **argv)
     // High-performance ASIC-style baseline: 4-VC torus measured with
     // our simulator, costed with OpenSMART's published LUTs and clock.
     {
-        VcTorusNetwork noc(8, 4, 4);
+        auto noc = InputQueuedNetwork::torus(8, 4, 4);
         SyntheticWorkload workload;
         workload.pattern = TrafficPattern::random;
         workload.injectionRate = 1.0;

@@ -28,8 +28,8 @@
 
 // NoC core
 #include "noc/analysis.hpp"
-#include "noc/buffered.hpp"
 #include "noc/config.hpp"
+#include "noc/input_queued.hpp"
 #include "noc/multichannel.hpp"
 #include "noc/network.hpp"
 #include "noc/noc_device.hpp"
@@ -39,7 +39,6 @@
 #include "noc/routing.hpp"
 #include "noc/smart.hpp"
 #include "noc/topology.hpp"
-#include "noc/vc_torus.hpp"
 
 // Traffic and workloads
 #include "traffic/injector.hpp"

@@ -8,7 +8,7 @@
 #include <map>
 
 #include "common/rng.hpp"
-#include "noc/buffered.hpp"
+#include "noc/input_queued.hpp"
 #include "sim/simulation.hpp"
 
 namespace fasttrack {
@@ -26,7 +26,7 @@ pkt(NodeId src, NodeId dst, std::uint64_t id = 1)
 
 TEST(Buffered, ZeroLoadXyPath)
 {
-    BufferedNetwork noc(8, 4);
+    auto noc = InputQueuedNetwork::mesh(8, 4);
     std::optional<Packet> got;
     Cycle when = 0;
     noc.setDeliverCallback([&](const Packet &p, Cycle c) {
@@ -44,7 +44,7 @@ TEST(Buffered, ZeroLoadXyPath)
 
 TEST(Buffered, MeshHasNoWraparound)
 {
-    BufferedNetwork noc(4, 2);
+    auto noc = InputQueuedNetwork::mesh(4, 2);
     std::optional<Packet> got;
     noc.setDeliverCallback(
         [&](const Packet &p, Cycle) { got = p; });
@@ -57,7 +57,7 @@ TEST(Buffered, MeshHasNoWraparound)
 TEST(Buffered, NeverDropsUnderSaturation)
 {
     for (std::uint32_t depth : {1u, 2u, 8u}) {
-        BufferedNetwork noc(8, depth);
+        auto noc = InputQueuedNetwork::mesh(8, depth);
         std::map<std::uint64_t, int> seen;
         noc.setDeliverCallback(
             [&](const Packet &p, Cycle) { ++seen[p.id]; });
@@ -86,7 +86,7 @@ TEST(Buffered, BackpressureBlocksInjection)
 {
     // Hotspot: everyone sends to one corner; with depth-1 FIFOs the
     // network must assert backpressure rather than lose packets.
-    BufferedNetwork noc(4, 1);
+    auto noc = InputQueuedNetwork::mesh(4, 1);
     std::uint64_t delivered = 0;
     noc.setDeliverCallback(
         [&](const Packet &, Cycle) { ++delivered; });
@@ -113,7 +113,7 @@ TEST(Buffered, HigherSaturationThanHoplite)
     workload.injectionRate = 1.0;
     workload.packetsPerPe = 256;
 
-    BufferedNetwork buffered(8, 8);
+    auto buffered = InputQueuedNetwork::mesh(8, 8);
     const SynthResult b = runSynthetic(buffered, workload, 5'000'000);
     const SynthResult h =
         runSynthetic(NocConfig::hoplite(8), 1, workload, 5'000'000);
@@ -128,7 +128,7 @@ TEST(Buffered, DeeperFifosHelpThroughput)
         workload.pattern = TrafficPattern::random;
         workload.injectionRate = 1.0;
         workload.packetsPerPe = 200;
-        BufferedNetwork noc(8, depth);
+        auto noc = InputQueuedNetwork::mesh(8, depth);
         return runSynthetic(noc, workload, 5'000'000).sustainedRate();
     };
     EXPECT_GT(rate(8), rate(1));
@@ -138,7 +138,7 @@ TEST(Buffered, FairRoundRobinUnderContention)
 {
     // Two streams crossing one output: deliveries should interleave
     // roughly evenly.
-    BufferedNetwork noc(4, 4);
+    auto noc = InputQueuedNetwork::mesh(4, 4);
     std::map<NodeId, std::uint64_t> by_src;
     noc.setDeliverCallback(
         [&](const Packet &p, Cycle) { ++by_src[p.src]; });
@@ -167,7 +167,7 @@ TEST(Buffered, WorksWithTraceReplay)
     t.n = 4;
     t.add({0, 15, 0, 0});
     t.add({15, 0, 0, 2}, {0});
-    BufferedNetwork noc(4, 4);
+    auto noc = InputQueuedNetwork::mesh(4, 4);
     const RunResult r = runSim(
         {.device = &noc, .trace = &t, .sim = {.maxCycles = 10000}});
     EXPECT_TRUE(r.trace.completed);

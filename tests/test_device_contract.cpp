@@ -10,10 +10,9 @@
 #include <functional>
 #include <memory>
 
-#include "noc/buffered.hpp"
+#include "noc/input_queued.hpp"
 #include "noc/multichannel.hpp"
 #include "noc/smart.hpp"
-#include "noc/vc_torus.hpp"
 #include "sim/simulation.hpp"
 
 namespace fasttrack {
@@ -42,12 +41,12 @@ class DeviceContractTest : public ::testing::TestWithParam<int>
                      new SmartNetwork(4, 4));
              }},
             {"buffered", [] {
-                 return std::unique_ptr<NocDevice>(
-                     new BufferedNetwork(4, 4));
+                 return std::make_unique<InputQueuedNetwork>(
+                     InputQueuedNetwork::mesh(4, 4));
              }},
             {"vc-torus", [] {
-                 return std::unique_ptr<NocDevice>(
-                     new VcTorusNetwork(4, 2, 4));
+                 return std::make_unique<InputQueuedNetwork>(
+                     InputQueuedNetwork::torus(4, 2, 4));
              }},
         };
         return factories[::testing::TestWithParam<int>::GetParam()];

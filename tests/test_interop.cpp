@@ -8,10 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include "noc/buffered.hpp"
+#include "noc/input_queued.hpp"
 #include "noc/network.hpp"
 #include "noc/smart.hpp"
-#include "noc/vc_torus.hpp"
 #include "sim/simulation.hpp"
 #include "traffic/segmentation.hpp"
 #include "workloads/dataflow.hpp"
@@ -34,8 +33,10 @@ TEST(Interop, EveryDeviceReplaysTheSameTrace)
     devices.push_back(makeNoc(NocConfig::fastTrack(4, 2, 1), 1));
     devices.push_back(makeNoc(NocConfig::hoplite(4), 2));
     devices.emplace_back(new SmartNetwork(4, 4));
-    devices.emplace_back(new BufferedNetwork(4, 4));
-    devices.emplace_back(new VcTorusNetwork(4, 2, 4));
+    devices.push_back(std::make_unique<InputQueuedNetwork>(
+        InputQueuedNetwork::mesh(4, 4)));
+    devices.push_back(std::make_unique<InputQueuedNetwork>(
+        InputQueuedNetwork::torus(4, 2, 4)));
 
     for (auto &dev : devices) {
         const RunResult r =
@@ -113,9 +114,9 @@ TEST(Interop, ZeroLoadLatencyOrderingAcrossClasses)
                                    workload).avgLatency();
     const double hop =
         runSynthetic(NocConfig::hoplite(8), 1, workload).avgLatency();
-    BufferedNetwork mesh(8, 4);
+    auto mesh = InputQueuedNetwork::mesh(8, 4);
     const double mesh_lat = runSynthetic(mesh, workload).avgLatency();
-    VcTorusNetwork torus(8, 2, 4);
+    auto torus = InputQueuedNetwork::torus(8, 2, 4);
     const double torus_lat =
         runSynthetic(torus, workload).avgLatency();
 

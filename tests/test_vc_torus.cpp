@@ -10,7 +10,7 @@
 #include <map>
 
 #include "common/rng.hpp"
-#include "noc/vc_torus.hpp"
+#include "noc/input_queued.hpp"
 #include "sim/simulation.hpp"
 
 namespace fasttrack {
@@ -28,7 +28,7 @@ pkt(NodeId src, NodeId dst, std::uint64_t id = 1)
 
 TEST(VcTorus, ShortestPathUsesWraparound)
 {
-    VcTorusNetwork noc(8, 2, 4);
+    auto noc = InputQueuedNetwork::torus(8, 2, 4);
     std::optional<Packet> got;
     noc.setDeliverCallback(
         [&](const Packet &p, Cycle) { got = p; });
@@ -41,7 +41,7 @@ TEST(VcTorus, ShortestPathUsesWraparound)
 
 TEST(VcTorus, ShortestPathBothDirections)
 {
-    VcTorusNetwork noc(8, 2, 4);
+    auto noc = InputQueuedNetwork::torus(8, 2, 4);
     std::optional<Packet> got;
     noc.setDeliverCallback(
         [&](const Packet &p, Cycle) { got = p; });
@@ -56,7 +56,7 @@ TEST(VcTorus, DeadlockFreeUnderRingSaturation)
     // The classic torus deadlock: every node floods its own row with
     // half-ring transfers so the wraparound cycle fills. The dateline
     // VCs must keep it live.
-    VcTorusNetwork noc(8, 2, 2);
+    auto noc = InputQueuedNetwork::torus(8, 2, 2);
     std::map<std::uint64_t, int> seen;
     noc.setDeliverCallback(
         [&](const Packet &p, Cycle) { ++seen[p.id]; });
@@ -80,7 +80,7 @@ TEST(VcTorus, DeadlockFreeUnderRingSaturation)
 TEST(VcTorus, SaturatedRandomConserves)
 {
     for (std::uint32_t vcs : {2u, 4u}) {
-        VcTorusNetwork noc(8, vcs, 2);
+        auto noc = InputQueuedNetwork::torus(8, vcs, 2);
         SyntheticWorkload workload;
         workload.pattern = TrafficPattern::random;
         workload.injectionRate = 1.0;
@@ -97,7 +97,7 @@ TEST(VcTorus, BeatsMeshOnWrapHeavyTraffic)
     // The torus' raison d'etre: average distance is nearly halved, so
     // on uniform random it beats both Hoplite (deflections) and
     // should show the highest packets/cycle of all baselines.
-    VcTorusNetwork torus(8, 2, 8);
+    auto torus = InputQueuedNetwork::torus(8, 2, 8);
     SyntheticWorkload workload;
     workload.pattern = TrafficPattern::random;
     workload.injectionRate = 1.0;
@@ -111,7 +111,7 @@ TEST(VcTorus, BeatsMeshOnWrapHeavyTraffic)
 
 TEST(VcTorus, ZeroLoadLatencyNearDistance)
 {
-    VcTorusNetwork noc(8, 2, 4);
+    auto noc = InputQueuedNetwork::torus(8, 2, 4);
     Cycle when = 0;
     Packet seen;
     noc.setDeliverCallback([&](const Packet &p, Cycle c) {
@@ -127,7 +127,7 @@ TEST(VcTorus, ZeroLoadLatencyNearDistance)
 
 TEST(VcTorusDeathTest, NeedsEscapeVc)
 {
-    EXPECT_DEATH(VcTorusNetwork(8, 1, 4), "2 VCs");
+    EXPECT_DEATH(InputQueuedNetwork::torus(8, 1, 4), "2 VCs");
 }
 
 } // namespace
