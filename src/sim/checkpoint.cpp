@@ -279,8 +279,11 @@ writeSnapshotFile(const std::string &dir, std::uint64_t key,
             return SnapshotStatus::ioError;
         os.write(reinterpret_cast<const char *>(w.buffer().data()),
                  static_cast<std::streamsize>(w.size()));
-        if (!os)
+        os.close();
+        if (!os) {
+            fs::remove(tmp, ec);
             return SnapshotStatus::ioError;
+        }
     }
     fs::rename(tmp, path, ec);
     if (ec) {

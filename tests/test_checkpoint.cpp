@@ -414,6 +414,31 @@ TEST(Checkpoint, SnapshotFileNameHoldsEveryCycleValue)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Checkpoint, FailedRenameLeavesNoTempFile)
+{
+    // A directory squats on the snapshot's file name, so renaming the
+    // written temp file into place fails: the write reports ioError
+    // and leaves no temp file behind.
+    const std::string dir = scratchDir("failed_rename");
+    const NocConfig cfg = NocConfig::hoplite(4);
+    const SyntheticWorkload w = checkpointWorkload();
+    Snapshot snap;
+    ASSERT_TRUE(runSim({.config = &cfg,
+                        .workload = &w,
+                        .sim = {.maxCycles = 16, .captureFinal = &snap}})
+                    .finalCaptured);
+    std::filesystem::create_directories(dir + "/" +
+                                        snapshotFileName(snap.cycle()));
+
+    EXPECT_EQ(writeSnapshotFile(dir, 5, snap), SnapshotStatus::ioError);
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Checkpoint, HostileSnapshotFilesAreRejected)
 {
     const std::string dir = scratchDir("hostile");

@@ -468,6 +468,30 @@ TEST(BlobCache, CorruptAndTruncatedEntriesAreRejected)
     std::filesystem::remove_all(dir);
 }
 
+TEST(BlobCache, FailedRenameLeavesNoTempFile)
+{
+    // A directory squats on the entry's path, so renaming the written
+    // temp file into place fails. The temp file must go with it: the
+    // disk cap neither counts nor evicts such names.
+    const std::string dir = scratchDir("failed_rename");
+    sched::BlobCache cache("test_cache", 7);
+    cache.setDir(dir);
+    const std::uint64_t key = 77;
+    std::filesystem::create_directories(cache.entryPath(key));
+
+    cache.store(key, {1, 2, 3});
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
+    }
+    EXPECT_EQ(cache.stats().diskWrites, 0u);
+    const auto loaded = cache.lookup(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, (std::vector<std::uint8_t>{1, 2, 3}));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepCache, CorruptDiskEntryIsRecomputed)
 {
     const std::string dir = scratchDir("recompute");
