@@ -39,8 +39,6 @@ class AsciiChart
 
     void print(std::ostream &os) const;
 
-    std::size_t seriesCount() const { return series_.size(); }
-
   private:
     struct Series
     {

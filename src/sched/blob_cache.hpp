@@ -116,7 +116,6 @@ class BlobCache
      * on the hit path. The entry just written is never evicted.
      */
     void setMaxDiskBytes(std::uint64_t max_bytes);
-    std::uint64_t maxDiskBytes() const;
 
     /** Current on-disk store size in bytes (0 when detached). */
     std::uint64_t diskBytes() const;

@@ -29,13 +29,6 @@ MetricsRegistry::counterValue(const std::string &name) const
     return it == counters_.end() ? 0 : it->second;
 }
 
-double
-MetricsRegistry::gaugeValue(const std::string &name) const
-{
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
 void
 MetricsRegistry::snapshot(Cycle now)
 {

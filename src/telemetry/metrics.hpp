@@ -47,7 +47,6 @@ class MetricsRegistry
     Histogram &histogram(const std::string &name);
 
     std::uint64_t counterValue(const std::string &name) const;
-    double gaugeValue(const std::string &name) const;
 
     /** Freeze the current counter/gauge values as the epoch row
      *  ending at simulated cycle @p now. */

@@ -113,18 +113,6 @@ TraceSink::threadLog(std::size_t i)
     return *logs_[i];
 }
 
-KindCounts
-TraceSink::totalCounts() const
-{
-    MutexLock lock(mutex_);
-    KindCounts total;
-    for (const auto &log : logs_) {
-        for (std::size_t k = 0; k < kNumEventKinds; ++k)
-            total.byKind[k] += log->counts().byKind[k];
-    }
-    return total;
-}
-
 std::vector<std::uint64_t>
 TraceSink::totalLinkCounts() const
 {

@@ -162,7 +162,6 @@ class TraceSink
     std::size_t threadCount() const;
     const ThreadLog &threadLog(std::size_t i) const;
     ThreadLog &threadLog(std::size_t i);
-    KindCounts totalCounts() const;
     /** Per-link totals summed over threads (node * 4 + port). */
     std::vector<std::uint64_t> totalLinkCounts() const;
     std::uint64_t totalDropped() const;
