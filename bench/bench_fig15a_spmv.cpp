@@ -18,7 +18,8 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv,
+                     bench::telemetryFlags(bench::traceReplayFlags()));
     bench::banner(
         "Fig 15a: SpMV trace speedups (best FastTrack vs Hoplite)",
         "up to ~2.5x; grows with PE count; predominantly-local "

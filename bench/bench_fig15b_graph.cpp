@@ -17,7 +17,7 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, bench::traceReplayFlags());
     bench::banner(
         "Fig 15b: graph analytics trace speedups (best FastTrack vs "
         "Hoplite)",

@@ -16,7 +16,7 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, bench::traceReplayFlags());
     bench::banner(
         "Fig 15c: sparse LU token dataflow speedups (best FastTrack "
         "vs Hoplite)",

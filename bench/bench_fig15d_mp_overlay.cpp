@@ -16,7 +16,7 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, bench::traceReplayFlags());
     bench::banner(
         "Fig 15d: multiprocessor overlay speedups @ 32 worker PEs "
         "(best FastTrack vs Hoplite)",

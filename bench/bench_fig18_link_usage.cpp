@@ -23,7 +23,7 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, bench::telemetryFlags());
     bench::banner(
         "Fig 18: link usage and deflections, 64 PEs, RANDOM",
         "more express hops and fewer short hops as depopulation "

@@ -23,26 +23,27 @@
 
 namespace fasttrack::bench {
 
-/** Values of the shared harness flags, filled by parseArgs. An empty
- *  string or a zero period leaves its feature off. */
+/** Values of the harness flags, filled by parseArgs. An empty string
+ *  or a zero period leaves its feature off. */
 struct HarnessFlags
 {
-    /** --telemetry-dir: harnesses that support observability attach a
+    /** --telemetry-dir (telemetryFlags): the harness attaches a
      *  TelemetrySession exporting its artifacts here. */
     std::string telemetryDir;
     /** --telemetry-epoch: metrics snapshot period in cycles. */
     std::uint64_t telemetryEpoch = 1024;
     /** --cache-stats: end-of-run scheduler/cache metrics CSV. */
     std::string cacheStatsFile;
-    /** --snapshot-every / --snapshot-dir / --resume: runs that honour
-     *  them checkpoint into, and resume from, a per-run subdirectory
-     *  of these roots (docs/checkpoint.md). */
+    /** --snapshot-every / --snapshot-dir / --resume (traceReplayFlags
+     *  in bench_trace_util.hpp): trace replays checkpoint into, and
+     *  resume from, a per-run subdirectory of these roots
+     *  (docs/checkpoint.md). */
     std::uint64_t snapshotEvery = 0;
     std::string snapshotDir;
     std::string resumeDir;
-    /** --shard-cycles: harnesses that honour it run their long
-     *  single-point simulations via runShardedSim across the --remote
-     *  fleet (docs/distributed.md, "Temporal sharding"). */
+    /** --shard-cycles: trace replays run as temporal shards across
+     *  the --remote fleet (docs/distributed.md, "Temporal
+     *  sharding"). */
     std::uint64_t shardCycles = 0;
 };
 
@@ -107,12 +108,31 @@ fileSafeLabel(const std::string &label)
     return out;
 }
 
+/** Append the --telemetry-dir / --telemetry-epoch rows to @p flags:
+ *  for the harnesses that read them (Figs 15a and 18). */
+inline FlagTable
+telemetryFlags(FlagTable flags = {})
+{
+    HarnessFlags &values = harnessFlags();
+    flags.push_back(textFlag("--telemetry-dir", "DIR",
+                             "export telemetry artifacts (Chrome traces, "
+                             "link heatmaps, metrics CSV) into DIR",
+                             values.telemetryDir));
+    flags.push_back(integerFlag("--telemetry-epoch", "N",
+                                "metrics snapshot period in cycles "
+                                "(default 1024)",
+                                values.telemetryEpoch, 1));
+    return flags;
+}
+
 /**
- * Parse the shared harness flags, plus the @p extra rows a harness
- * adds, from one flag table (common/flags.hpp). Any error — a typo, a
- * malformed or out-of-range value, a broken cross-flag rule — prints
- * the usage and exits 2, so a mistake cannot silently run the default
- * configuration. Call first in main().
+ * Parse the process-wide harness flags every bench shares (--csv,
+ * --threads, --result-cache*, --cache-stats, --remote), plus the
+ * @p extra rows a harness adds for what it alone reads, from one flag
+ * table (common/flags.hpp). Any error — a typo, a flag this harness
+ * does not read, a malformed or out-of-range value, a broken
+ * cross-flag rule — prints the usage and exits 2, so a mistake cannot
+ * silently run the default configuration. Call first in main().
  */
 inline void
 parseArgs(int argc, char **argv, FlagTable extra = {})
@@ -124,13 +144,6 @@ parseArgs(int argc, char **argv, FlagTable extra = {})
                    [] { Table::setCsvMode(true); }),
         integerFlag("--threads", "N", "cap parallel sweep workers at N",
                     threads, 1),
-        textFlag("--telemetry-dir", "DIR",
-                 "export telemetry artifacts (Chrome traces, link "
-                 "heatmaps, metrics CSV) into DIR",
-                 values.telemetryDir),
-        integerFlag("--telemetry-epoch", "N",
-                    "metrics snapshot period in cycles (default 1024)",
-                    values.telemetryEpoch, 1),
         textFlag("--result-cache", "DIR",
                  "persist sweep results in DIR and reuse them across "
                  "invocations",
@@ -149,28 +162,8 @@ parseArgs(int argc, char **argv, FlagTable extra = {})
                  "write scheduler/cache counters as CSV "
                  "(metric,kind,value) at exit",
                  values.cacheStatsFile),
-        integerFlag("--snapshot-every", "N",
-                    "checkpoint supporting runs every N cycles; see "
-                    "docs/checkpoint.md",
-                    values.snapshotEvery, 1)
-            .needing("--snapshot-dir"),
-        textFlag("--snapshot-dir", "DIR",
-                 "root directory snapshot files are written under (one "
-                 "subdirectory per run)",
-                 values.snapshotDir),
-        textFlag("--resume", "DIR",
-                 "resume runs from the latest matching snapshot under "
-                 "DIR (corrupt or missing snapshots fall back to a "
-                 "fresh run)",
-                 values.resumeDir),
         remoteFlag("fan sweep points out to ftd daemons (unreachable "
                    "workers fall back to local execution)"),
-        integerFlag("--shard-cycles", "N",
-                    "run long single-point simulations as N-cycle "
-                    "temporal shards across the --remote fleet; see "
-                    "docs/distributed.md",
-                    values.shardCycles, 1, kMaxSliceCycles)
-            .needing("--remote"),
     };
     for (Flag &flag : extra)
         flags.push_back(std::move(flag));
