@@ -77,10 +77,6 @@ main(int argc, char **argv)
         textFlag("--cache-stats", "FILE",
                  "write service/cache counters as CSV on shutdown",
                  cacheStatsFile),
-        integerFlag("--drop-after-frames", "N",
-                    "fault injection: hard-close every session after N "
-                    "response frames",
-                    config.dropAfterFrames, 1),
     };
     parseFlagsOrExit(flags, argc, argv);
 
