@@ -3,12 +3,11 @@
  * Shared engine scaffolding composed by every NocDevice
  * implementation: dense pending-offer registers, in-flight/pending
  * accounting, delivery measurement, the client delivery callback, the
- * drain loop, and the FT_CHECK hook plumbing. Before this existed each
- * of the five NoC variants (Network, MultiChannelNoc, SmartNetwork,
- * BufferedNetwork, VcTorusNetwork) re-implemented the same offer slot
- * management, self-delivery short-circuit, quiescence test and drain
- * loop; they now all derive from EngineCore and implement only their
- * own step() and topology queries.
+ * drain loop, and the FT_CHECK hook plumbing. Every NoC device
+ * (Network, MultiChannelNoc, SmartNetwork, InputQueuedNetwork) derives
+ * from EngineCore and implements only its own step() and topology
+ * queries, so none re-implements the offer slot management,
+ * self-delivery short-circuit, quiescence test or drain loop.
  */
 
 #ifndef FT_NOC_ENGINE_CORE_HPP
