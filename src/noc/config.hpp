@@ -28,6 +28,15 @@ enum class NocVariant
     ftInject,
 };
 
+/** True when @p v names a declared variant; wire decoders refuse the
+ *  rest (net/codec.hpp). */
+constexpr bool
+knownValue(NocVariant v)
+{
+    return static_cast<unsigned>(v) <=
+           static_cast<unsigned>(NocVariant::ftInject);
+}
+
 const char *toString(NocVariant variant);
 
 /**

@@ -11,13 +11,13 @@
  * which stepping continues bit-identically with the uninterrupted
  * run (tests/test_checkpoint.cpp pins this with golden FNV hashes).
  *
- * The wire codecs here (packet, histogram, NocStats, EngineState)
- * are explicit little-endian via net/wire.hpp, so snapshots are
- * host-portable exactly like sweep-cache payloads; the NocStats and
- * histogram codecs are the same ones sim/sweep_cache.cpp encodes
- * results with. Decoders bounds-check every field and cross-check
- * the occupancy masks against the packet list, so hostile input
- * degrades to a clean decode failure, never UB.
+ * The EngineState codec walks its fields through net/codec.hpp, the
+ * codec every payload shares, so snapshots are host-portable exactly
+ * like sweep-cache payloads, and its Packet and NocStats fields are
+ * written as the sweep cache writes them. The decoder bounds every
+ * size by the bytes left before it allocates and cross-checks the
+ * occupancy masks against the packet list, so hostile input degrades
+ * to a clean decode failure, never UB.
  *
  * trim() clears the measurement block while keeping the functional
  * state (packets, offers, cycle), which is the temporal-sharding
@@ -29,7 +29,9 @@
 #ifndef FT_NOC_ENGINE_STATE_HPP
 #define FT_NOC_ENGINE_STATE_HPP
 
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -95,24 +97,22 @@ struct EngineState
     bool consistent() const;
 };
 
-// --- shared wire codecs (explicit little-endian) ----------------------
+/** Hand every NodeCounters field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename Counters, typename F>
+    requires std::same_as<std::remove_const_t<Counters>,
+                          EngineState::NodeCounters>
+decltype(auto)
+visitFields(Counters &counters, F &&f)
+{
+    auto &[injected, delivered, blockedCycles] = counters;
+    return f(injected, delivered, blockedCycles);
+}
 
-/** Encode every Packet field (fixed 43-byte layout). */
-void encodePacket(net::WireWriter &w, const Packet &p);
-bool decodePacket(net::WireReader &r, Packet &p);
-
-/** bin-count prefix + (value, count) pairs, ascending by value.
- *  Decode adds the pairs to @p h in any order, repeats summed, and
- *  rejects zero counts. */
-void encodeHistogram(net::WireWriter &w, const Histogram &h);
-bool decodeHistogram(net::WireReader &r, Histogram &h);
-
-/** All NocStats counters then the four histograms — the exact field
- *  order the sweep cache has always persisted, so sweep payloads are
- *  byte-identical to pre-refactor blobs (no schema bump). */
-void encodeNocStats(net::WireWriter &w, const NocStats &s);
-bool decodeNocStats(net::WireReader &r, NocStats &s);
-
+/** The geometry stamp (cycle, nodes, slabDepth), the offers, the
+ *  occupancy masks as raw bytes, the slab packets and the trimmed
+ *  flag; unless trimmed, then NocStats, the link traversals and the
+ *  node counters, each without a count (the stamp implies it). */
 void encodeEngineState(net::WireWriter &w, const EngineState &st);
 /** False on any malformed field, size overflow, or mask/packet
  *  disagreement; @p out is unspecified then. */

@@ -9,7 +9,9 @@
 #define FT_NOC_NOC_STATS_HPP
 
 #include <array>
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -72,6 +74,23 @@ struct NocStats
 
     void reset();
 };
+
+/** Hand every NocStats field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename Stats, typename F>
+    requires std::same_as<std::remove_const_t<Stats>, NocStats>
+decltype(auto)
+visitFields(Stats &stats, F &&f)
+{
+    auto &[injected, delivered, selfDelivered, shortHopTraversals,
+           expressHopTraversals, deflectionsByPort, misroutesByPort,
+           laneDeflections, exitBlocked, injectionBlockedCycles,
+           totalLatency, networkLatency, hopCount, deflectionCount] = stats;
+    return f(injected, delivered, selfDelivered, shortHopTraversals,
+             expressHopTraversals, deflectionsByPort, misroutesByPort,
+             laneDeflections, exitBlocked, injectionBlockedCycles,
+             totalLatency, networkLatency, hopCount, deflectionCount);
+}
 
 } // namespace fasttrack
 

@@ -8,7 +8,9 @@
 #ifndef FT_NOC_PACKET_HPP
 #define FT_NOC_PACKET_HPP
 
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/types.hpp"
 
@@ -45,6 +47,19 @@ struct Packet
         return static_cast<std::uint32_t>(shortHops) + expressHops;
     }
 };
+
+/** Hand every Packet field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename P, typename F>
+    requires std::same_as<std::remove_const_t<P>, Packet>
+decltype(auto)
+visitFields(P &packet, F &&f)
+{
+    auto &[id, src, dst, created, injected, tag, shortHops, expressHops,
+           deflections, expressClass] = packet;
+    return f(id, src, dst, created, injected, tag, shortHops, expressHops,
+             deflections, expressClass);
+}
 
 } // namespace fasttrack
 

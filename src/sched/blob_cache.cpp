@@ -3,20 +3,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
-#include <unistd.h>
-
-#include "net/wire.hpp"
+#include "sched/keyed_file.hpp"
 
 namespace fasttrack::sched {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x43525446u; // "FTRC" little-endian
-constexpr std::size_t kHeaderBytes = 24;
-constexpr std::size_t kTrailerBytes = 8;
 
 std::string
 hexKey(std::uint64_t key)
@@ -189,56 +184,15 @@ BlobCache::loadDiskEntry(std::uint64_t key)
     const std::string path = entryPath(key);
     if (path.empty())
         return std::nullopt;
-
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt; // absent: a plain miss, not corruption
-
-    // Explicit little-endian header decode: entries travel between
-    // hosts, so the layout is byte-defined, never struct-defined.
-    std::uint8_t headerBytes[kHeaderBytes];
-    in.read(reinterpret_cast<char *>(headerBytes),
-            sizeof(headerBytes));
-    std::uint32_t magic = 0, schema = 0;
-    std::uint64_t storedKey = 0, payloadBytes = 0;
-    net::WireReader header(headerBytes, sizeof(headerBytes));
-    if (!in || !header.u32(magic) || !header.u32(schema) ||
-        !header.u64(storedKey) || !header.u64(payloadBytes) ||
-        magic != kMagic || schema != schema_ || storedKey != key) {
+    std::vector<std::uint8_t> payload;
+    const KeyedFileStatus status =
+        readKeyedFile(path, {kMagic, schema_}, key, payload);
+    if (status == KeyedFileStatus::ok)
+        return payload;
+    // An absent entry is a plain miss; any other failure is corrupt.
+    if (status != KeyedFileStatus::ioError)
         corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    // Bound the read by the actual file size so a forged length
-    // cannot force a huge allocation.
-    std::error_code ec;
-    const auto fileSize = std::filesystem::file_size(path, ec);
-    if (ec || fileSize != kHeaderBytes + payloadBytes + kTrailerBytes) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-
-    std::vector<std::uint8_t> payload(
-        static_cast<std::size_t>(payloadBytes));
-    in.read(reinterpret_cast<char *>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-    std::uint8_t trailerBytes[kTrailerBytes];
-    in.read(reinterpret_cast<char *>(trailerBytes),
-            sizeof(trailerBytes));
-    if (!in) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    std::uint64_t recordedHash = 0;
-    net::WireReader trailer(trailerBytes, sizeof(trailerBytes));
-    trailer.u64(recordedHash);
-
-    Fnv1a check;
-    check.addBytes(payload.data(), payload.size());
-    if (check.value() != recordedHash) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    return payload;
+    return std::nullopt;
 }
 
 void
@@ -246,56 +200,17 @@ BlobCache::writeDiskEntry(std::uint64_t key,
                           const std::vector<std::uint8_t> &payload)
 {
     const std::string path = entryPath(key);
-    if (path.empty())
+    // An unwritable store degrades the cache to memory-only.
+    if (path.empty() || writeKeyedFile(path, {kMagic, schema_}, key,
+                                       payload) != KeyedFileStatus::ok)
         return;
-
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path(), ec);
-    if (ec)
-        return; // unwritable store: cache degrades to memory-only
-
-    // Write-then-rename so concurrent readers (and a crash mid-write)
-    // never see a partial entry; the temp name is per-process so two
-    // cache-sharing processes cannot interleave writes. A failed write
-    // or rename removes the temp file: the disk cap never counts it.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return;
-        net::WireWriter w;
-        w.u32(kMagic);
-        w.u32(schema_);
-        w.u64(key);
-        w.u64(payload.size());
-        w.bytes(payload.data(), payload.size());
-        Fnv1a check;
-        check.addBytes(payload.data(), payload.size());
-        w.u64(check.value());
-        const auto &bytes = w.buffer();
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.close();
-        if (!out) {
-            std::filesystem::remove(tmp, ec);
-            return;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return;
-    }
     diskWrites_.fetch_add(1, std::memory_order_relaxed);
 
     bool over_cap = false;
     {
         MutexLock lk(mutex_);
         ensureDiskScanned();
-        diskBytes_ +=
-            kHeaderBytes + payload.size() + kTrailerBytes;
+        diskBytes_ += payload.size() + kKeyedFileOverheadBytes;
         over_cap = maxDiskBytes_ != 0 && diskBytes_ > maxDiskBytes_;
     }
     if (over_cap)

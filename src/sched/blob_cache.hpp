@@ -16,19 +16,13 @@
  * bit-deterministic in those inputs, a key hit can substitute the
  * stored result for a re-run.
  *
- * On-disk format (one file per entry, named ft-<key:016x>.ftrc in
- * the configured directory; every field explicit little-endian so
- * an entry written on one host validates on any other — the
- * distributed fabric shares these files across nodes):
- *
- *   u32 magic 'FTRC'   u32 schemaVersion   u64 key
- *   u64 payloadBytes   payload...          u64 fnv1a(payload)
- *
- * Every load re-validates magic, schema, key, length and the
- * trailing self-check hash; a truncated, corrupt or stale-schema
- * file counts as corrupt and the result is recomputed, never
- * trusted. Writes go to a temp file renamed into place, so a reader
- * never observes a half-written entry.
+ * On disk each entry is one keyed file (sched/keyed_file.hpp, the
+ * container snapshot files use too) with magic 'FTRC', named
+ * ft-<key:016x>.ftrc in the configured directory. An entry written on
+ * one host validates on any other, so the distributed fabric shares
+ * these files across nodes. An absent entry is a plain miss; a
+ * truncated, corrupt or stale-schema one counts as corrupt and the
+ * result is recomputed, never trusted.
  *
  * Disk growth is bounded: setMaxDiskBytes(cap) enables LRU-ish
  * eviction (oldest write time first) whenever the store exceeds the

@@ -13,18 +13,14 @@
  * slice's file) produces golden-stats hashes identical to the
  * uninterrupted run.
  *
- * On-disk container (same discipline as sched/blob_cache entries,
- * every field explicit little-endian via net/wire.hpp):
- *
- *   u32 magic 'FTCP'   u32 schemaVersion   u64 key
- *   u64 payloadBytes   payload...          u64 fnv1a(payload)
- *
+ * On disk a snapshot is a keyed file (sched/keyed_file.hpp, the
+ * container the result cache's entries use too) with magic 'FTCP'.
  * The key is a content hash of the run's *inputs* (config, channels,
  * workload or full trace — not maxCycles, which only guards, never
  * shapes, the trajectory), so a resume can never silently continue
- * the wrong experiment. Every load re-validates magic, schema, key,
- * length and the trailing self-check hash; anything wrong degrades
- * to a typed rejection and the caller recomputes from scratch.
+ * the wrong experiment. Every load re-validates the container and
+ * then the payload; anything wrong degrades to a typed rejection and
+ * the caller recomputes from scratch.
  *
  * Files are named ft-snap-<cycle, zero-padded>.ftcp so the latest
  * snapshot of a directory is the lexicographically largest name —
@@ -39,6 +35,7 @@
 #include <vector>
 
 #include "noc/engine_state.hpp"
+#include "sched/keyed_file.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/trace_replay.hpp"
@@ -59,6 +56,14 @@ enum class SnapshotKind : std::uint8_t
     synthetic = 1,
     trace = 2,
 };
+
+/** True when @p k names a declared kind; wire decoders refuse the
+ *  rest (net/codec.hpp). */
+constexpr bool
+knownValue(SnapshotKind k)
+{
+    return k == SnapshotKind::synthetic || k == SnapshotKind::trace;
+}
 
 /** One resumable run state (see file comment). */
 struct Snapshot
@@ -85,26 +90,6 @@ struct Snapshot
      */
     void trimState() { engine.trim(); }
 };
-
-/** Typed verdict of a snapshot load. */
-enum class SnapshotStatus
-{
-    ok,
-    /** File missing or unreadable. */
-    ioError,
-    /** Shorter than the header + declared payload + trailer. */
-    truncated,
-    badMagic,
-    badSchema,
-    /** Snapshot is for different run inputs. */
-    badKey,
-    /** Payload self-check hash mismatch (corruption). */
-    badChecksum,
-    /** Container validated but the payload does not parse. */
-    malformed,
-};
-
-const char *toString(SnapshotStatus s);
 
 /** Content key of a synthetic run's inputs (config + channels +
  *  workload; deliberately excludes maxCycles — the guard bounds the
@@ -133,14 +118,16 @@ std::string snapshotFileName(Cycle cycle);
  * into place, so a concurrent reader never observes a half-written
  * snapshot. @p path_out (optional) receives the final path.
  */
-SnapshotStatus writeSnapshotFile(const std::string &dir,
-                                 std::uint64_t key, const Snapshot &snap,
-                                 std::string *path_out = nullptr);
+sched::KeyedFileStatus writeSnapshotFile(const std::string &dir,
+                                         std::uint64_t key,
+                                         const Snapshot &snap,
+                                         std::string *path_out = nullptr);
 
-/** Load and fully validate one snapshot file. */
-SnapshotStatus readSnapshotFile(const std::string &path,
-                                std::uint64_t expected_key,
-                                Snapshot &out);
+/** Load and fully validate one snapshot file: the container, then the
+ *  payload (malformed when it does not decode). */
+sched::KeyedFileStatus readSnapshotFile(const std::string &path,
+                                        std::uint64_t expected_key,
+                                        Snapshot &out);
 
 /** Path of the latest (highest-cycle) snapshot file in @p dir, or ""
  *  when the directory holds none. Deterministic: decided by the

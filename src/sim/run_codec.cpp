@@ -3,8 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "net/wire.hpp"
-#include "noc/engine_state.hpp"
+#include "net/codec.hpp"
 #include "sim/sweep_cache.hpp"
 
 namespace fasttrack {
@@ -14,105 +13,6 @@ namespace {
 /** Side cap of a NoC or trace arriving on the wire: bounds what one
  *  frame can make a daemon allocate or step. */
 constexpr std::uint32_t kMaxWireSide = 1024;
-
-/** Highest value of each enum that travels on the wire; a decoder
- *  rejects anything past it. */
-constexpr NocVariant
-lastValue(NocVariant)
-{
-    return NocVariant::ftInject;
-}
-
-constexpr TrafficPattern
-lastValue(TrafficPattern)
-{
-    return TrafficPattern::transpose;
-}
-
-/** Write @p in as wire words (see the header's file comment). */
-template <typename T>
-void
-put(net::WireWriter &w, const T &in)
-{
-    if constexpr (std::is_same_v<T, bool>) {
-        w.u8(in ? 1 : 0);
-    } else if constexpr (std::is_enum_v<T> ||
-                         std::is_same_v<T, std::uint32_t>) {
-        w.u32(static_cast<std::uint32_t>(in));
-    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-        w.u64(in);
-    } else if constexpr (std::is_same_v<T, double>) {
-        w.f64(in);
-    } else if constexpr (std::ranges::sized_range<T>) {
-        w.u32(static_cast<std::uint32_t>(in.size()));
-        for (const auto &item : in)
-            put(w, item);
-    } else {
-        visitFields(in, [&w](const auto &...fields) {
-            (put(w, fields), ...);
-        });
-    }
-}
-
-/** Fewest wire bytes any T takes — the encoding of a default T, whose
- *  vectors are empty. A decoder bounds a count of Ts by the bytes left
- *  divided by this before it allocates. */
-template <typename T>
-std::size_t
-minWireBytes()
-{
-    static const std::size_t bytes = [] {
-        net::WireWriter w;
-        put(w, T{});
-        return w.size();
-    }();
-    return bytes;
-}
-
-/** Read @p out as wire words; false when truncated or out of range.
- *  A bool byte reads as != 0, an enum past its last value is refused,
- *  and a count is bounded by the bytes left before it allocates. */
-template <typename T>
-bool
-get(net::WireReader &r, T &out)
-{
-    if constexpr (std::is_same_v<T, bool>) {
-        std::uint8_t byte = 0;
-        if (!r.u8(byte))
-            return false;
-        out = byte != 0;
-        return true;
-    } else if constexpr (std::is_enum_v<T>) {
-        std::uint32_t raw = 0;
-        if (!r.u32(raw) ||
-            raw > static_cast<std::uint32_t>(lastValue(out)))
-            return false;
-        out = static_cast<T>(raw);
-        return true;
-    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-        return r.u32(out);
-    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-        return r.u64(out);
-    } else if constexpr (std::is_same_v<T, double>) {
-        return r.f64(out);
-    } else if constexpr (std::ranges::sized_range<T>) {
-        std::uint32_t count = 0;
-        if (!r.u32(count) ||
-            count > r.remaining() /
-                        minWireBytes<std::ranges::range_value_t<T>>())
-            return false;
-        out.resize(count);
-        for (auto &item : out) {
-            if (!get(r, item))
-                return false;
-        }
-        return true;
-    } else {
-        return visitFields(out, [&r](auto &...fields) {
-            return (get(r, fields) && ...);
-        });
-    }
-}
 
 // Wire checks: a daemon rejects hostile inputs instead of aborting.
 
@@ -146,8 +46,8 @@ void
 putTrace(net::WireWriter &w, const Trace &trace)
 {
     w.str(trace.name);
-    w.u32(trace.n);
-    w.u64(trace.messages.size());
+    put(w, trace.n);
+    put(w, static_cast<std::uint64_t>(trace.messages.size()));
     trace.forEachMessage(
         [&w](const auto &...record) { (put(w, record), ...); });
 }
@@ -159,12 +59,12 @@ bool
 getTrace(net::WireReader &r, Trace &trace)
 {
     // A record takes at least its id, its fields and a zero count.
-    const std::size_t min_record = sizeof(std::uint64_t) +
-                                   minWireBytes<TraceMessage>() +
-                                   minWireBytes<std::vector<std::uint64_t>>();
+    const std::size_t min_record =
+        sizeof(std::uint64_t) + net::minWireBytes<TraceMessage>() +
+        net::minWireBytes<std::vector<std::uint64_t>>();
     std::uint64_t count = 0;
     if (!r.str(trace.name) || trace.name.size() > kMaxTraceNameBytes ||
-        !r.u32(trace.n) || trace.n > kMaxWireSide || !r.u64(count) ||
+        !get(r, trace.n) || trace.n > kMaxWireSide || !get(r, count) ||
         count > r.remaining() / min_record)
         return false;
     trace.reserve(count, 0);
@@ -172,41 +72,18 @@ getTrace(net::WireReader &r, Trace &trace)
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t id = 0;
         TraceMessage m;
-        if (!r.u64(id) || id != i || !get(r, m) || !get(r, deps))
+        if (!get(r, id) || id != i || !get(r, m) || !get(r, deps))
             return false;
         trace.add(m, deps);
     }
     return trace.validationError().empty();
 }
 
-bool
-getKind(net::WireReader &r, SnapshotKind &kind)
-{
-    std::uint8_t raw = 0;
-    if (!r.u8(raw) ||
-        (raw != static_cast<std::uint8_t>(SnapshotKind::synthetic) &&
-         raw != static_cast<std::uint8_t>(SnapshotKind::trace)))
-        return false;
-    kind = static_cast<SnapshotKind>(raw);
-    return true;
-}
-
-/** Read a flag byte that must be exactly 0 or 1. */
-bool
-getStrictBool(net::WireReader &r, bool &out)
-{
-    std::uint8_t raw = 0;
-    if (!r.u8(raw) || raw > 1)
-        return false;
-    out = raw != 0;
-    return true;
-}
-
 void
 putEmbeddedSnapshot(net::WireWriter &w, const Snapshot &snap)
 {
     const std::vector<std::uint8_t> bytes = encodeSnapshot(snap);
-    w.u64(bytes.size());
+    put(w, static_cast<std::uint64_t>(bytes.size()));
     w.bytes(bytes.data(), bytes.size());
 }
 
@@ -216,7 +93,7 @@ getEmbeddedSnapshot(net::WireReader &r, SnapshotKind kind,
                     Snapshot &out)
 {
     std::uint64_t bytes = 0;
-    if (!r.u64(bytes) || bytes > r.remaining())
+    if (!get(r, bytes) || bytes > r.remaining())
         return false;
     std::vector<std::uint8_t> raw(static_cast<std::size_t>(bytes));
     if (!r.bytes(raw.data(), raw.size()))
@@ -262,9 +139,9 @@ encodeSweepResultPayload(std::uint32_t point_index, bool cache_hit,
                          const std::vector<std::uint8_t> &result_payload)
 {
     net::WireWriter w;
-    w.u32(point_index);
-    w.u8(cache_hit ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(result_payload.size()));
+    put(w, point_index);
+    put(w, cache_hit);
+    put(w, static_cast<std::uint32_t>(result_payload.size()));
     w.bytes(result_payload.data(), result_payload.size());
     return w.take();
 }
@@ -275,15 +152,14 @@ decodeSweepResultPayload(const std::vector<std::uint8_t> &payload,
                          SynthResult &out)
 {
     net::WireReader r(payload);
-    std::uint8_t hit = 0;
     std::uint32_t resultBytes = 0;
-    if (!r.u32(point_index) || !r.u8(hit) || !r.u32(resultBytes) ||
-        resultBytes == 0 || r.remaining() != resultBytes)
+    if (!get(r, point_index) || !get(r, cache_hit) ||
+        !get(r, resultBytes) || resultBytes == 0 ||
+        r.remaining() != resultBytes)
         return false;
     std::vector<std::uint8_t> resultPayload(resultBytes);
     if (!r.bytes(resultPayload.data(), resultPayload.size()))
         return false;
-    cache_hit = hit != 0;
     return decodeSynthResult(resultPayload, out);
 }
 
@@ -291,10 +167,10 @@ std::vector<std::uint8_t>
 encodeMetricsPayload(const std::map<std::string, double> &values)
 {
     net::WireWriter w;
-    w.u32(static_cast<std::uint32_t>(values.size()));
+    put(w, static_cast<std::uint32_t>(values.size()));
     for (const auto &[name, value] : values) {
         w.str(name);
-        w.f64(value);
+        put(w, value);
     }
     return w.take();
 }
@@ -306,12 +182,12 @@ decodeMetricsPayload(const std::vector<std::uint8_t> &payload,
     std::map<std::string, double> values;
     net::WireReader r(payload);
     std::uint32_t count = 0;
-    if (!r.u32(count))
+    if (!get(r, count))
         return false;
     for (std::uint32_t i = 0; i < count; ++i) {
         std::string name;
         double value = 0.0;
-        if (!r.str(name) || !r.f64(value))
+        if (!r.str(name) || !get(r, value))
             return false;
         values[name] = value;
     }
@@ -325,7 +201,7 @@ std::vector<std::uint8_t>
 encodeShardSliceRequestPayload(const ShardSliceRequest &request)
 {
     net::WireWriter w;
-    w.u8(static_cast<std::uint8_t>(request.kind));
+    put(w, request.kind);
     put(w, request.config);
     put(w, request.channels);
     if (request.kind == SnapshotKind::synthetic)
@@ -347,7 +223,7 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
 {
     ShardSliceRequest request;
     net::WireReader r(payload);
-    if (!getKind(r, request.kind) || !get(r, request.config) ||
+    if (!get(r, request.kind) || !get(r, request.config) ||
         !wireAccepts(request.config))
         return false;
     // Slice execution resumes/captures engine state, which only
@@ -364,7 +240,7 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
             return false;
     }
     if (!get(r, request.sliceCycles) || !get(r, request.runMaxCycles) ||
-        !get(r, request.key) || !getStrictBool(r, request.hasSnapshot))
+        !get(r, request.key) || !get(r, request.hasSnapshot))
         return false;
     // The slice budget bounds what one frame can make a daemon
     // compute (the slice runs synchronously in the frame handler), so
@@ -386,20 +262,17 @@ std::vector<std::uint8_t>
 encodeShardSliceResultPayload(const ShardSliceResult &result)
 {
     net::WireWriter w;
-    w.u8(static_cast<std::uint8_t>(result.kind));
-    w.u8(result.done ? 1 : 0);
+    put(w, result.kind);
+    put(w, result.done);
     if (result.kind == SnapshotKind::synthetic) {
         const std::vector<std::uint8_t> synth =
             encodeSynthResult(result.synth);
-        w.u32(static_cast<std::uint32_t>(synth.size()));
+        put(w, static_cast<std::uint32_t>(synth.size()));
         w.bytes(synth.data(), synth.size());
     } else {
-        encodeNocStats(w, result.trace.stats);
-        w.u64(result.trace.completion);
-        w.u32(result.trace.pes);
-        w.u8(result.trace.completed ? 1 : 0);
+        put(w, result.trace);
     }
-    w.u8(result.hasSnapshot ? 1 : 0);
+    put(w, result.hasSnapshot);
     if (result.hasSnapshot)
         putEmbeddedSnapshot(w, result.snapshot);
     return w.take();
@@ -411,24 +284,20 @@ decodeShardSliceResultPayload(const std::vector<std::uint8_t> &payload,
 {
     ShardSliceResult result;
     net::WireReader r(payload);
-    if (!getKind(r, result.kind) || !getStrictBool(r, result.done))
+    if (!get(r, result.kind) || !get(r, result.done))
         return false;
     if (result.kind == SnapshotKind::synthetic) {
         std::uint32_t bytes = 0;
-        if (!r.u32(bytes) || bytes == 0 || bytes > r.remaining())
+        if (!get(r, bytes) || bytes == 0 || bytes > r.remaining())
             return false;
         std::vector<std::uint8_t> raw(bytes);
         if (!r.bytes(raw.data(), raw.size()) ||
             !decodeSynthResult(raw, result.synth))
             return false;
-    } else {
-        if (!decodeNocStats(r, result.trace.stats) ||
-            !r.u64(result.trace.completion) ||
-            !r.u32(result.trace.pes) ||
-            !getStrictBool(r, result.trace.completed))
-            return false;
+    } else if (!get(r, result.trace)) {
+        return false;
     }
-    if (!getStrictBool(r, result.hasSnapshot))
+    if (!get(r, result.hasSnapshot))
         return false;
     // An unfinished slice must hand the continuation over; a finished
     // one must not — anything else is a lying peer.

@@ -17,11 +17,10 @@
  * the {id, src, dst, earliest, delayAfterDeps, deps} record it has
  * always been. A field maps by its type alone. Key word: integers,
  * enums and bools widened to u64, doubles bit_cast, a vector or span
- * as its size then its items. Wire word: u32 and enums as u32, bools
- * as u8, doubles as f64, u64 as u64, a vector or span as a u32 count
- * then its items. Changing either
- * moves keys and payload bytes (tests/test_run_codec.cpp pins them):
- * bump kSweepCacheSchema, kCheckpointSchema and net::kWireVersion.
+ * as its size then its items. Wire words: net/codec.hpp, the codec
+ * every stored or sent payload walks. Changing either moves keys and
+ * payload bytes (tests/test_run_codec.cpp pins them): bump
+ * kSweepCacheSchema, kCheckpointSchema and net::kWireVersion.
  */
 
 #ifndef FT_SIM_RUN_CODEC_HPP

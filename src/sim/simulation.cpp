@@ -128,8 +128,8 @@ resolveResumeSnapshot(const SimConfig &sim, std::uint64_t key,
             return false;
         }
     }
-    const SnapshotStatus status = readSnapshotFile(path, key, out);
-    if (status != SnapshotStatus::ok) {
+    const sched::KeyedFileStatus status = readSnapshotFile(path, key, out);
+    if (status != sched::KeyedFileStatus::ok) {
         FT_WARN("resume: rejected snapshot '", path, "' (",
                 toString(status), "), starting fresh");
         return false;
@@ -276,9 +276,9 @@ runCore(NocDevice &noc, const Input &input, const SimConfig &sim,
         if (every != 0 && (noc.now() - start) % every == 0) {
             Snapshot snap;
             if (captureRun(noc, source, start, "snapshot", snap)) {
-                const SnapshotStatus status =
+                const sched::KeyedFileStatus status =
                     writeSnapshotFile(sim.snapshotDir, key, snap);
-                if (status == SnapshotStatus::ok)
+                if (status == sched::KeyedFileStatus::ok)
                     ++result.snapshotsWritten;
                 else
                     FT_WARN("snapshot write failed at cycle ",

@@ -16,8 +16,10 @@
 #ifndef FT_SIM_SIMULATION_HPP
 #define FT_SIM_SIMULATION_HPP
 
+#include <concepts>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "noc/noc_device.hpp"
 #include "traffic/injector.hpp"
@@ -46,6 +48,17 @@ struct SynthResult
     /** Worst-case packet latency (Fig 16 tail). */
     std::uint64_t worstLatency() const;
 };
+
+/** Hand every SynthResult field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename Result, typename F>
+    requires std::same_as<std::remove_const_t<Result>, SynthResult>
+decltype(auto)
+visitFields(Result &result, F &&f)
+{
+    auto &[stats, cycles, pes, offeredRate, completed] = result;
+    return f(stats, cycles, pes, offeredRate, completed);
+}
 
 /** Default cycle guard for synthetic runs. SimConfig's maxCycles
  *  member initializer is the single place this default is applied;
@@ -139,6 +152,17 @@ struct TraceResult
      *  drained (non-sliced runs abort instead, as they always did). */
     bool completed = true;
 };
+
+/** Hand every TraceResult field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename Result, typename F>
+    requires std::same_as<std::remove_const_t<Result>, TraceResult>
+decltype(auto)
+visitFields(Result &result, F &&f)
+{
+    auto &[stats, completion, pes, completed] = result;
+    return f(stats, completion, pes, completed);
+}
 
 /**
  * One simulation request (see file comment). Exactly one of

@@ -6,8 +6,7 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "net/wire.hpp"
-#include "noc/engine_state.hpp"
+#include "net/codec.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "sim/remote.hpp"
 #include "sim/run_codec.hpp"
@@ -39,15 +38,8 @@ sweepKey(const RunPoint &point)
 std::vector<std::uint8_t>
 encodeSynthResult(const SynthResult &result)
 {
-    // The stats block reuses the shared codec (noc/engine_state.hpp),
-    // whose field order is exactly what this file has always written
-    // — payload bytes are unchanged, hence no schema bump.
     net::WireWriter w;
-    encodeNocStats(w, result.stats);
-    w.u64(result.cycles);
-    w.u32(result.pes);
-    w.f64(result.offeredRate);
-    w.u8(result.completed ? 1 : 0);
+    put(w, result);
     return w.take();
 }
 
@@ -57,15 +49,8 @@ decodeSynthResult(const std::vector<std::uint8_t> &payload,
 {
     SynthResult result;
     net::WireReader r(payload);
-    std::uint64_t cycles = 0;
-    std::uint8_t completed = 0;
-    const bool ok = decodeNocStats(r, result.stats) && r.u64(cycles) &&
-                    r.u32(result.pes) && r.f64(result.offeredRate) &&
-                    r.u8(completed) && r.atEnd();
-    if (!ok)
+    if (!get(r, result) || !r.atEnd())
         return false;
-    result.cycles = cycles;
-    result.completed = completed != 0;
     out = std::move(result);
     return true;
 }

@@ -18,8 +18,9 @@
  * spells it out and maps each field to its key word.
  *
  * The payload is the full SynthResult (all NocStats counters and the
- * four latency/hop histograms), so a cache hit reproduces every
- * figure metric bit for bit.
+ * four latency/hop histograms), written by net/codec.hpp in the order
+ * of visitFields(SynthResult), so a cache hit reproduces every figure
+ * metric bit for bit.
  *
  * Telemetry interaction: when a telemetry sink is installed, a cache
  * hit would silently skip the event/counter emission of the real

@@ -33,6 +33,17 @@ struct PendingPacket
     NodeId dst = kInvalidNode;
 };
 
+/** Hand every PendingPacket field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename P, typename F>
+    requires std::same_as<std::remove_const_t<P>, PendingPacket>
+decltype(auto)
+visitFields(P &pending, F &&f)
+{
+    auto &[id, created, dst] = pending;
+    return f(id, created, dst);
+}
+
 /** Parameters of one synthetic run. */
 struct SyntheticWorkload
 {
@@ -76,6 +87,17 @@ struct InjectorState
     std::uint64_t nextId = 1;
     std::uint64_t generatedTotal = 0;
 };
+
+/** Hand every InjectorState field to @p f, in declaration order (see
+ *  visitFields(NocConfig) in noc/config.hpp). */
+template <typename State, typename F>
+    requires std::same_as<std::remove_const_t<State>, InjectorState>
+decltype(auto)
+visitFields(State &state, F &&f)
+{
+    auto &[rng, remaining, queues, nextId, generatedTotal] = state;
+    return f(rng, remaining, queues, nextId, generatedTotal);
+}
 
 /**
  * Drives a NocDevice with a SyntheticWorkload. Call tick() once per

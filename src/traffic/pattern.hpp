@@ -30,6 +30,15 @@ enum class TrafficPattern
     transpose,
 };
 
+/** True when @p p names a declared pattern; wire decoders refuse the
+ *  rest (net/codec.hpp). */
+constexpr bool
+knownValue(TrafficPattern p)
+{
+    return static_cast<unsigned>(p) <=
+           static_cast<unsigned>(TrafficPattern::transpose);
+}
+
 const char *toString(TrafficPattern pattern);
 TrafficPattern patternFromString(const std::string &name);
 

@@ -8,7 +8,9 @@
 #ifndef FT_TRAFFIC_TRACE_REPLAY_HPP
 #define FT_TRAFFIC_TRACE_REPLAY_HPP
 
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,6 +38,19 @@ struct TraceReplayState
     std::uint64_t injectedCount = 0;
     Cycle lastDelivery = 0;
 };
+
+/** Hand every TraceReplayState field to @p f, in declaration order
+ *  (see visitFields(NocConfig) in noc/config.hpp). */
+template <typename State, typename F>
+    requires std::same_as<std::remove_const_t<State>, TraceReplayState>
+decltype(auto)
+visitFields(State &state, F &&f)
+{
+    auto &[pendingDeps, ready, sourceQueues, deliveredCount,
+           injectedCount, lastDelivery] = state;
+    return f(pendingDeps, ready, sourceQueues, deliveredCount,
+             injectedCount, lastDelivery);
+}
 
 /**
  * Replays one Trace on one NocDevice. Wiring: the replayer installs a

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "golden_hash.hpp"
+#include "net/codec.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -750,7 +751,7 @@ TEST(Sharding, HostileSliceRequestsGetTypedErrorsAndDaemonSurvives)
     std::vector<std::uint8_t> payload =
         encodeShardSliceRequestPayload(off_torus);
     net::WireWriter packet_bytes;
-    encodePacket(packet_bytes, off_torus.snapshot.engine.slabPackets[0]);
+    put(packet_bytes, off_torus.snapshot.engine.slabPackets[0]);
     const std::vector<std::uint8_t> packet = packet_bytes.take();
     const auto at = std::search(payload.begin(), payload.end(),
                                 packet.begin(), packet.end());
