@@ -76,7 +76,8 @@ traceReplayFlags()
                     "run each trace replay as N-cycle temporal shards "
                     "across the --remote fleet; see docs/distributed.md",
                     values.shardCycles, 1, kMaxSliceCycles)
-            .needing("--remote"),
+            .needing("--remote")
+            .excluding({"--snapshot-every", "--resume"}),
     };
 }
 
@@ -85,9 +86,10 @@ traceReplayFlags()
  *  --snapshot-dir / --resume harness flags: each (trace, config)
  *  replay checkpoints into — and resumes from — its own
  *  subdirectory, named from the trace and config labels. With
- *  --shard-cycles (and no checkpoint flags) each replay instead runs
- *  as temporal shards across the --remote fleet — bit-identical to
- *  the local replay (docs/distributed.md). */
+ *  --shard-cycles (which the flag table refuses beside the checkpoint
+ *  flags) each replay instead runs as temporal shards across the
+ *  --remote fleet — bit-identical to the local replay
+ *  (docs/distributed.md). */
 inline TraceSpeedup
 traceSpeedup(const Trace &trace, Cycle max_cycles = 50'000'000)
 {
@@ -96,9 +98,7 @@ traceSpeedup(const Trace &trace, Cycle max_cycles = 50'000'000)
         configs.push_back(cfg);
 
     const HarnessFlags &flags = harnessFlags();
-    const bool sharded = flags.shardCycles != 0 && remoteConfigured() &&
-                         flags.snapshotEvery == 0 &&
-                         flags.resumeDir.empty();
+    const bool sharded = flags.shardCycles != 0 && remoteConfigured();
     const std::vector<Cycle> cycles = parallelMap(
         configs,
         [&](const NocConfig &cfg) {

@@ -51,7 +51,8 @@ main(int argc, char **argv)
                     "run as N-cycle temporal shards across the --remote "
                     "fleet",
                     shard_cycles, 1, kMaxSliceCycles)
-            .needing("--remote"),
+            .needing("--remote")
+            .excluding({"--snapshot-every", "--resume"}),
         integerFlag("--snapshot-every", "N",
                     "write a snapshot every N cycles",
                     sim.snapshotEveryCycles, 1)
@@ -105,10 +106,8 @@ main(int argc, char **argv)
 
     const bool checkpointing =
         sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty();
-    if (shard_cycles != 0 && (checkpointing || channels != 1)) {
-        std::cerr << "run_experiment: --shard-cycles is"
-                     " incompatible with --snapshot-every/--resume"
-                     " and needs channels = 1\n";
+    if (shard_cycles != 0 && channels != 1) {
+        std::cerr << "run_experiment: --shard-cycles needs channels = 1\n";
         return 2;
     }
 

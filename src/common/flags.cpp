@@ -148,6 +148,13 @@ parseFlags(const FlagTable &table, const std::vector<std::string> &args)
             (needed == table.size() || !given[needed]))
             return FlagError{Code::missingFlag, flag.needs,
                              concat(flag.name, " needs ", flag.needs)};
+        for (const std::string &other : flag.excludes) {
+            const std::size_t excluded = rowOf(other);
+            if (given[row] && excluded != table.size() && given[excluded])
+                return FlagError{Code::conflictingFlags, flag.name,
+                                 concat(flag.name,
+                                        " cannot be given with ", other)};
+        }
     }
     return std::nullopt;
 }
@@ -167,10 +174,13 @@ flagUsage(const std::string &prog, const FlagTable &table,
         // Help words wrapped into their column; a form too long for
         // the gap puts the help on the next line.
         const std::string form = concat("  ", flagForm(flag));
-        std::istringstream words(
-            flag.needs.empty()
-                ? flag.help
-                : concat(flag.help, " (needs ", flag.needs, ")"));
+        std::string help = flag.help;
+        if (!flag.needs.empty())
+            help += concat(" (needs ", flag.needs, ")");
+        for (std::size_t i = 0; i < flag.excludes.size(); ++i)
+            help += concat(i == 0 ? " (not with " : ", ", flag.excludes[i],
+                           i + 1 == flag.excludes.size() ? ")" : "");
+        std::istringstream words(help);
         out += form;
         std::size_t column =
             form.size() < kHelpColumn ? form.size() : kLineWidth;

@@ -3,7 +3,9 @@
 
 Runs bench_all, a Fig 15 bench, run_experiment, ftd and ftd_client
 with malformed, out-of-range and rule-breaking flags. Each must exit 2
-(never abort with 134) and print one error line that names the flag.
+(never abort with 134) and print one error line that names the flag;
+the Fig 15 bench and run_experiment must refuse --shard-cycles beside
+--snapshot-every or --resume.
 bench_all must also refuse the telemetry, checkpoint and sharding
 flags, which only the benches that read them accept. Also checks that
 `ftd --host 127.0.0.1 --port 0` still prints the
@@ -97,6 +99,12 @@ def main():
         (fig15 + ['--snapshot-dir', ''], '--snapshot-dir'),
         (fig15 + ['--snapshot-every', '5'], '--snapshot-dir'),
         (fig15 + ['--shard-cycles', '5'], '--remote'),
+        # Temporal shards cannot also checkpoint or resume.
+        (fig15 + ['--remote', '127.0.0.1:1', '--shard-cycles', '5',
+                  '--resume', 'no-such-dir'], '--shard-cycles'),
+        (fig15 + ['--remote', '127.0.0.1:1', '--shard-cycles', '5',
+                  '--snapshot-every', '100000000', '--snapshot-dir', 'd'],
+         '--shard-cycles'),
         (run + ['--max-cycles', 'abc'], '--max-cycles'),
         (run + ['--max-cycles', '99999999999999999999999'],
          '--max-cycles'),
@@ -104,6 +112,11 @@ def main():
         (run + ['--snapshot-every', '5x'], '--snapshot-every'),
         (run + ['--snapshot-every', '5'], '--snapshot-dir'),
         (run + ['--shard-cycles', '5'], '--remote'),
+        (run + ['--remote', '127.0.0.1:1', '--shard-cycles', '5',
+                '--resume', 'no-such-dir'], '--shard-cycles'),
+        (run + ['--remote', '127.0.0.1:1', '--shard-cycles', '5',
+                '--snapshot-every', '100000000', '--snapshot-dir', 'd'],
+         '--shard-cycles'),
         (ftd + ['--idle-timeout-ms', '3000000000'], '--idle-timeout-ms'),
         ([args.ftd, '--port', '65536'], '--port'),
         (ftd + ['--threads', '0'], '--threads'),

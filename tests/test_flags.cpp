@@ -161,6 +161,31 @@ TEST(Flags, CrossFlagRulesAreTypedErrors)
     EXPECT_EQ(error->message, "--remote is required");
 }
 
+TEST(Flags, ExcludedPairIsATypedError)
+{
+    // The Fig 15 benches' and run_experiment's rule: temporal shards
+    // cannot also checkpoint or resume.
+    Fixture f;
+    FlagTable table = f.table();
+    ASSERT_EQ(table[7].name, "--shard-cycles");
+    table[7] = std::move(table[7]).excluding({"--snapshot-every"});
+    std::optional<FlagError> error;
+    EXPECT_NO_THROW(error = parseFlags(
+                        table, {"--remote", "h:1", "--shard-cycles", "5",
+                                "--snapshot-dir", "d",
+                                "--snapshot-every", "5"}));
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, FlagError::Code::conflictingFlags);
+    EXPECT_EQ(error->flag, "--shard-cycles");
+    EXPECT_EQ(error->message,
+              "--shard-cycles cannot be given with --snapshot-every");
+    EXPECT_FALSE(parseFlags(table, {"--remote", "h:1", "--shard-cycles",
+                                    "5"}));
+    // The help wraps, so the rule's words may span two lines.
+    EXPECT_NE(flagUsage("tool", table).find("--snapshot-every)"),
+              std::string::npos);
+}
+
 TEST(Flags, UsageListsEveryRow)
 {
     Fixture f;
