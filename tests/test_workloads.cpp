@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
+#include "common/fnv1a.hpp"
 #include "workloads/dataflow.hpp"
 #include "workloads/graph.hpp"
 #include "workloads/graph_analytics.hpp"
@@ -295,6 +297,159 @@ TEST(MpOverlay, HubTrafficShare)
     const double top4 = static_cast<double>(
         counts[0] + counts[1] + counts[2] + counts[3]);
     EXPECT_GT(top4 / static_cast<double>(trace.messages.size()), 0.35);
+}
+
+// --- generated-trace pins ---
+
+/** FNV-1a over @p trace's name and side, then every message's id,
+ *  fields and dependencies, in id order. */
+std::uint64_t
+traceHash(const Trace &trace)
+{
+    Fnv1a h;
+    h.addBytes(trace.name.data(), trace.name.size());
+    h.add(trace.n);
+    trace.forEachMessage([&h](std::uint64_t id, const TraceMessage &m,
+                              std::span<const std::uint64_t> deps) {
+        h.add(id);
+        visitFields(m, [&h](auto... fields) { (h.add(fields), ...); });
+        h.add(deps.size());
+        for (std::uint64_t dep : deps)
+            h.add(dep);
+    });
+    return h.value();
+}
+
+// Every SpMV and LU trace that perfbench and the Fig 15 benches build,
+// pinned message by message: a rewrite of a generator must emit the
+// same messages, fields, dependencies and ids in the same order. An
+// intended change of a workload re-records them (copy the "actual"
+// values the failures print).
+TEST(Workloads, GeneratedTracesArePinned)
+{
+    const std::uint32_t spmv_sides[] = {2, 4, 8, 16};
+    // Per catalog matrix, in catalog order: its block-mapped traces at
+    // spmv_sides, then its cyclic-mapped ones.
+    const std::uint64_t spmv_pins[][2][4] = {
+        // add20
+        {{16279494903894872862ull, 2316126026022057091ull,
+          9828428343431652969ull, 4361284752702384702ull},
+         {10999751806248192228ull, 1010830510864021346ull,
+          14964968847765230448ull, 12604594467335891841ull}},
+        // bomhof_circuit_1
+        {{9524559519107672114ull, 14824779998073540897ull,
+          18104199208824400366ull, 11580089830760782744ull},
+         {12526277441967379003ull, 14256188445924459820ull,
+          2441966966251123028ull, 16077780361844813248ull}},
+        // bomhof_circuit_2
+        {{12831086309739324828ull, 6505704423019716054ull,
+          11532430904781072422ull, 6360107534989035139ull},
+         {12928459938207288671ull, 7440510604430169563ull,
+          18145315829435712471ull, 8796800671639855197ull}},
+        // bomhof_circuit_3
+        {{4994853994667090955ull, 2437040901928067216ull,
+          4862712873609198247ull, 14901867537132174710ull},
+         {1057161365883313223ull, 1072369647883051939ull,
+          9548669504024344009ull, 8585764333001941075ull}},
+        // hamm_memplus
+        {{13654059244222238875ull, 1757247240952359886ull,
+          4899068939990764536ull, 3642849393561332963ull},
+         {13889564298936826590ull, 15175956102736234370ull,
+          9164586453297279241ull, 1573540979596217529ull}},
+        // human_gene2
+        {{5572389423472480265ull, 2157481674477357360ull,
+          15698636353638016311ull, 7927010000610776522ull},
+         {518750958151147248ull, 3505393685631068237ull,
+          4558754463134680304ull, 10732294712759248387ull}},
+        // sandia_12944
+        {{11368086646858281352ull, 516568787225114224ull,
+          15210833718645248498ull, 4006065029826820350ull},
+         {7710163594069485051ull, 3522487822744151303ull,
+          13346441780198917588ull, 2885161122787703134ull}},
+        // sandia_20105
+        {{12850619223523234557ull, 15035919711573228399ull,
+          3874678184208893183ull, 2409861609602941271ull},
+         {8533088317826161441ull, 2467237306386277424ull,
+          12422790274872406468ull, 11481447766197677825ull}},
+        // simucad_dac
+        {{10666810054190995271ull, 14400096208075097294ull,
+          11954121404735742958ull, 16934467459320295203ull},
+         {1135626105239856772ull, 7664518816461157487ull,
+          4012691501172638445ull, 14626749085513622752ull}},
+        // simucad_ram2k
+        {{16476368249952711207ull, 1558321676429460627ull,
+          3024141951690983947ull, 17142047743252655903ull},
+         {16542393076460795157ull, 2039021655070559693ull,
+          8456262057500121390ull, 12238602152317162695ull}},
+    };
+    const auto &matrices = spmvCatalog();
+    ASSERT_EQ(matrices.size(), std::size(spmv_pins));
+    for (std::size_t i = 0; i < matrices.size(); ++i) {
+        const SparseMatrix m = generateMatrix(matrices[i]);
+        for (std::size_t map = 0; map < 2; ++map) {
+            const RowMapping mapping =
+                map == 0 ? RowMapping::block : RowMapping::cyclic;
+            for (std::size_t s = 0; s < std::size(spmv_sides); ++s) {
+                EXPECT_EQ(traceHash(spmvTrace(m, spmv_sides[s], mapping)),
+                          spmv_pins[i][map][s])
+                    << m.name << " n=" << spmv_sides[s]
+                    << (map == 0 ? " block" : " cyclic");
+            }
+        }
+    }
+
+    const std::uint32_t lu_sides[] = {4, 8, 16};
+    // Per catalog DAG, in catalog order, at lu_sides.
+    const std::uint64_t lu_pins[][3] = {
+        // bomhof3_10656
+        {185697369725258726ull, 15308916321745956418ull,
+         1529399528613786250ull},
+        // ram8k_10823
+        {9970222903179271933ull, 9045595915642916569ull,
+         8011868218533447185ull},
+        // s1423_2582
+        {7292312559137392724ull, 14682105030091664680ull,
+         8268925154694570720ull},
+        // s1423_6648
+        {13598455961054501770ull, 8727777047330935182ull,
+         17526433717638807334ull},
+        // s1488_4872
+        {10867603480878904308ull, 14271254723173174264ull,
+         102804033283628688ull},
+        // s1494_9156
+        {12759832752306876702ull, 10474598576004645538ull,
+         3509164655596582938ull},
+        // s953_3197
+        {17433028999556822817ull, 12969425447198828773ull,
+         16228317997467383293ull},
+        // s953_4568
+        {13245274523328633450ull, 5406513807854060534ull,
+         4275467311659298830ull},
+    };
+    const auto &dags = luCatalog();
+    ASSERT_EQ(dags.size(), std::size(lu_pins));
+    for (std::size_t i = 0; i < dags.size(); ++i) {
+        const DataflowDag dag = sparseLuDag(dags[i]);
+        for (std::size_t s = 0; s < std::size(lu_sides); ++s) {
+            EXPECT_EQ(traceHash(dataflowTrace(dag, lu_sides[s])),
+                      lu_pins[i][s])
+                << dag.name << " n=" << lu_sides[s];
+        }
+    }
+    EXPECT_EQ(traceHash(dataflowTrace(sparseLuDag(dags[2]), 8, 5)),
+              2548174452810641444ull)
+        << "compute delay 5";
+
+    // Column 3 has no nonzero, and a 4x4 NoC has more PEs than rows.
+    SparseMatrix hand;
+    hand.name = "hand";
+    hand.rows = hand.cols = 5;
+    hand.rowPtr = {0, 2, 4, 5, 7, 9};
+    hand.colIdx = {0, 4, 1, 2, 0, 2, 4, 0, 4};
+    EXPECT_EQ(traceHash(spmvTrace(hand, 4, RowMapping::block)),
+              4636710078315793011ull);
+    EXPECT_EQ(traceHash(spmvTrace(hand, 4, RowMapping::cyclic)),
+              4636710078315793011ull);
 }
 
 } // namespace
