@@ -52,6 +52,10 @@ visitFields(Message &message, F &&f)
     return f(src, dst, earliest, delayAfterDeps);
 }
 
+/** Largest NoC side a trace generator accepts: n * n nodes then fit
+ *  a 32-bit NodeId, and each axis a Coord's 16 bits. */
+inline constexpr std::uint32_t kMaxTraceSide = 65535;
+
 /** A full workload trace for an N x N NoC. */
 struct Trace
 {

@@ -59,7 +59,9 @@ DataflowDag sparseLuDag(const LuDagParams &params);
 /**
  * Convert a DAG to a NoC trace on an n x n NoC: ops are dealt
  * round-robin to PEs; every DAG edge is one token message whose
- * dependencies are all tokens entering its producer.
+ * dependencies are all tokens entering its producer. Every edge of
+ * @p dag must run from a lower id to a higher one, as sparseLuDag's
+ * do, and @p n must lie in [2, kMaxTraceSide].
  * @param compute_delay PE cycles between last input and first output.
  */
 Trace dataflowTrace(const DataflowDag &dag, std::uint32_t n,

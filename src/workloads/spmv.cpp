@@ -1,6 +1,7 @@
 #include "workloads/spmv.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -25,37 +26,53 @@ Trace
 spmvTrace(const SparseMatrix &matrix, std::uint32_t n,
           RowMapping mapping)
 {
-    FT_ASSERT(n >= 2, "NoC side must be >= 2");
+    FT_ASSERT(n >= 2 && n <= kMaxTraceSide, "NoC side ", n,
+              " is outside [2, ", kMaxTraceSide, "]");
     const std::uint32_t pes = n * n;
 
-    // Invert the CSR pattern: consumers of each vector entry x[j] are
-    // the owners of rows with a nonzero in column j.
-    std::vector<std::vector<NodeId>> consumers(matrix.cols);
+    // Transpose the CSR pattern with a counting sort: the consumers of
+    // vector entry x[j], the owners of the rows with a nonzero in
+    // column j, land in owners[start[j] .. start[j + 1]) by ascending
+    // row.
+    std::vector<std::uint32_t> start(matrix.cols + 1, 0);
+    for (std::uint32_t j : matrix.colIdx)
+        ++start[j + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<NodeId> owners(matrix.colIdx.size());
+    std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
     for (std::uint32_t i = 0; i < matrix.rows; ++i) {
         const NodeId row_owner = owner(i, matrix.rows, pes, mapping);
         for (std::uint32_t k = matrix.rowPtr[i];
              k < matrix.rowPtr[i + 1]; ++k) {
-            consumers[matrix.colIdx[k]].push_back(row_owner);
+            owners[next[matrix.colIdx[k]]++] = row_owner;
         }
     }
 
-    // Deduplicate first, so the trace reserves its exact size.
-    std::size_t messages = 0;
-    for (auto &dests : consumers) {
-        std::sort(dests.begin(), dests.end());
-        dests.erase(std::unique(dests.begin(), dests.end()),
-                    dests.end());
-        messages += dests.size();
+    // Deduplicate each span in place and pack the spans to the front,
+    // so the trace reserves its exact size. Block owners of ascending
+    // rows are already sorted; cyclic ones are sorted first.
+    std::uint32_t kept = 0;
+    for (std::uint32_t j = 0; j < matrix.cols; ++j) {
+        const auto first = owners.begin() + start[j];
+        const auto last = owners.begin() + start[j + 1];
+        if (mapping == RowMapping::cyclic)
+            std::sort(first, last);
+        start[j] = kept;
+        for (auto it = first; it != last; ++it) {
+            if (kept == start[j] || owners[kept - 1] != *it)
+                owners[kept++] = *it;
+        }
     }
+    start[matrix.cols] = kept;
 
     Trace trace;
     trace.name = "spmv:" + matrix.name;
     trace.n = n;
-    trace.reserve(messages, 0);
+    trace.reserve(kept, 0);
     for (std::uint32_t j = 0; j < matrix.cols; ++j) {
         const NodeId src = owner(j, matrix.rows, pes, mapping);
-        for (NodeId dst : consumers[j])
-            trace.add({.src = src, .dst = dst});
+        for (std::uint32_t k = start[j]; k < start[j + 1]; ++k)
+            trace.add({.src = src, .dst = owners[k]});
     }
     trace.validate();
     return trace;

@@ -28,7 +28,8 @@ enum class RowMapping
 };
 
 /**
- * Build the SpMV trace for @p matrix on an @p n x @p n NoC.
+ * Build the SpMV trace for @p matrix on an @p n x @p n NoC, with
+ * @p n in [2, kMaxTraceSide].
  * One message per (column owner -> distinct consumer PE) pair;
  * messages to the owner itself become local (self) deliveries.
  */
