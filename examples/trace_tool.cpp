@@ -11,10 +11,12 @@
  *   trace_tool replay <file> <hoplite|ft-full|ft-inject> [D] [R]
  */
 
-#include <cstring>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 
 #include "common/logging.hpp"
 #include "common/table.hpp"
@@ -38,6 +40,19 @@ usage()
         << "  trace_tool replay <file> <hoplite|ft-full|ft-inject> "
            "[D=2] [R=1]\n";
     return 2;
+}
+
+/** The NoC side @p text names, or nullopt unless it is a decimal in
+ *  [2, kMaxTraceSide]. */
+std::optional<std::uint32_t>
+parseSide(const std::string &text)
+{
+    std::uint32_t n = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc() || ptr != end || n < 2 || n > kMaxTraceSide)
+        return std::nullopt;
+    return n;
 }
 
 Trace
@@ -156,9 +171,13 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     if (cmd == "gen" && argc >= 5) {
-        return cmdGen(argv[2],
-                      static_cast<std::uint32_t>(std::atoi(argv[3])),
-                      argv[4]);
+        const std::optional<std::uint32_t> n = parseSide(argv[3]);
+        if (!n) {
+            std::cerr << "trace_tool: <n> must be a decimal in [2, "
+                      << kMaxTraceSide << "], got '" << argv[3] << "'\n";
+            return usage();
+        }
+        return cmdGen(argv[2], *n, argv[4]);
     }
     if (cmd == "info")
         return cmdInfo(argv[2]);

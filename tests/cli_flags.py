@@ -7,22 +7,27 @@ with malformed, out-of-range and rule-breaking flags. Each must exit 2
 the Fig 15 bench and run_experiment must refuse --shard-cycles beside
 --snapshot-every or --resume.
 bench_all must also refuse the telemetry, checkpoint and sharding
-flags, which only the benches that read them accept. Also checks that
-`ftd --host 127.0.0.1 --port 0` still prints the
-`ftd: listening on HOST:PORT` line that scripts parse for the port.
+flags, which only the benches that read them accept. trace_tool gen
+must refuse a side <n> that is not a decimal in [2, 65535] the same
+way, naming <n>. Also checks that `ftd --host 127.0.0.1 --port 0`
+still prints the `ftd: listening on HOST:PORT` line that scripts parse
+for the port.
 
 Usage:
   cli_flags.py --bench-all PATH --fig15-bench PATH \\
-               --run-experiment PATH --ftd PATH --ftd-client PATH
+               --run-experiment PATH --ftd PATH --ftd-client PATH \\
+               --trace-tool PATH
 
 Exit 0 when every case holds, 1 otherwise.
 """
 
 import argparse
+import os
 import select
 import signal
 import subprocess
 import sys
+import tempfile
 
 TIMEOUT_S = 30
 
@@ -68,6 +73,7 @@ def main():
     parser.add_argument('--run-experiment', required=True)
     parser.add_argument('--ftd', required=True)
     parser.add_argument('--ftd-client', required=True)
+    parser.add_argument('--trace-tool', required=True)
     args = parser.parse_args()
 
     bench = [args.bench_all]
@@ -79,6 +85,10 @@ def main():
     # collide with a running daemon while it serves until the timeout.
     ftd = [args.ftd, '--port', '0']
     client = [args.ftd_client, '--remote', '127.0.0.1:1']
+    # A tool that accepted the side would write its trace here.
+    scratch = tempfile.TemporaryDirectory()
+    gen = [args.trace_tool, 'gen']
+    trace_file = os.path.join(scratch.name, 'trace.txt')
 
     cases = [
         (bench + ['--threads', 'abc'], '--threads'),
@@ -125,11 +135,18 @@ def main():
         (client + ['--n', '4294967298'], '--n'),
         (client + ['--seed', ''], '--seed'),
         ([args.ftd_client, '--n', '4'], '--remote'),
+        # n * n wraps to 0 in 32 bits.
+        (gen + ['dataflow', '65536', trace_file], '<n>'),
+        (gen + ['spmv', '0', trace_file], '<n>'),
+        (gen + ['spmv', 'x', trace_file], '<n>'),
+        # n * n wraps to a smaller PE count.
+        (gen + ['spmv', '70000', trace_file], '<n>'),
     ]
     failures = []
     for cmd, flag in cases:
         expect_usage_error(failures, cmd, flag)
     expect_listening(failures, args.ftd)
+    scratch.cleanup()
 
     for failure in failures:
         print(f'FAIL {failure}')
