@@ -200,17 +200,28 @@ BlobCache::writeDiskEntry(std::uint64_t key,
                           const std::vector<std::uint8_t> &payload)
 {
     const std::string path = entryPath(key);
+    if (path.empty())
+        return;
+    // The size of the entry this write replaces, or 0 when none.
+    std::error_code ec;
+    std::uint64_t replaced = std::filesystem::file_size(path, ec);
+    if (ec)
+        replaced = 0;
     // An unwritable store degrades the cache to memory-only.
-    if (path.empty() || writeKeyedFile(path, {kMagic, schema_}, key,
-                                       payload) != KeyedFileStatus::ok)
+    if (writeKeyedFile(path, {kMagic, schema_}, key, payload) !=
+        KeyedFileStatus::ok)
         return;
     diskWrites_.fetch_add(1, std::memory_order_relaxed);
 
     bool over_cap = false;
     {
         MutexLock lk(mutex_);
-        ensureDiskScanned();
-        diskBytes_ += payload.size() + kKeyedFileOverheadBytes;
+        if (diskScanned_) {
+            diskBytes_ += payload.size() + kKeyedFileOverheadBytes;
+            diskBytes_ -= std::min(diskBytes_, replaced);
+        } else {
+            ensureDiskScanned(); // the scan already sees this entry
+        }
         over_cap = maxDiskBytes_ != 0 && diskBytes_ > maxDiskBytes_;
     }
     if (over_cap)

@@ -25,6 +25,7 @@
 #include "common/rng.hpp"
 #include "net/wire.hpp"
 #include "sched/blob_cache.hpp"
+#include "sched/keyed_file.hpp"
 #include "sched/work_stealing_pool.hpp"
 #include "run_input_variants.hpp"
 #include "scratch_dir.hpp"
@@ -618,6 +619,30 @@ TEST(BlobCache, EvictionKeepsDiskStoreUnderCap)
     cache.store(5, payload);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.diskBytes(), 400u);
+}
+
+TEST(BlobCache, DiskBytesCountEachEntryOnce)
+{
+    const ScratchDir scratch("sched_disk_bytes");
+    sched::BlobCache cache("test_cache", 7);
+    cache.setDir(scratch.path());
+    const auto entry_bytes = [&scratch] {
+        std::uint64_t total = 0;
+        for (const auto &entry :
+             std::filesystem::directory_iterator(scratch.path()))
+            total += entry.file_size();
+        return total;
+    };
+
+    // The first write after setDir, a re-store that replaces its key's
+    // file with a larger one, then a second key.
+    cache.store(1, std::vector<std::uint8_t>(68, 0xa5));
+    EXPECT_EQ(cache.diskBytes(), entry_bytes());
+    cache.store(1, std::vector<std::uint8_t>(90, 0x5a));
+    EXPECT_EQ(cache.diskBytes(), entry_bytes());
+    cache.store(2, std::vector<std::uint8_t>(40, 0x3c));
+    EXPECT_EQ(cache.diskBytes(), entry_bytes());
+    EXPECT_EQ(entry_bytes(), 90u + 40u + 2 * sched::kKeyedFileOverheadBytes);
 }
 
 TEST(BlobCache, MemoryTierStaysUnderItsBudget)
