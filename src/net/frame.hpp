@@ -50,8 +50,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x504e5446u;
 /** Bump on any change to the frame layout or message payloads. A
  *  version mismatch is detected on the first frame of a session and
  *  answered with MessageType::error (code kErrBadVersion).
- *  v2: kFlagPartial fragmentation + snapshotRequest/snapshotResult. */
-inline constexpr std::uint32_t kWireVersion = 2;
+ *  v2: kFlagPartial fragmentation + snapshotRequest/snapshotResult.
+ *  v3: sliceContinuation. */
+inline constexpr std::uint32_t kWireVersion = 3;
 
 /** Upper bound on a frame payload. Generous for sweep results (a
  *  SynthResult payload is a few KiB) while keeping a forged length
@@ -96,6 +97,11 @@ enum class MessageType : std::uint16_t
     /** Server -> client: slice stats + the trimmed handoff snapshot
      *  (ShardSliceResult codec; may span multiple partial frames). */
     snapshotResult = 9,
+    /** Client -> server: a later slice of the run whose inputs this
+     *  session's snapshotRequest carried: its checkpoint key and the
+     *  previous slice's trimmed snapshot (ShardSliceContinuation
+     *  codec), answered by a snapshotResult. */
+    sliceContinuation = 10,
 };
 
 /** Error codes carried by MessageType::error payloads. */

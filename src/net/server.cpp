@@ -24,8 +24,8 @@ parseHello(const Frame &frame, std::uint32_t &wire_version,
 
 } // namespace
 
-FrameServer::FrameServer(ServerConfig config, Handler handler)
-    : config_(std::move(config)), handler_(std::move(handler))
+FrameServer::FrameServer(ServerConfig config, SessionFactory make_handler)
+    : config_(std::move(config)), makeHandler_(std::move(make_handler))
 {
 }
 
@@ -208,6 +208,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
     }
 
     // --- Serve batches ---------------------------------------------
+    Handler handler = handshaken ? makeHandler_() : Handler{};
     while (handshaken && !stopping_.load(std::memory_order_acquire)) {
         std::vector<Frame> batch;
         bool session_over = false;
@@ -231,7 +232,8 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
                     break;
                 }
                 if (frame.type != MessageType::sweepRequest &&
-                    frame.type != MessageType::snapshotRequest) {
+                    frame.type != MessageType::snapshotRequest &&
+                    frame.type != MessageType::sliceContinuation) {
                     protocolError(frame.requestId, kErrBadRequest,
                                   "unexpected message type");
                     session_over = true;
@@ -258,8 +260,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
         if (!batch.empty()) {
             requestsServed_.fetch_add(batch.size(),
                                       std::memory_order_relaxed);
-            std::vector<Frame> responses =
-                handler_(std::move(batch));
+            std::vector<Frame> responses = handler(std::move(batch));
             for (const Frame &response : responses) {
                 if (config_.dropAfterFrames != 0 &&
                     responses_sent >= config_.dropAfterFrames) {
@@ -284,6 +285,8 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
             break;
     }
 
+    // The session's state goes with it, before its slot is freed.
+    handler = nullptr;
     // Shut down (never close) so the peer sees EOF now; the close
     // happens when the Session is erased after join, keeping fd
     // writes out of this thread (stop() may still be poking the fd).

@@ -4,15 +4,16 @@
  * version/schema handshake, bounded per-session request queues with
  * TCP backpressure, and idle timeouts. The simulation-specific
  * request handling (decode sweep points, run them on the local pool,
- * stream results) plugs in as a Handler — see sim/ftd_server.hpp,
- * which builds the ftd daemon on top of this.
+ * stream results) plugs in as a Handler that a SessionFactory makes
+ * for each session — see sim/ftd_server.hpp, which builds the ftd
+ * daemon on top of this.
  *
  * Session lifecycle (docs/distributed.md):
  *
  *   accept -> expect hello (validated against kWireVersion and the
- *   configured schema) -> helloAck(granted window) -> serve batches
- *   of requests until goodbye / idle timeout / protocol error /
- *   stop().
+ *   configured schema) -> helloAck(granted window) -> make the
+ *   session's handler -> serve batches of requests until goodbye /
+ *   idle timeout / protocol error / stop() -> free the handler.
  *
  * Backpressure: a session reads at most maxPending requests off the
  * socket before it stops reading and runs the handler; while the
@@ -102,8 +103,15 @@ class FrameServer
      */
     using Handler =
         std::function<std::vector<Frame>(std::vector<Frame> &&)>;
+    /**
+     * Makes one session's handler once its handshake succeeds. The
+     * handler lives exactly as long as its session, so whatever state
+     * it captures belongs to that session alone: made when the session
+     * starts, freed when it ends, never seen by another session.
+     */
+    using SessionFactory = std::function<Handler()>;
 
-    FrameServer(ServerConfig config, Handler handler);
+    FrameServer(ServerConfig config, SessionFactory make_handler);
     ~FrameServer();
     FrameServer(const FrameServer &) = delete;
     FrameServer &operator=(const FrameServer &) = delete;
@@ -148,7 +156,7 @@ class FrameServer
     void reapSessions();
 
     ServerConfig config_;
-    Handler handler_;
+    SessionFactory makeHandler_;
     Listener listener_;
     std::thread acceptThread_;
     std::atomic<bool> running_{false};

@@ -21,10 +21,12 @@ withSweepSchema(net::ServerConfig config)
 } // namespace
 
 FtdServer::FtdServer(net::ServerConfig config)
-    : server_(withSweepSchema(std::move(config)),
-              [this](std::vector<net::Frame> &&batch) {
-                  return handle(std::move(batch));
-              })
+    : server_(withSweepSchema(std::move(config)), [this] {
+          return [this, run = SessionRun{}](
+                     std::vector<net::Frame> &&batch) mutable {
+              return handle(std::move(batch), run);
+          };
+      })
 {
 }
 
@@ -85,7 +87,7 @@ FtdServer::reportTo(telemetry::MetricsRegistry &metrics) const
 }
 
 std::vector<net::Frame>
-FtdServer::handle(std::vector<net::Frame> batch)
+FtdServer::handle(std::vector<net::Frame> batch, SessionRun &run)
 {
     struct Item
     {
@@ -97,8 +99,9 @@ FtdServer::handle(std::vector<net::Frame> batch)
         std::vector<std::uint8_t> cached;
         bool hit = false;
         bool bad = false;
-        /** Temporal-shard slice (snapshotRequest); handled apart
-         *  from the sweep points, response pre-built. */
+        /** Temporal-shard slice (snapshotRequest or
+         *  sliceContinuation); handled apart from the sweep points,
+         *  in arrival order, response pre-built. */
         bool slice = false;
         net::Frame sliceResponse;
     };
@@ -113,7 +116,12 @@ FtdServer::handle(std::vector<net::Frame> batch)
         item.requestId = batch[i].requestId;
         if (batch[i].type == net::MessageType::snapshotRequest) {
             item.slice = true;
-            item.sliceResponse = handleSlice(batch[i]);
+            item.sliceResponse = handleSlice(batch[i], run);
+            continue;
+        }
+        if (batch[i].type == net::MessageType::sliceContinuation) {
+            item.slice = true;
+            item.sliceResponse = handleContinuation(batch[i], run);
             continue;
         }
         if (!decodeSweepRequestPayload(batch[i].payload,
@@ -188,36 +196,68 @@ FtdServer::handle(std::vector<net::Frame> batch)
 }
 
 net::Frame
-FtdServer::handleSlice(const net::Frame &frame)
+FtdServer::reject(std::uint64_t request_id, const char *why)
 {
-    const auto reject = [&](const char *why) {
-        badRequests_.fetch_add(1, std::memory_order_relaxed);
-        return net::makeErrorFrame(frame.requestId,
-                                   net::kErrBadRequest, why);
-    };
+    badRequests_.fetch_add(1, std::memory_order_relaxed);
+    return net::makeErrorFrame(request_id, net::kErrBadRequest, why);
+}
 
+net::Frame
+FtdServer::handleSlice(const net::Frame &frame, SessionRun &run)
+{
     ShardSliceRequest request;
     if (!decodeShardSliceRequestPayload(frame.payload, request))
-        return reject("malformed or invalid slice request");
+        return reject(frame.requestId,
+                      "malformed or invalid slice request");
 
     // Re-derive the checkpoint key from the inputs that actually
     // arrived: a snapshot may only continue exactly this run, so a
     // confused (or hostile) client gets a typed rejection instead of
-    // a silently wrong continuation.
+    // a silently wrong continuation. The session keeps inputs only
+    // once their key checks out, and never re-derives it.
     if (request.inputKey() != request.key)
-        return reject("slice key mismatch");
+        return reject(frame.requestId, "slice key mismatch");
+    run = std::move(request);
+    return serveSlice(*run, frame.requestId);
+}
+
+net::Frame
+FtdServer::handleContinuation(const net::Frame &frame, SessionRun &run)
+{
+    if (!run)
+        return reject(frame.requestId,
+                      "slice continuation before the run's inputs");
+    ShardSliceContinuation next;
+    if (!decodeShardSliceContinuationPayload(frame.payload, next))
+        return reject(frame.requestId, "malformed slice continuation");
+    if (next.key != run->key)
+        return reject(frame.requestId,
+                      "slice continuation key is not its session's");
+    if (next.snapshot.kind != run->kind)
+        return reject(frame.requestId,
+                      "slice continuation snapshot kind mismatch");
+    run->hasSnapshot = true;
+    run->snapshot = std::move(next.snapshot);
+    return serveSlice(*run, frame.requestId);
+}
+
+net::Frame
+FtdServer::serveSlice(const ShardSliceRequest &request,
+                      std::uint64_t request_id)
+{
     if (request.hasSnapshot &&
         request.snapshot.cycle() < request.snapshot.runStart)
-        return reject("slice snapshot predates its run start");
+        return reject(request_id,
+                      "slice snapshot predates its run start");
     if (request.consumed() >= request.runMaxCycles)
-        return reject("slice starts at or past runMaxCycles");
+        return reject(request_id, "slice starts at or past runMaxCycles");
 
     ShardSliceResult result;
     switch (runSlice(request, result)) {
     case SliceStatus::notResumed:
-        return reject("slice snapshot was not restorable");
+        return reject(request_id, "slice snapshot was not restorable");
     case SliceStatus::notCaptured:
-        return reject("slice state capture failed");
+        return reject(request_id, "slice state capture failed");
     case SliceStatus::ok:
         break;
     }
@@ -225,7 +265,7 @@ FtdServer::handleSlice(const net::Frame &frame)
 
     net::Frame response;
     response.type = net::MessageType::snapshotResult;
-    response.requestId = frame.requestId;
+    response.requestId = request_id;
     response.payload = encodeShardSliceResultPayload(result);
     return response;
 }

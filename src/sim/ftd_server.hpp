@@ -21,8 +21,12 @@
  * snapshotRequest frames carry one temporal-shard slice of a long
  * run (docs/distributed.md, "Temporal sharding"): the daemon resumes
  * from the embedded trimmed snapshot, advances sliceCycles, and
- * answers with the slice's stats plus the next trimmed snapshot —
- * statelessly, so any daemon of the fleet can serve any slice.
+ * answers with the slice's stats plus the next trimmed snapshot. The
+ * session then keeps that request's inputs, key checked once, and
+ * serves each later sliceContinuation (key + snapshot) of the same
+ * run from them. Nothing outlives the session, so the daemon is
+ * stateless across sessions and any daemon of the fleet can serve
+ * any slice.
  */
 
 #ifndef FT_SIM_FTD_SERVER_HPP
@@ -30,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +42,8 @@
 #include "telemetry/metrics.hpp"
 
 namespace fasttrack {
+
+struct ShardSliceRequest;
 
 class FtdServer
 {
@@ -72,11 +79,26 @@ class FtdServer
     void reportTo(telemetry::MetricsRegistry &metrics) const;
 
   private:
-    std::vector<net::Frame> handle(std::vector<net::Frame> batch);
-    /** Serve one temporal-shard slice (snapshotRequest frame): check
-     *  its key and snapshot range, run it through runSlice, answer
-     *  with the slice's stats + next snapshot. */
-    net::Frame handleSlice(const net::Frame &frame);
+    /** What a session holds between its slices: the inputs of the run
+     *  its last key-checked snapshotRequest carried. */
+    using SessionRun = std::optional<ShardSliceRequest>;
+
+    std::vector<net::Frame> handle(std::vector<net::Frame> batch,
+                                   SessionRun &run);
+    /** Take one temporal-shard slice (snapshotRequest frame) with the
+     *  run's inputs: check its key, keep the inputs as the session's
+     *  run, and serve it. */
+    net::Frame handleSlice(const net::Frame &frame, SessionRun &run);
+    /** Serve a later slice of the session's run (sliceContinuation
+     *  frame) once its key and snapshot kind are the run's. */
+    net::Frame handleContinuation(const net::Frame &frame,
+                                  SessionRun &run);
+    /** Check @p request's snapshot range, run it through runSlice, and
+     *  answer with the slice's stats + next snapshot. */
+    net::Frame serveSlice(const ShardSliceRequest &request,
+                          std::uint64_t request_id);
+    /** A kErrBadRequest answer to @p request_id, counted. */
+    net::Frame reject(std::uint64_t request_id, const char *why);
 
     net::FrameServer server_;
     std::atomic<std::uint64_t> pointsServed_{0};

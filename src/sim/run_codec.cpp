@@ -87,10 +87,9 @@ putEmbeddedSnapshot(net::WireWriter &w, const Snapshot &snap)
     w.bytes(bytes.data(), bytes.size());
 }
 
-/** Length-prefixed embedded snapshot; kind must match @p kind. */
+/** Length-prefixed embedded snapshot, of any kind. */
 bool
-getEmbeddedSnapshot(net::WireReader &r, SnapshotKind kind,
-                    Snapshot &out)
+getEmbeddedSnapshot(net::WireReader &r, Snapshot &out)
 {
     std::uint64_t bytes = 0;
     if (!get(r, bytes) || bytes > r.remaining())
@@ -98,7 +97,7 @@ getEmbeddedSnapshot(net::WireReader &r, SnapshotKind kind,
     std::vector<std::uint8_t> raw(static_cast<std::size_t>(bytes));
     if (!r.bytes(raw.data(), raw.size()))
         return false;
-    return decodeSnapshot(raw, out) && out.kind == kind;
+    return decodeSnapshot(raw, out);
 }
 
 } // namespace
@@ -250,11 +249,34 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
         request.runMaxCycles < 1)
         return false;
     if (request.hasSnapshot &&
-        !getEmbeddedSnapshot(r, request.kind, request.snapshot))
+        (!getEmbeddedSnapshot(r, request.snapshot) ||
+         request.snapshot.kind != request.kind))
         return false;
     if (!r.atEnd())
         return false;
     out = std::move(request);
+    return true;
+}
+
+std::vector<std::uint8_t>
+encodeShardSliceContinuationPayload(const ShardSliceContinuation &next)
+{
+    net::WireWriter w;
+    put(w, next.key);
+    putEmbeddedSnapshot(w, next.snapshot);
+    return w.take();
+}
+
+bool
+decodeShardSliceContinuationPayload(
+    const std::vector<std::uint8_t> &payload, ShardSliceContinuation &out)
+{
+    ShardSliceContinuation next;
+    net::WireReader r(payload);
+    if (!get(r, next.key) || !getEmbeddedSnapshot(r, next.snapshot) ||
+        !r.atEnd())
+        return false;
+    out = std::move(next);
     return true;
 }
 
@@ -304,7 +326,8 @@ decodeShardSliceResultPayload(const std::vector<std::uint8_t> &payload,
     if (result.hasSnapshot == result.done)
         return false;
     if (result.hasSnapshot &&
-        !getEmbeddedSnapshot(r, result.kind, result.snapshot))
+        (!getEmbeddedSnapshot(r, result.snapshot) ||
+         result.snapshot.kind != result.kind))
         return false;
     if (!r.atEnd())
         return false;

@@ -118,13 +118,14 @@ saturatingAddCycles(Cycle a, Cycle b)
 }
 
 /**
- * One temporal-shard slice on the wire (snapshotRequest payload).
- * The request is self-contained — the daemon is stateless across
- * slices: it carries the run's full inputs (config + workload or
- * trace), the slice/guard budgets, the checkpoint key the client
- * derived (the daemon re-derives and must agree before trusting the
- * snapshot), and the previous slice's trimmed snapshot (absent on
- * the first slice).
+ * One temporal-shard slice on the wire (snapshotRequest payload), the
+ * first a session sends for a run. The request is self-contained — the
+ * daemon is stateless across sessions: it carries the run's full
+ * inputs (config + workload or trace), the slice/guard budgets, the
+ * checkpoint key the client derived (the daemon re-derives and must
+ * agree before trusting the snapshot), and the previous slice's
+ * trimmed snapshot (absent on the run's first slice). Later slices on
+ * the same session are ShardSliceContinuations.
  */
 struct ShardSliceRequest
 {
@@ -168,6 +169,26 @@ encodeShardSliceRequestPayload(const ShardSliceRequest &request);
  *  and validates trace/workload/config ranges without aborting. */
 bool decodeShardSliceRequestPayload(
     const std::vector<std::uint8_t> &payload, ShardSliceRequest &out);
+
+/**
+ * A later slice of the run whose inputs the session's snapshotRequest
+ * carried (sliceContinuation payload): that request's checkpoint key
+ * and the previous slice's trimmed snapshot. The daemon takes the
+ * inputs and both cycle budgets from the session's request, so the
+ * trace or workload crosses the wire once per session.
+ */
+struct ShardSliceContinuation
+{
+    std::uint64_t key = 0;
+    Snapshot snapshot;
+};
+
+std::vector<std::uint8_t>
+encodeShardSliceContinuationPayload(const ShardSliceContinuation &next);
+/** Hostile-input safe; the caller checks the key and the snapshot's
+ *  kind against its session's run. */
+bool decodeShardSliceContinuationPayload(
+    const std::vector<std::uint8_t> &payload, ShardSliceContinuation &out);
 
 /** snapshotResult payload: the slice's outcome + handoff snapshot. */
 struct ShardSliceResult

@@ -646,9 +646,10 @@ TEST(Distributed, EpochStreamingDaemonCannotHoldTheClient)
         EXPECT_GE(remoteStats().slicesRemote, 4u);
         EXPECT_EQ(remoteStats().slicesFallback, 0u);
     }
-    // Every session, the sweep's and each slice's, parted on its own
-    // as soon as it had the epochs its requests are owed.
-    EXPECT_GE(streaming.sessions(), 5);
+    // Every session, the sweep's and the one the sharded run held
+    // across its slices, parted on its own as soon as it had the
+    // epochs its requests are owed.
+    EXPECT_GE(streaming.sessions(), 2);
     EXPECT_LT(streaming.maxStreamed(), EpochStreamingDaemon::kMaxStreamed);
 
     const std::vector<SynthResult> local = runAll(config, workloads);

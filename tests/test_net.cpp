@@ -366,10 +366,9 @@ TEST(FrameServer, RejectsRogueHandshakes)
 {
     ServerConfig config;
     config.schemaVersion = 5;
-    FrameServer server(std::move(config),
-                       [](std::vector<Frame> &&) {
-                           return std::vector<Frame>{};
-                       });
+    FrameServer server(std::move(config), [] {
+        return [](std::vector<Frame> &&) { return std::vector<Frame>{}; };
+    });
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -437,10 +436,9 @@ TEST(FrameServer, SessionCapCountsLiveSessionsNotLifetimeTotal)
     ServerConfig config;
     config.schemaVersion = 1;
     config.maxSessions = 2;
-    FrameServer server(std::move(config),
-                       [](std::vector<Frame> &&) {
-                           return std::vector<Frame>{};
-                       });
+    FrameServer server(std::move(config), [] {
+        return [](std::vector<Frame> &&) { return std::vector<Frame>{}; };
+    });
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -478,8 +476,8 @@ TEST(FrameServer, ServesAnEchoHandlerThroughHandshake)
 {
     ServerConfig config;
     config.schemaVersion = 2;
-    FrameServer server(
-        std::move(config), [](std::vector<Frame> &&batch) {
+    FrameServer server(std::move(config), [] {
+        return [](std::vector<Frame> &&batch) {
             std::vector<Frame> replies;
             for (Frame &frame : batch) {
                 Frame reply;
@@ -489,7 +487,8 @@ TEST(FrameServer, ServesAnEchoHandlerThroughHandshake)
                 replies.push_back(std::move(reply));
             }
             return replies;
-        });
+        };
+    });
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 

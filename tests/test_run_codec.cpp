@@ -3,9 +3,9 @@
  * Byte pins of every key and payload the simulator stores or sends:
  * the sweep-cache and checkpoint content keys, the sweepRequest /
  * snapshotRequest payloads, and the state and result payloads (the
- * SynthResult codec, snapshots, slice results, the sweepResult and
- * metricsEpoch envelopes, a frame, and both keyed files) that an
- * older daemon or an existing disk store still reads.
+ * SynthResult codec, snapshots, slice results, a slice continuation,
+ * the sweepResult and metricsEpoch envelopes, a frame, and both keyed
+ * files) that an older daemon or an existing disk store still reads.
  *
  * A round-trip test cannot catch a reordered field, because the
  * encoder and the decoder move together; these literals do. Every
@@ -76,7 +76,7 @@ TEST(RunCodec, KeysAndWireBytesArePinned)
 
     EXPECT_EQ(kSweepCacheSchema, 2u);
     EXPECT_EQ(kCheckpointSchema, 1u);
-    EXPECT_EQ(net::kWireVersion, 2u);
+    EXPECT_EQ(net::kWireVersion, 3u);
 
     EXPECT_EQ(sweepKey(cfg, 3, wl, 123'456),
               UINT64_C(0x2c9f83c5beafb5ba));
@@ -238,6 +238,11 @@ statePayloads()
     slice.trace = trace;
     slice.key = checkpointKey(full, 1, trace);
     addSlices(out, "trace", slice);
+    Snapshot handoff = traced;
+    handoff.trimState();
+    out.push_back({"trace slice continuation", Codec::none,
+                   encodeShardSliceContinuationPayload(
+                       {slice.key, std::move(handoff)})});
 
     out.push_back({"sweepResult", Codec::none,
                    encodeSweepResultPayload(9, true, result)});
@@ -283,9 +288,10 @@ TEST(RunCodec, StateAndResultBytesArePinned)
         {"trace slice request with snapshot", UINT64_C(0x8352d7c80978e665)},
         {"trace mid-run slice result", UINT64_C(0xbb527c90fdfc20fb)},
         {"trace final slice result", UINT64_C(0x70aecf5f91ba246a)},
+        {"trace slice continuation", UINT64_C(0x03f2ee958acd6bcd)},
         {"sweepResult", UINT64_C(0xbb6f65614b0c182f)},
         {"metricsEpoch", UINT64_C(0xfe4b7204ddc82c24)},
-        {"frame", UINT64_C(0xb54ad6d6bf12f826)},
+        {"frame", UINT64_C(0xfdc1dafef7479514)},
         {"FTRC cache file", UINT64_C(0xd5780cf79dcb977d)},
         {"FTCP snapshot file", UINT64_C(0xe6267012618a470b)},
     };
