@@ -1,5 +1,6 @@
 #include "workloads/graph_analytics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -46,13 +47,25 @@ Trace
 graphPushTrace(const Graph &graph, std::uint32_t n,
                VertexPartition partition, std::uint32_t supersteps)
 {
+    FT_ASSERT(n >= 2 && n <= kMaxTraceSide, "NoC side ", n,
+              " is outside [2, ", kMaxTraceSide, "]");
     FT_ASSERT(supersteps >= 1, "need at least one superstep");
-    const std::uint32_t pes = n * n;
 
     // Precompute vertex owners once.
     std::vector<NodeId> owner(graph.nodes);
     for (std::uint32_t v = 0; v < graph.nodes; ++v)
         owner[v] = assign(v, graph, n, partition);
+
+    // Rank the PEs that own a vertex densely, so the per-PE state below
+    // follows the graph rather than the n * n PEs of the NoC.
+    std::vector<NodeId> owners = owner;
+    std::sort(owners.begin(), owners.end());
+    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+    std::vector<std::uint32_t> rank(graph.nodes);
+    for (std::uint32_t v = 0; v < graph.nodes; ++v)
+        rank[v] = static_cast<std::uint32_t>(
+            std::lower_bound(owners.begin(), owners.end(), owner[v]) -
+            owners.begin());
 
     Trace trace;
     trace.name = "graph:" + graph.name;
@@ -63,17 +76,18 @@ graphPushTrace(const Graph &graph, std::uint32_t n,
                   std::size_t{supersteps - 1} * graph.edges.size());
 
     // Coarse BSP phasing: each round's messages depend on the last
-    // previous-round update that arrived at their source PE.
-    std::vector<std::int64_t> last_incoming(pes, -1);
+    // previous-round update that arrived at their source PE (indexed
+    // by the PE's rank).
+    std::vector<std::int64_t> last_incoming(owners.size(), -1);
     for (std::uint32_t s = 0; s < supersteps; ++s) {
-        std::vector<std::int64_t> round_incoming(pes, -1);
+        std::vector<std::int64_t> round_incoming(owners.size(), -1);
         for (const auto &[u, v] : graph.edges) {
             const TraceMessage m{.src = owner[u], .dst = owner[v]};
-            const std::int64_t last = last_incoming[m.src];
+            const std::int64_t last = last_incoming[rank[u]];
             const std::uint64_t id =
                 last >= 0 ? trace.add(m, {static_cast<std::uint64_t>(last)})
                           : trace.add(m);
-            round_incoming[m.dst] = static_cast<std::int64_t>(id);
+            round_incoming[rank[v]] = static_cast<std::int64_t>(id);
         }
         last_incoming.swap(round_incoming);
     }

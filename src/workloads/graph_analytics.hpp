@@ -26,7 +26,9 @@ enum class VertexPartition
 };
 
 /**
- * Build a push-model trace for @p graph on an @p n x @p n NoC.
+ * Build a push-model trace for @p graph on an @p n x @p n NoC, with
+ * @p n in [2, kMaxTraceSide]. Its working memory follows the graph,
+ * not the n * n PEs.
  * @param supersteps BSP rounds; each round's messages depend on the
  *        previous round's delivery into the same destination vertex
  *        partition (modelled per-PE to bound the trace size).

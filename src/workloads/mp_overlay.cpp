@@ -12,6 +12,8 @@ Trace
 mpOverlayTrace(const ParsecBenchmark &bench, std::uint32_t n,
                std::uint32_t active_pes)
 {
+    FT_ASSERT(n >= 2 && n <= kMaxTraceSide, "NoC side ", n,
+              " is outside [2, ", kMaxTraceSide, "]");
     const std::uint32_t pes = n * n;
     FT_ASSERT(active_pes >= 2 && active_pes <= pes,
               "active PEs must fit the NoC");

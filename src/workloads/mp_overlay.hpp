@@ -39,9 +39,9 @@ struct ParsecBenchmark
 };
 
 /**
- * Synthesize a timestamped trace for @p bench on an n x n NoC using
- * the first @p active_pes PEs as workers (the paper's runs use 32 of
- * the overlay's PEs).
+ * Synthesize a timestamped trace for @p bench on an n x n NoC, with
+ * @p n in [2, kMaxTraceSide], using the first @p active_pes PEs as
+ * workers (the paper's runs use 32 of the overlay's PEs).
  */
 Trace mpOverlayTrace(const ParsecBenchmark &bench, std::uint32_t n,
                      std::uint32_t active_pes);
