@@ -136,8 +136,10 @@ remoteRunPoints(const std::vector<RunPoint> &points,
  * run-relative cycles each, round-robined across the configured
  * remote endpoints (docs/distributed.md, "Temporal sharding").
  *
- * Each slice ships the run's inputs plus the previous slice's
- * trimmed snapshot in a snapshotRequest message; the daemon resumes,
+ * The run holds one session per endpoint. A session's first slice
+ * ships the run's inputs plus the previous slice's trimmed snapshot
+ * in a snapshotRequest message; each later slice on it ships only the
+ * key and the snapshot (sliceContinuation). The daemon resumes,
  * advances the slice, and answers with the slice's stats and the
  * next trimmed snapshot. Slice stats are merged via
  * NocStats::merge, so the final result is bit-identical to the
