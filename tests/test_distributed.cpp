@@ -26,6 +26,7 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "sched/work_stealing_pool.hpp"
 #include "sim/ftd_server.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
@@ -607,6 +608,83 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
               1u);
     EXPECT_EQ(v2.count("remote." + label_a + ".ftd.points_served"),
               0u);
+}
+
+TEST(Distributed, ExportedCounterNamesArePinned)
+{
+    // Every name the cache, pool, daemon and remote client export:
+    // stats CSVs, CI steps and perfbench read these, so a rename is a
+    // breaking change, never a refactor's side effect. The daemon's
+    // endpoint label is replaced by <endpoint>.
+    WithDaemon daemon;
+    {
+        WithRemote wr(loopbackConfig({daemon.port()}));
+        runAll(NocConfig::hoplite(4), smallWorkloads(1, 9500));
+    }
+    telemetry::MetricsRegistry metrics;
+    sweepCache().reportTo(metrics);
+    sched::WorkStealingPool::global().reportTo(metrics);
+    daemon.server.reportTo(metrics);
+    reportRemoteStats(metrics);
+    metrics.snapshot(0);
+
+    const std::string label =
+        "remote.127.0.0.1:" + std::to_string(daemon.port()) + ".";
+    std::vector<std::string> names;
+    for (const auto &entry : metrics.epochs().back().values) {
+        std::string name = entry.first;
+        if (name.rfind(label, 0) == 0)
+            name = "remote.<endpoint>." + name.substr(label.size());
+        names.push_back(std::move(name));
+    }
+    std::sort(names.begin(), names.end());
+
+    const std::vector<std::string> daemonNames = {
+        "ftd.bad_requests",
+        "ftd.cache_hits",
+        "ftd.net.frames_in",
+        "ftd.net.frames_out",
+        "ftd.net.idle_timeouts",
+        "ftd.net.injected_drops",
+        "ftd.net.protocol_errors",
+        "ftd.net.requests_served",
+        "ftd.net.sessions_accepted",
+        "ftd.net.sessions_rejected",
+        "ftd.points_served",
+        "ftd.slices_served",
+        "sched.pool.inline_jobs",
+        "sched.pool.jobs",
+        "sched.pool.peak_jobs",
+        "sched.pool.steals",
+        "sched.pool.stolen_tasks",
+        "sched.pool.tasks",
+        "sched.pool.workers",
+        "sweep_cache.bypasses",
+        "sweep_cache.corrupt",
+        "sweep_cache.disk_bytes",
+        "sweep_cache.disk_hits",
+        "sweep_cache.disk_writes",
+        "sweep_cache.evictions",
+        "sweep_cache.hits",
+        "sweep_cache.memory_bytes",
+        "sweep_cache.memory_evictions",
+        "sweep_cache.misses",
+        "sweep_cache.stores",
+    };
+    const std::vector<std::string> remoteNames = {
+        "cache_hits",      "connect_failures", "error_frames",
+        "local_cache_hits", "points_fallback", "points_remote",
+        "reconnects",      "slices_fallback",  "slices_remote",
+    };
+    std::vector<std::string> expected = daemonNames;
+    for (const std::string &name : daemonNames)
+        expected.push_back("remote.<endpoint>." + name);
+    for (const std::string &name : remoteNames) {
+        expected.push_back("remote." + name);
+        expected.push_back("remote.lifetime." + name);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(names, expected);
 }
 
 /** A synthetic run long enough to cut into several shard slices. */
