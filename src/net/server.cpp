@@ -82,25 +82,6 @@ FrameServer::stop()
             s.thread.join();
 }
 
-ServerStats
-FrameServer::stats() const
-{
-    ServerStats s;
-    s.sessionsAccepted =
-        sessionsAccepted_.load(std::memory_order_relaxed);
-    s.sessionsRejected =
-        sessionsRejected_.load(std::memory_order_relaxed);
-    s.framesIn = framesIn_.load(std::memory_order_relaxed);
-    s.framesOut = framesOut_.load(std::memory_order_relaxed);
-    s.protocolErrors =
-        protocolErrors_.load(std::memory_order_relaxed);
-    s.idleTimeouts = idleTimeouts_.load(std::memory_order_relaxed);
-    s.requestsServed =
-        requestsServed_.load(std::memory_order_relaxed);
-    s.injectedDrops = injectedDrops_.load(std::memory_order_relaxed);
-    return s;
-}
-
 void
 FrameServer::acceptLoop()
 {
@@ -112,15 +93,14 @@ FrameServer::acceptLoop()
         reapSessions();
         if (activeSessions_.load(std::memory_order_acquire) >=
             config_.maxSessions) {
-            sessionsRejected_.fetch_add(1,
-                                        std::memory_order_relaxed);
+            counters_.bump(&ServerStats::sessionsRejected);
             sendFrame(accepted,
                       makeErrorFrame(0, kErrOverloaded,
                                      "session limit reached"),
                       config_.ioTimeoutMs);
             continue; // destructor closes the socket
         }
-        sessionsAccepted_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&ServerStats::sessionsAccepted);
         activeSessions_.fetch_add(1, std::memory_order_acq_rel);
         auto socket = std::make_shared<Socket>(std::move(accepted));
         auto done = std::make_shared<std::atomic<bool>>(false);
@@ -163,7 +143,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
     const auto protocolError = [&](std::uint64_t request_id,
                                    std::uint32_t code,
                                    const std::string &message) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&ServerStats::protocolErrors);
         sendFrame(sock, makeErrorFrame(request_id, code, message),
                   io_ms);
     };
@@ -184,7 +164,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
             protocolError(hello.requestId, kErrBadSchema,
                           "sweep schema mismatch");
         } else {
-            framesIn_.fetch_add(1, std::memory_order_relaxed);
+            counters_.bump(&ServerStats::framesIn);
             Frame ack;
             ack.type = MessageType::helloAck;
             ack.requestId = hello.requestId;
@@ -195,12 +175,12 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
                                               : config_.maxPending);
             ack.payload = w.take();
             if (sendFrame(sock, ack, io_ms) == FrameStatus::ok) {
-                framesOut_.fetch_add(1, std::memory_order_relaxed);
+                counters_.bump(&ServerStats::framesOut);
                 handshaken = true;
             }
         }
     } else if (hs == FrameStatus::timeout) {
-        idleTimeouts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&ServerStats::idleTimeouts);
     } else if (hs != FrameStatus::closed) {
         protocolError(0, kErrBadRequest,
                       std::string("expected hello, got ") +
@@ -226,7 +206,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
                 recvMessage(sock, frame, first ? idle_ms : io_ms,
                             io_ms, config_.maxMessageBytes);
             if (status == FrameStatus::ok) {
-                framesIn_.fetch_add(1, std::memory_order_relaxed);
+                counters_.bump(&ServerStats::framesIn);
                 if (frame.type == MessageType::goodbye) {
                     session_over = true;
                     break;
@@ -245,8 +225,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
             if (status == FrameStatus::closed && first) {
                 session_over = true; // orderly EOF between frames
             } else if (status == FrameStatus::timeout && first) {
-                idleTimeouts_.fetch_add(1,
-                                        std::memory_order_relaxed);
+                counters_.bump(&ServerStats::idleTimeouts);
                 session_over = true;
             } else {
                 protocolError(0, kErrBadRequest,
@@ -258,14 +237,12 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
         }
 
         if (!batch.empty()) {
-            requestsServed_.fetch_add(batch.size(),
-                                      std::memory_order_relaxed);
+            counters_.bump(&ServerStats::requestsServed, batch.size());
             std::vector<Frame> responses = handler(std::move(batch));
             for (const Frame &response : responses) {
                 if (config_.dropAfterFrames != 0 &&
                     responses_sent >= config_.dropAfterFrames) {
-                    injectedDrops_.fetch_add(
-                        1, std::memory_order_relaxed);
+                    counters_.bump(&ServerStats::injectedDrops);
                     sock.shutdownBoth();
                     session_over = true;
                     break;
@@ -278,7 +255,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
                     break;
                 }
                 ++responses_sent;
-                framesOut_.fetch_add(1, std::memory_order_relaxed);
+                counters_.bump(&ServerStats::framesOut);
             }
         }
         if (session_over)

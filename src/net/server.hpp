@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -74,7 +75,7 @@ struct ServerConfig
     std::uint64_t dropAfterFrames = 0;
 };
 
-/** Lifetime counters (atomic; safe to read concurrently). */
+/** Lifetime counters (a counter set, common/counters.hpp). */
 struct ServerStats
 {
     std::uint64_t sessionsAccepted = 0;
@@ -90,6 +91,18 @@ struct ServerStats
     std::uint64_t requestsServed = 0;
     /** Sessions hard-closed by dropAfterFrames fault injection. */
     std::uint64_t injectedDrops = 0;
+
+    /** Exported by ftd as ftd.net.sessions_accepted, ... */
+    static constexpr CounterField<ServerStats> kCounters[] = {
+        {&ServerStats::sessionsAccepted, "sessions_accepted"},
+        {&ServerStats::sessionsRejected, "sessions_rejected"},
+        {&ServerStats::framesIn, "frames_in"},
+        {&ServerStats::framesOut, "frames_out"},
+        {&ServerStats::protocolErrors, "protocol_errors"},
+        {&ServerStats::idleTimeouts, "idle_timeouts"},
+        {&ServerStats::requestsServed, "requests_served"},
+        {&ServerStats::injectedDrops, "injected_drops"},
+    };
 };
 
 class FrameServer
@@ -132,7 +145,7 @@ class FrameServer
         return running_.load(std::memory_order_acquire);
     }
 
-    ServerStats stats() const;
+    ServerStats stats() const { return counters_.snapshot(); }
 
     const ServerConfig &config() const { return config_; }
 
@@ -166,14 +179,7 @@ class FrameServer
     std::vector<Session> sessions_ FT_GUARDED_BY(sessionsMutex_);
     std::atomic<unsigned> activeSessions_{0};
 
-    std::atomic<std::uint64_t> sessionsAccepted_{0};
-    std::atomic<std::uint64_t> sessionsRejected_{0};
-    std::atomic<std::uint64_t> framesIn_{0};
-    std::atomic<std::uint64_t> framesOut_{0};
-    std::atomic<std::uint64_t> protocolErrors_{0};
-    std::atomic<std::uint64_t> idleTimeouts_{0};
-    std::atomic<std::uint64_t> requestsServed_{0};
-    std::atomic<std::uint64_t> injectedDrops_{0};
+    CounterTally<ServerStats> counters_;
 };
 
 } // namespace fasttrack::net

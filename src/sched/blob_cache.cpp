@@ -117,25 +117,25 @@ BlobCache::lookup(std::uint64_t key)
         MutexLock lk(mutex_);
         auto it = mem_.find(key);
         if (it != mem_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
+            counters_.bump(&Stats::hits);
             return it->second.payload;
         }
     }
     if (auto fromDisk = loadDiskEntry(key)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        diskHits_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&Stats::hits);
+        counters_.bump(&Stats::diskHits);
         MutexLock lk(mutex_);
         insertMemory(key, *fromDisk);
         return fromDisk;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    counters_.bump(&Stats::misses);
     return std::nullopt;
 }
 
 void
 BlobCache::store(std::uint64_t key, std::vector<std::uint8_t> payload)
 {
-    stores_.fetch_add(1, std::memory_order_relaxed);
+    counters_.bump(&Stats::stores);
     std::string dir;
     {
         MutexLock lk(mutex_);
@@ -165,7 +165,7 @@ BlobCache::insertMemory(std::uint64_t key,
         memBytes_ -= victim->second.payload.size();
         mem_.erase(victim);
         memOrder_.pop_front();
-        memoryEvictions_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&Stats::memoryEvictions);
     }
 }
 
@@ -191,7 +191,7 @@ BlobCache::loadDiskEntry(std::uint64_t key)
         return payload;
     // An absent entry is a plain miss; any other failure is corrupt.
     if (status != KeyedFileStatus::ioError)
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&Stats::corrupt);
     return std::nullopt;
 }
 
@@ -211,7 +211,7 @@ BlobCache::writeDiskEntry(std::uint64_t key,
     if (writeKeyedFile(path, {kMagic, schema_}, key, payload) !=
         KeyedFileStatus::ok)
         return;
-    diskWrites_.fetch_add(1, std::memory_order_relaxed);
+    counters_.bump(&Stats::diskWrites);
 
     bool over_cap = false;
     {
@@ -290,40 +290,15 @@ BlobCache::evictOverCap(const std::string &keep_path)
         std::error_code rec;
         if (std::filesystem::remove(entry.path, rec) && !rec) {
             diskBytes_ -= entry.size;
-            evictions_.fetch_add(1, std::memory_order_relaxed);
+            counters_.bump(&Stats::evictions);
         }
     }
-}
-
-BlobCache::Stats
-BlobCache::stats() const
-{
-    Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.diskHits = diskHits_.load(std::memory_order_relaxed);
-    s.stores = stores_.load(std::memory_order_relaxed);
-    s.diskWrites = diskWrites_.load(std::memory_order_relaxed);
-    s.corrupt = corrupt_.load(std::memory_order_relaxed);
-    s.bypasses = bypasses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.memoryEvictions = memoryEvictions_.load(std::memory_order_relaxed);
-    return s;
 }
 
 void
 BlobCache::reportTo(telemetry::MetricsRegistry &metrics) const
 {
-    const Stats s = stats();
-    metrics.counter(name_ + ".hits") = s.hits;
-    metrics.counter(name_ + ".misses") = s.misses;
-    metrics.counter(name_ + ".disk_hits") = s.diskHits;
-    metrics.counter(name_ + ".stores") = s.stores;
-    metrics.counter(name_ + ".disk_writes") = s.diskWrites;
-    metrics.counter(name_ + ".corrupt") = s.corrupt;
-    metrics.counter(name_ + ".bypasses") = s.bypasses;
-    metrics.counter(name_ + ".evictions") = s.evictions;
-    metrics.counter(name_ + ".memory_evictions") = s.memoryEvictions;
+    telemetry::exportCounters(metrics, name_ + ".", stats());
     metrics.gauge(name_ + ".disk_bytes") =
         static_cast<double>(diskBytes());
     metrics.gauge(name_ + ".memory_bytes") =

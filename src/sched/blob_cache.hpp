@@ -32,7 +32,6 @@
 #ifndef FT_SCHED_BLOB_CACHE_HPP
 #define FT_SCHED_BLOB_CACHE_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <optional>
@@ -40,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/fnv1a.hpp"
 #include "common/thread_annotations.hpp"
 #include "telemetry/metrics.hpp"
@@ -54,7 +54,7 @@ using Fnv1a = fasttrack::Fnv1a;
 class BlobCache
 {
   public:
-    /** Lifetime counters (atomic; safe to read concurrently). */
+    /** Lifetime counters (a counter set, common/counters.hpp). */
     struct Stats
     {
         /** Lookups answered from memory or disk. */
@@ -75,6 +75,19 @@ class BlobCache
         std::uint64_t evictions = 0;
         /** Memory entries dropped to stay under the memory budget. */
         std::uint64_t memoryEvictions = 0;
+
+        /** Exported as <name>.hits, <name>.misses, ... */
+        static constexpr CounterField<Stats> kCounters[] = {
+            {&Stats::hits, "hits"},
+            {&Stats::misses, "misses"},
+            {&Stats::diskHits, "disk_hits"},
+            {&Stats::stores, "stores"},
+            {&Stats::diskWrites, "disk_writes"},
+            {&Stats::corrupt, "corrupt"},
+            {&Stats::bypasses, "bypasses"},
+            {&Stats::evictions, "evictions"},
+            {&Stats::memoryEvictions, "memory_evictions"},
+        };
     };
 
     /** Payload bytes the in-memory tier may hold. Sized for the
@@ -128,18 +141,16 @@ class BlobCache
     void store(std::uint64_t key, std::vector<std::uint8_t> payload);
 
     /** Record a lookup the caller elected to skip. */
-    void noteBypass()
-    {
-        bypasses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    void noteBypass() { counters_.bump(&Stats::bypasses); }
 
     /** Drop every in-memory entry (disk entries stay). Tests use this
      *  to force the disk-load path. */
     void clearMemory();
 
-    Stats stats() const;
+    Stats stats() const { return counters_.snapshot(); }
 
-    /** Publish counters as <name>.hits, <name>.misses, ... */
+    /** Publish counters as <name>.hits, <name>.misses, ... and the
+     *  <name>.disk_bytes and <name>.memory_bytes gauges. */
     void reportTo(telemetry::MetricsRegistry &metrics) const;
 
     /** Entry file path for @p key under the current dir ("" when no
@@ -183,18 +194,7 @@ class BlobCache
     mutable std::uint64_t diskBytes_ FT_GUARDED_BY(mutex_) = 0;
     mutable bool diskScanned_ FT_GUARDED_BY(mutex_) = false;
 
-    // Statistics counters are relaxed throughout: they are monotonic
-    // tallies read only by quiescent-time reporting, never used to
-    // publish or order payload data (payloads travel under mutex_).
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> diskHits_{0};
-    std::atomic<std::uint64_t> stores_{0};
-    std::atomic<std::uint64_t> diskWrites_{0};
-    std::atomic<std::uint64_t> corrupt_{0};
-    std::atomic<std::uint64_t> bypasses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> memoryEvictions_{0};
+    CounterTally<Stats> counters_;
 };
 
 } // namespace fasttrack::sched

@@ -120,10 +120,10 @@ WorkStealingPool::runBulk(void *ctx, void (*task)(void *, std::size_t),
     if (cap == 1 || parallel_detail::inBulkWorker()) {
         // Degenerate or nested call: execute inline (parallelMap
         // normally routes these to its serial path already).
-        inlineJobs_.fetch_add(1, std::memory_order_relaxed);
+        counters_.bump(&Counters::inlineJobs);
         for (std::size_t i = 0; i < count; ++i)
             task(ctx, i);
-        tasksRun_.fetch_add(count, std::memory_order_relaxed);
+        counters_.bump(&Counters::tasks, count);
         return;
     }
 
@@ -139,7 +139,7 @@ WorkStealingPool::runBulk(void *ctx, void (*task)(void *, std::size_t),
             peakJobs_.store(depth, std::memory_order_relaxed);
     }
     jobsCv_.notify_all();
-    jobsSubmitted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.bump(&Counters::jobs);
 
     // The submitter works its own job; its tasks may not call back
     // into the pool (nested parallelMap runs inline).
@@ -247,9 +247,9 @@ WorkStealingPool::participate(Job &job, unsigned slot)
         }
     }
 
-    tasksRun_.fetch_add(ran, std::memory_order_relaxed);
-    steals_.fetch_add(steals, std::memory_order_relaxed);
-    stolenTasks_.fetch_add(stolen, std::memory_order_relaxed);
+    counters_.bump(&Counters::tasks, ran);
+    counters_.bump(&Counters::steals, steals);
+    counters_.bump(&Counters::stolenTasks, stolen);
     if (sink && ran)
         sink->recordPhase(std::string(job.label) + " [w" +
                               std::to_string(slot) + "]",
@@ -316,25 +316,15 @@ WorkStealingPool::workerLoop()
 WorkStealingPool::Stats
 WorkStealingPool::stats() const
 {
-    Stats s;
-    s.jobs = jobsSubmitted_.load(std::memory_order_relaxed);
-    s.inlineJobs = inlineJobs_.load(std::memory_order_relaxed);
-    s.tasks = tasksRun_.load(std::memory_order_relaxed);
-    s.steals = steals_.load(std::memory_order_relaxed);
-    s.stolenTasks = stolenTasks_.load(std::memory_order_relaxed);
-    s.peakJobs = peakJobs_.load(std::memory_order_relaxed);
-    return s;
+    return {counters_.snapshot(),
+            peakJobs_.load(std::memory_order_relaxed)};
 }
 
 void
 WorkStealingPool::reportTo(telemetry::MetricsRegistry &metrics) const
 {
     const Stats s = stats();
-    metrics.counter("sched.pool.jobs") = s.jobs;
-    metrics.counter("sched.pool.inline_jobs") = s.inlineJobs;
-    metrics.counter("sched.pool.tasks") = s.tasks;
-    metrics.counter("sched.pool.steals") = s.steals;
-    metrics.counter("sched.pool.stolen_tasks") = s.stolenTasks;
+    telemetry::exportCounters(metrics, "sched.pool.", s);
     metrics.gauge("sched.pool.workers") =
         static_cast<double>(workerCount());
     metrics.gauge("sched.pool.peak_jobs") =

@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
 #include "telemetry/metrics.hpp"
@@ -81,10 +82,11 @@ class WorkStealingPool final : public parallel_detail::BulkExecutor
                  std::size_t count, unsigned workers,
                  const char *label) override;
 
-    /** Lifetime totals. runBulk only returns after every participant
-     *  published its contribution, so reads are exact whenever no job
-     *  is in flight. */
-    struct Stats
+    /** Lifetime totals (a counter set, common/counters.hpp). runBulk
+     *  only returns after every participant published its
+     *  contribution, so reads are exact whenever no job is in
+     *  flight. */
+    struct Counters
     {
         /** Bulk jobs dispatched to the worker set. */
         std::uint64_t jobs = 0;
@@ -96,6 +98,19 @@ class WorkStealingPool final : public parallel_detail::BulkExecutor
         std::uint64_t steals = 0;
         /** Task indices transferred by those steals. */
         std::uint64_t stolenTasks = 0;
+
+        /** Exported as sched.pool.jobs, ... */
+        static constexpr CounterField<Counters> kCounters[] = {
+            {&Counters::jobs, "jobs"},
+            {&Counters::inlineJobs, "inline_jobs"},
+            {&Counters::tasks, "tasks"},
+            {&Counters::steals, "steals"},
+            {&Counters::stolenTasks, "stolen_tasks"},
+        };
+    };
+    /** The counters plus the queue-depth watermark, a gauge. */
+    struct Stats : Counters
+    {
         /** Peak number of concurrently queued jobs. */
         std::uint64_t peakJobs = 0;
     };
@@ -120,11 +135,7 @@ class WorkStealingPool final : public parallel_detail::BulkExecutor
     std::uint64_t jobsGeneration_ FT_GUARDED_BY(jobsMutex_) = 0;
     bool stop_ FT_GUARDED_BY(jobsMutex_) = false;
 
-    std::atomic<std::uint64_t> jobsSubmitted_{0};
-    std::atomic<std::uint64_t> inlineJobs_{0};
-    std::atomic<std::uint64_t> tasksRun_{0};
-    std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::uint64_t> stolenTasks_{0};
+    CounterTally<Counters> counters_;
     std::atomic<std::uint64_t> peakJobs_{0};
 };
 

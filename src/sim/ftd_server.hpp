@@ -32,12 +32,12 @@
 #ifndef FT_SIM_FTD_SERVER_HPP
 #define FT_SIM_FTD_SERVER_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "net/server.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -59,7 +59,8 @@ class FtdServer
     /** Actual bound port (after start; useful with port 0). */
     std::uint16_t boundPort() const;
 
-    /** Sweep-service counters (frame-level ones via netStats). */
+    /** Sweep-service counters (a counter set, common/counters.hpp;
+     *  frame-level ones via netStats). */
     struct Stats
     {
         /** Points answered with a sweepResult frame. */
@@ -70,11 +71,19 @@ class FtdServer
         std::uint64_t badRequests = 0;
         /** Temporal-shard slices answered with a snapshotResult. */
         std::uint64_t slicesServed = 0;
-    };
-    Stats stats() const;
-    net::ServerStats netStats() const;
 
-    /** Publish ftd.* counters plus transport + cache + pool metrics
+        /** Exported as ftd.points_served, ... */
+        static constexpr CounterField<Stats> kCounters[] = {
+            {&Stats::pointsServed, "points_served"},
+            {&Stats::cacheHits, "cache_hits"},
+            {&Stats::badRequests, "bad_requests"},
+            {&Stats::slicesServed, "slices_served"},
+        };
+    };
+    Stats stats() const { return counters_.snapshot(); }
+    net::ServerStats netStats() const { return server_.stats(); }
+
+    /** Publish ftd.* and ftd.net.* counters plus cache + pool metrics
      *  (the same registry snapshot streamed as metricsEpoch). */
     void reportTo(telemetry::MetricsRegistry &metrics) const;
 
@@ -100,11 +109,9 @@ class FtdServer
     /** A kErrBadRequest answer to @p request_id, counted. */
     net::Frame reject(std::uint64_t request_id, const char *why);
 
+    /** Before server_, so it outlives the sessions that bump it. */
+    CounterTally<Stats> counters_;
     net::FrameServer server_;
-    std::atomic<std::uint64_t> pointsServed_{0};
-    std::atomic<std::uint64_t> cacheHits_{0};
-    std::atomic<std::uint64_t> badRequests_{0};
-    std::atomic<std::uint64_t> slicesServed_{0};
 };
 
 } // namespace fasttrack

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/flags.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
@@ -79,9 +80,10 @@ bool remoteConfigured();
 Flag remoteFlag(std::string help);
 
 /** Counters of one remote run (a remoteRunPoints or runShardedSim
- *  invocation). remoteStats() reports the most recent run so a second
- *  sweep's numbers are its own, not cumulative totals;
- *  remoteLifetimeStats() keeps the process-wide accumulation. */
+ *  invocation; a counter set, common/counters.hpp). remoteStats()
+ *  reports the most recent run so a second sweep's numbers are its
+ *  own, not cumulative totals; remoteLifetimeStats() keeps the
+ *  process-wide accumulation. */
 struct RemoteStats
 {
     /** Points answered by a remote SweepResult frame. */
@@ -102,6 +104,20 @@ struct RemoteStats
     std::uint64_t slicesRemote = 0;
     /** Temporal-shard slices computed locally after remote failure. */
     std::uint64_t slicesFallback = 0;
+
+    /** Exported as remote.points_remote and
+     *  remote.lifetime.points_remote, ... */
+    static constexpr CounterField<RemoteStats> kCounters[] = {
+        {&RemoteStats::pointsRemote, "points_remote"},
+        {&RemoteStats::remoteCacheHits, "cache_hits"},
+        {&RemoteStats::localCacheHits, "local_cache_hits"},
+        {&RemoteStats::pointsFallback, "points_fallback"},
+        {&RemoteStats::connectFailures, "connect_failures"},
+        {&RemoteStats::reconnects, "reconnects"},
+        {&RemoteStats::errorFrames, "error_frames"},
+        {&RemoteStats::slicesRemote, "slices_remote"},
+        {&RemoteStats::slicesFallback, "slices_fallback"},
+    };
 };
 
 /** Counters of the most recent remote run (see RemoteStats). */

@@ -80,6 +80,17 @@ class MetricsRegistry
     std::vector<Epoch> epochs_;
 };
 
+/** Publish every counter of @p set (a counter set, see
+ *  common/counters.hpp) as the counter <prefix><name>. */
+template <typename Set>
+void
+exportCounters(MetricsRegistry &metrics, const std::string &prefix,
+               const Set &set)
+{
+    for (const auto &counter : Set::kCounters)
+        metrics.counter(prefix + counter.name) = set.*counter.field;
+}
+
 } // namespace fasttrack::telemetry
 
 #endif // FT_TELEMETRY_METRICS_HPP
