@@ -370,8 +370,8 @@ runSim(const RunRequest &request)
     std::optional<std::uint64_t> store_key;
     if (request.useCache) {
         const SimConfig &sim = request.sim;
-        if (!sweepCacheEnabled() || telemetry::installed() != nullptr ||
-            sim.telemetry != nullptr || checkpointing(sim)) {
+        if (telemetry::installed() != nullptr || sim.telemetry != nullptr ||
+            checkpointing(sim)) {
             sweepCache().noteBypass();
         } else {
             store_key = sweepKey(*request.config, request.channels,

@@ -1,6 +1,5 @@
 #include "sim/sweep_cache.hpp"
 
-#include <atomic>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -13,12 +12,6 @@
 #include "telemetry/sink.hpp"
 
 namespace fasttrack {
-
-namespace {
-
-std::atomic<bool> g_cacheEnabled{true};
-
-} // namespace
 
 std::uint64_t
 sweepKey(const NocConfig &config, std::uint32_t channels,
@@ -70,18 +63,6 @@ probeSweepCache(std::uint64_t key, SynthResult &out)
     if (payload && !decodeSynthResult(*payload, out))
         payload.reset();
     return payload;
-}
-
-void
-setSweepCacheEnabled(bool enabled)
-{
-    g_cacheEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-sweepCacheEnabled()
-{
-    return g_cacheEnabled.load(std::memory_order_relaxed);
 }
 
 std::vector<SynthResult>

@@ -78,19 +78,15 @@ sched::BlobCache &sweepCache();
 std::optional<std::vector<std::uint8_t>>
 probeSweepCache(std::uint64_t key, SynthResult &out);
 
-/** Enable/disable cache consultation by cachedRunSynthetic (on by
- *  default). Disabling forces every run to simulate; results must be
- *  bit-identical either way (tests/test_sched.cpp pins this). */
-void setSweepCacheEnabled(bool enabled);
-bool sweepCacheEnabled();
-
 /**
  * runSynthetic through the sweep cache: return the stored result on
  * a key hit, otherwise simulate and store. Falls back to a plain run
- * (counted as a bypass) while a telemetry sink is installed or the
- * cache is disabled. Shim over runSim (RunRequest.useCache) — the
- * cache lookup/store itself lives in runSim; this overload takes the
- * default cycle guard from SimConfig{} like every other entry point.
+ * (counted as a bypass) while a telemetry sink is installed. A cached
+ * result is bit-identical to a plain runSim of the same inputs
+ * (tests/test_sched.cpp pins this). Shim over runSim
+ * (RunRequest.useCache) — the cache lookup/store itself lives in
+ * runSim; this overload takes the default cycle guard from
+ * SimConfig{} like every other entry point.
  */
 inline SynthResult
 cachedRunSynthetic(const NocConfig &config, std::uint32_t channels,

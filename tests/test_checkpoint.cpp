@@ -636,7 +636,6 @@ TEST(Checkpoint, SweepCacheIsBypassedWhileCheckpointing)
     w.packetsPerPe = 48;
     w.seed = 77;
 
-    setSweepCacheEnabled(true);
     const SynthResult warm = cachedRunSynthetic(cfg, 1, w);
     const auto bypasses_before = sweepCache().stats().bypasses;
     const RunResult run =

@@ -219,11 +219,11 @@ TEST(SchedPool, SweepsIdenticalSerialAndPooled)
 {
     // Every sweep point is its own pool item: an injection sweep and
     // a seed list must give the same bytes at --threads 1 as on the
-    // pool. The cache is off so both passes really simulate.
+    // pool. Each pass starts from an empty memory tier, with no disk
+    // store attached, so both passes really simulate.
     WithPool wp(4);
     const unsigned threads = parallel_detail::defaultThreadsSlot().load();
-    const bool cached = sweepCacheEnabled();
-    setSweepCacheEnabled(false);
+    ASSERT_TRUE(sweepCache().dir().empty());
 
     const NocUnderTest nut{"ft", NocConfig::fastTrack(8, 2, 1), 1};
     const std::vector<double> rates{0.05, 0.1, 0.2, 0.35, 0.5, 0.75};
@@ -240,12 +240,12 @@ TEST(SchedPool, SweepsIdenticalSerialAndPooled)
     std::vector<std::vector<SynthResult>> reps;
     for (const unsigned n : {1u, 4u}) {
         parallel_detail::setDefaultParallelThreads(n);
+        sweepCache().clearMemory();
         sweeps.push_back(
             injectionSweep(nut, TrafficPattern::random, rates, 24, 7));
         reps.push_back(runPoints(seeds));
     }
     parallel_detail::setDefaultParallelThreads(threads);
-    setSweepCacheEnabled(cached);
 
     ASSERT_EQ(sweeps[1].size(), sweeps[0].size());
     for (std::size_t i = 0; i < sweeps[0].size(); ++i)
@@ -264,10 +264,8 @@ TEST(SweepCache, CacheOnAndOffAreBitIdentical)
     const NocConfig cfg = NocConfig::fastTrack(4, 2, 1);
     const SyntheticWorkload workload = smallWorkload(0.4, 11);
 
-    setSweepCacheEnabled(false);
     const SynthResult uncached =
-        cachedRunSynthetic(cfg, 1, workload);
-    setSweepCacheEnabled(true);
+        runSim({.config = &cfg, .workload = &workload}).synth;
     const SynthResult miss = cachedRunSynthetic(cfg, 1, workload);
 
     const auto before = sweepCache().stats();
@@ -489,7 +487,6 @@ TEST(SweepCache, CorruptDiskEntryIsRecomputed)
     const SyntheticWorkload workload = smallWorkload(0.3, 5);
 
     sweepCache().setDir(dir);
-    setSweepCacheEnabled(true);
     const SynthResult first = cachedRunSynthetic(cfg, 1, workload);
     const std::string path =
         sweepCache().entryPath(sweepKey(cfg, 1, workload));
@@ -554,7 +551,6 @@ TEST(SweepCache, WarmSweepReplaysFromDisk)
     const ScratchDir scratch("sched_warm_sweep");
     const std::string &dir = scratch.path();
     sweepCache().setDir(dir);
-    setSweepCacheEnabled(true);
     const NocUnderTest nut{"ft", NocConfig::fastTrack(4, 2, 1), 1};
     const std::vector<double> rates{0.05, 0.2, 0.4, 0.6, 0.8, 1.0};
 
