@@ -6,12 +6,13 @@
  * showing why latency-bound workloads care about express links and
  * how compute delay shifts the bottleneck between PEs and NoC.
  *
- * Run: ./dataflow_engine [ops] [noc-side] [compute-delay]
+ * Run: ./dataflow_engine [<ops>] [<noc-side>] [<compute-delay>]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/dataflow.hpp"
@@ -21,9 +22,14 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    const std::uint32_t ops = argc > 1 ? std::atoi(argv[1]) : 6000;
-    const std::uint32_t n = argc > 2 ? std::atoi(argv[2]) : 8;
-    const Cycle delay = argc > 3 ? std::atoi(argv[3]) : 2;
+    constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+    const Positionals args{argc, argv,
+                           "[<ops>] [<noc-side>] [<compute-delay>]"};
+    const auto ops = args.number<std::uint32_t>(1, "<ops>", 6000, 8, kMax);
+    const auto n =
+        args.number<std::uint32_t>(2, "<noc-side>", 8, 2, kMaxTraceSide);
+    const auto delay =
+        args.number<Cycle>(3, "<compute-delay>", 2, 0, kMax);
 
     LuDagParams params;
     params.name = "example";

@@ -6,14 +6,15 @@
  * and report the LUT-throughput Pareto frontier -- the methodology the
  * paper's Section IV-A proposes for tuning cost vs performance.
  *
- * Run: ./design_space_explorer [noc-side] [datawidth]
+ * Run: ./design_space_explorer [<noc-side>] [<datawidth>]
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "fpga/power_model.hpp"
 #include "fpga/routability.hpp"
@@ -40,8 +41,11 @@ struct DesignPoint
 int
 main(int argc, char **argv)
 {
-    const std::uint32_t n = argc > 1 ? std::atoi(argv[1]) : 8;
-    const std::uint32_t width = argc > 2 ? std::atoi(argv[2]) : 256;
+    const Positionals args{argc, argv, "[<noc-side>] [<datawidth>]"};
+    const auto n =
+        args.number<std::uint32_t>(1, "<noc-side>", 8, 2, kMaxTraceSide);
+    const auto width = args.number<std::uint32_t>(
+        2, "<datawidth>", 256, 1, std::numeric_limits<std::uint32_t>::max());
 
     AreaModel area;
     PowerModel power(area);

@@ -5,29 +5,36 @@
  * class taken — the debugging view used to audit the routing policy
  * against the paper (e.g. Fig 8's example trajectory).
  *
- * Run: ./packet_tracer [N] [D] [R] [src-x src-y dst-x dst-y]
+ * Run: ./packet_tracer [<N>] [<D>] [<R>] [<src-x> <src-y> <dst-x> <dst-y>]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "traffic/trace.hpp"
 
 using namespace fasttrack;
 
 int
 main(int argc, char **argv)
 {
-    const std::uint32_t n = argc > 1 ? std::atoi(argv[1]) : 8;
-    const std::uint32_t d = argc > 2 ? std::atoi(argv[2]) : 2;
-    const std::uint32_t r = argc > 3 ? std::atoi(argv[3]) : 1;
+    const Positionals args{
+        argc, argv,
+        "[<N>] [<D>] [<R>] [<src-x> <src-y> <dst-x> <dst-y>]"};
+    // At least 4, so the default endpoints fit.
+    const auto n = args.number<std::uint32_t>(1, "<N>", 8, 4, kMaxTraceSide);
+    const auto d = args.number<std::uint32_t>(2, "<D>", 2, 0, n / 2);
+    const auto r = args.number<std::uint32_t>(3, "<R>", 1, 1, n / 2);
     Coord src{0, 3}, dst{3, 0}; // the paper's Fig 8 example
     if (argc > 7) {
-        src = {static_cast<std::uint16_t>(std::atoi(argv[4])),
-               static_cast<std::uint16_t>(std::atoi(argv[5]))};
-        dst = {static_cast<std::uint16_t>(std::atoi(argv[6])),
-               static_cast<std::uint16_t>(std::atoi(argv[7]))};
+        const auto side = [&](int index, const char *name) {
+            return args.number<std::uint16_t>(
+                index, name, 0, 0, static_cast<std::uint16_t>(n - 1));
+        };
+        src = {side(4, "<src-x>"), side(5, "<src-y>")};
+        dst = {side(6, "<dst-x>"), side(7, "<dst-y>")};
     }
 
     const NocConfig cfg = d == 0 ? NocConfig::hoplite(n)
@@ -81,6 +88,10 @@ main(int argc, char **argv)
     tracked.id = kTracked;
     tracked.src = toNodeId(src, n);
     tracked.dst = toNodeId(dst, n);
+    // A background packet may still wait at the source; one offer per
+    // node at a time.
+    while (noc.hasPendingOffer(tracked.src))
+        noc.step();
     tracked.created = noc.now();
     noc.offer(tracked);
 

@@ -4,12 +4,12 @@
  * the same random workload on both, and compare throughput, latency
  * and FPGA cost -- the library's core loop in ~60 lines.
  *
- * Run: ./quickstart [N] [injection-rate]
+ * Run: ./quickstart [<N>] [<injection-rate>]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "fpga/area_model.hpp"
 #include "sim/experiment.hpp"
@@ -19,8 +19,10 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    const std::uint32_t n = argc > 1 ? std::atoi(argv[1]) : 8;
-    const double rate = argc > 2 ? std::atof(argv[2]) : 1.0;
+    const Positionals args{argc, argv, "[<N>] [<injection-rate>]"};
+    const auto n = args.number<std::uint32_t>(1, "<N>", 8, 2, kMaxTraceSide);
+    const auto rate =
+        args.number<double>(2, "<injection-rate>", 1.0, 0.001, 1.0);
 
     std::cout << "FastTrack quickstart: " << n << "x" << n
               << " NoC, RANDOM traffic, injection rate " << rate

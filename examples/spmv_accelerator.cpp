@@ -6,12 +6,13 @@
  * communication trace, and compares Hoplite against FastTrack
  * configurations in both cycles and wall-clock microseconds.
  *
- * Run: ./spmv_accelerator [rows] [noc-side] [localFraction]
+ * Run: ./spmv_accelerator [<rows>] [<noc-side>] [<local-fraction>]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "fpga/area_model.hpp"
 #include "sim/simulation.hpp"
@@ -22,9 +23,14 @@ using namespace fasttrack;
 int
 main(int argc, char **argv)
 {
-    const std::uint32_t rows = argc > 1 ? std::atoi(argv[1]) : 8000;
-    const std::uint32_t n = argc > 2 ? std::atoi(argv[2]) : 8;
-    const double local = argc > 3 ? std::atof(argv[3]) : 0.6;
+    const Positionals args{argc, argv,
+                           "[<rows>] [<noc-side>] [<local-fraction>]"};
+    const auto rows = args.number<std::uint32_t>(
+        1, "<rows>", 8000, 4, std::numeric_limits<std::uint32_t>::max());
+    const auto n =
+        args.number<std::uint32_t>(2, "<noc-side>", 8, 2, kMaxTraceSide);
+    const auto local =
+        args.number<double>(3, "<local-fraction>", 0.6, 0.0, 1.0);
 
     MatrixParams params;
     params.name = "example";

@@ -8,16 +8,14 @@
  * Usage:
  *   trace_tool gen <spmv|graph|dataflow|parsec> <n> <out-file>
  *   trace_tool info <file>
- *   trace_tool replay <file> <hoplite|ft-full|ft-inject> [D] [R]
+ *   trace_tool replay <file> <hoplite|ft-full|ft-inject> [<D>] [<R>]
  */
 
-#include <charconv>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 
+#include "common/flags.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "sim/simulation.hpp"
@@ -38,21 +36,8 @@ usage()
         << "  trace_tool gen <spmv|graph|dataflow|parsec> <n> <file>\n"
         << "  trace_tool info <file>\n"
         << "  trace_tool replay <file> <hoplite|ft-full|ft-inject> "
-           "[D=2] [R=1]\n";
+           "[<D>=2] [<R>=1]\n";
     return 2;
-}
-
-/** The NoC side @p text names, or nullopt unless it is a decimal in
- *  [2, kMaxTraceSide]. */
-std::optional<std::uint32_t>
-parseSide(const std::string &text)
-{
-    std::uint32_t n = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-    if (ec != std::errc() || ptr != end || n < 2 || n > kMaxTraceSide)
-        return std::nullopt;
-    return n;
 }
 
 Trace
@@ -171,23 +156,23 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     if (cmd == "gen" && argc >= 5) {
-        const std::optional<std::uint32_t> n = parseSide(argv[3]);
-        if (!n) {
-            std::cerr << "trace_tool: <n> must be a decimal in [2, "
-                      << kMaxTraceSide << "], got '" << argv[3] << "'\n";
-            return usage();
-        }
-        return cmdGen(argv[2], *n, argv[4]);
+        const Positionals args{
+            argc, argv, "gen <spmv|graph|dataflow|parsec> <n> <file>"};
+        return cmdGen(argv[2],
+                      args.number<std::uint32_t>(3, "<n>", 0, 2,
+                                                 kMaxTraceSide),
+                      argv[4]);
     }
     if (cmd == "info")
         return cmdInfo(argv[2]);
     if (cmd == "replay" && argc >= 4) {
-        const std::uint32_t d =
-            argc > 4 ? static_cast<std::uint32_t>(std::atoi(argv[4]))
-                     : 2;
-        const std::uint32_t r =
-            argc > 5 ? static_cast<std::uint32_t>(std::atoi(argv[5]))
-                     : 1;
+        const Positionals args{
+            argc, argv,
+            "replay <file> <hoplite|ft-full|ft-inject> [<D>] [<R>]"};
+        const auto d =
+            args.number<std::uint32_t>(4, "<D>", 2, 1, kMaxTraceSide / 2);
+        const auto r =
+            args.number<std::uint32_t>(5, "<R>", 1, 1, kMaxTraceSide / 2);
         return cmdReplay(argv[2], argv[3], d, r);
     }
     return usage();

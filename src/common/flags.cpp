@@ -1,7 +1,6 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -25,19 +24,14 @@ applyFlag(const Flag &flag, const std::string &text)
 {
     std::uint64_t number = 0;
     if (flag.kind == FlagKind::integer) {
-        const char *end = text.data() + text.size();
-        const auto [ptr, ec] = std::from_chars(text.data(), end, number);
-        const bool whole = ec == std::errc() && ptr == end;
-        const std::string range =
-            concat("[", flag.min, ", ", flag.max, "], got '", text, "'");
-        if (ec == std::errc::result_out_of_range ||
-            (whole && (number < flag.min || number > flag.max)))
-            return FlagError{Code::outOfRange, flag.name,
-                             concat(flag.name, " must be in ", range)};
-        if (!whole)
-            return FlagError{Code::notAnInteger, flag.name,
-                             concat(flag.name, " needs an integer in ",
-                                    range)};
+        if (const auto why = readDecimal(text, flag.min, flag.max, number))
+            return FlagError{
+                *why, flag.name,
+                concat(flag.name,
+                       *why == Code::outOfRange ? " must be in "
+                                                : " needs an integer in ",
+                       "[", flag.min, ", ", flag.max, "], got '", text,
+                       "'")};
     }
     const std::string refused = flag.set(number, text);
     if (!refused.empty())
@@ -206,11 +200,17 @@ parseFlagsOrExit(const FlagTable &table, int argc, char **argv, int first,
 {
     const std::vector<std::string> args(argv + std::min(first, argc),
                                         argv + argc);
-    if (const auto failed = parseFlags(table, args)) {
-        std::cerr << argv[0] << ": " << failed->message << "\n"
-                  << flagUsage(argv[0], table, positional);
-        std::exit(2);
-    }
+    if (const auto failed = parseFlags(table, args))
+        exitWithUsage(argv[0], failed->message,
+                      flagUsage(argv[0], table, positional));
+}
+
+void
+exitWithUsage(const char *prog, const std::string &message,
+              const std::string &usage)
+{
+    std::cerr << prog << ": " << message << "\n" << usage;
+    std::exit(2);
 }
 
 } // namespace fasttrack

@@ -15,6 +15,7 @@
 #ifndef FT_COMMON_FLAGS_HPP
 #define FT_COMMON_FLAGS_HPP
 
+#include <charconv>
 #include <concepts>
 #include <cstdint>
 #include <functional>
@@ -23,6 +24,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "common/logging.hpp"
 
 namespace fasttrack {
 
@@ -150,6 +153,52 @@ std::string flagUsage(const std::string &prog, const FlagTable &table,
  *  usage to stderr and exit 2 — the shared contract of every tool. */
 void parseFlagsOrExit(const FlagTable &table, int argc, char **argv,
                       int first = 1, const std::string &positional = "");
+
+/** Print "<prog>: <message>" and @p usage to stderr, then exit 2. */
+[[noreturn]] void exitWithUsage(const char *prog, const std::string &message,
+                                const std::string &usage);
+
+/** Read all of @p text as a base-10 number in [min, max], the rule
+ *  integer flags follow: why it is refused, or nullopt. */
+template <typename T>
+std::optional<FlagError::Code>
+readDecimal(const std::string &text, T min, T max, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    const bool whole = ec == std::errc() && ptr == end;
+    if (ec == std::errc::result_out_of_range ||
+        (whole && !(out >= min && out <= max)))
+        return FlagError::Code::outOfRange;
+    if (!whole)
+        return FlagError::Code::notAnInteger;
+    return std::nullopt;
+}
+
+/** A tool's positional arguments, read as numbers in order. */
+struct Positionals
+{
+    int argc = 0;
+    char **argv = nullptr;
+    /** What the usage line shows after the program name. */
+    std::string operands;
+
+    /** Argument @p index by readDecimal, or @p fallback when absent. A
+     *  bad value exits 2 with a line naming @p name, then the usage. */
+    template <typename T>
+    T number(int index, const std::string &name, T fallback,
+             std::type_identity_t<T> min, std::type_identity_t<T> max) const
+    {
+        T value = fallback;
+        if (index < argc && readDecimal<T>(argv[index], min, max, value))
+            exitWithUsage(argv[0],
+                          detail::concat(name, " must be a decimal in [",
+                                         min, ", ", max, "], got '",
+                                         argv[index], "'"),
+                          flagUsage(argv[0], {}, operands));
+        return value;
+    }
+};
 
 } // namespace fasttrack
 

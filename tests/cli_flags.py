@@ -9,14 +9,19 @@ the Fig 15 bench and run_experiment must refuse --shard-cycles beside
 bench_all must also refuse the telemetry, checkpoint and sharding
 flags, which only the benches that read them accept. trace_tool gen
 must refuse a side <n> that is not a decimal in [2, 65535] the same
-way, naming <n>. Also checks that `ftd --host 127.0.0.1 --port 0`
-still prints the `ftd: listening on HOST:PORT` line that scripts parse
-for the port.
+way, naming <n>, and trace_tool replay a malformed <D>. The examples
+that take positional numbers (quickstart, dataflow_engine,
+spmv_accelerator, design_space_explorer, packet_tracer) must refuse a
+malformed or out-of-range one the same way, naming it. Also checks
+that `ftd --host 127.0.0.1 --port 0` still prints the `ftd: listening
+on HOST:PORT` line that scripts parse for the port.
 
 Usage:
   cli_flags.py --bench-all PATH --fig15-bench PATH \\
                --run-experiment PATH --ftd PATH --ftd-client PATH \\
-               --trace-tool PATH
+               --trace-tool PATH --quickstart PATH \\
+               --dataflow-engine PATH --spmv-accelerator PATH \\
+               --design-space-explorer PATH --packet-tracer PATH
 
 Exit 0 when every case holds, 1 otherwise.
 """
@@ -74,6 +79,11 @@ def main():
     parser.add_argument('--ftd', required=True)
     parser.add_argument('--ftd-client', required=True)
     parser.add_argument('--trace-tool', required=True)
+    parser.add_argument('--quickstart', required=True)
+    parser.add_argument('--dataflow-engine', required=True)
+    parser.add_argument('--spmv-accelerator', required=True)
+    parser.add_argument('--design-space-explorer', required=True)
+    parser.add_argument('--packet-tracer', required=True)
     args = parser.parse_args()
 
     bench = [args.bench_all]
@@ -141,6 +151,17 @@ def main():
         (gen + ['spmv', 'x', trace_file], '<n>'),
         # n * n wraps to a smaller PE count.
         (gen + ['spmv', '70000', trace_file], '<n>'),
+        # Parsed before the trace file is opened.
+        ([args.trace_tool, 'replay', trace_file, 'ft-full', 'abc'],
+         '<D>'),
+        # Each used to abort on a library assertion.
+        ([args.quickstart, '8', 'x'], '<injection-rate>'),
+        ([args.dataflow_engine, '0'], '<ops>'),
+        ([args.dataflow_engine, '10', '0'], '<noc-side>'),
+        ([args.spmv_accelerator, '0'], '<rows>'),
+        ([args.design_space_explorer, '8', '0'], '<datawidth>'),
+        ([args.packet_tracer, '8', '2', '1', '9', '9', '0', '0'],
+         '<src-x>'),
     ]
     failures = []
     for cmd, flag in cases:
