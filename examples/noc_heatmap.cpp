@@ -4,15 +4,16 @@
  * traversal intensity for each lane class as ASCII grids, showing how
  * express links drain traffic off the short rings.
  *
- * Run: ./noc_heatmap [pattern] [noc-side] [D] [R]
+ * Run: ./noc_heatmap [pattern] [<noc-side>] [<D>] [<R>]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "noc/network.hpp"
 #include "traffic/injector.hpp"
+#include "traffic/trace.hpp"
 
 using namespace fasttrack;
 
@@ -58,9 +59,12 @@ int
 main(int argc, char **argv)
 {
     const std::string pattern_name = argc > 1 ? argv[1] : "TRANSPOSE";
-    const std::uint32_t n = argc > 2 ? std::atoi(argv[2]) : 8;
-    const std::uint32_t d = argc > 3 ? std::atoi(argv[3]) : 2;
-    const std::uint32_t r = argc > 4 ? std::atoi(argv[4]) : 1;
+    const Positionals args{argc, argv,
+                           "[pattern] [<noc-side>] [<D>] [<R>]"};
+    const auto n =
+        args.number<std::uint32_t>(2, "<noc-side>", 8, 2, kMaxTraceSide);
+    const auto d = args.number<std::uint32_t>(3, "<D>", 2, 0, n / 2);
+    const auto r = args.number<std::uint32_t>(4, "<R>", 1, 1, n / 2);
 
     NocConfig cfg = d == 0 ? NocConfig::hoplite(n)
                            : NocConfig::fastTrack(n, d, r);

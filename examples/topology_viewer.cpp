@@ -4,25 +4,27 @@
  * router kinds (Black/Grey/White), express-link start columns/rows,
  * wiring bill, and the per-kind resource budget.
  *
- * Run: ./topology_viewer [N] [D] [R] [variant]
+ * Run: ./topology_viewer [<N>] [<D>] [<R>] [inject]
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "fpga/area_model.hpp"
 #include "noc/topology.hpp"
+#include "traffic/trace.hpp"
 
 using namespace fasttrack;
 
 int
 main(int argc, char **argv)
 {
-    const std::uint32_t n = argc > 1 ? std::atoi(argv[1]) : 8;
-    const std::uint32_t d = argc > 2 ? std::atoi(argv[2]) : 2;
-    const std::uint32_t r = argc > 3 ? std::atoi(argv[3]) : 2;
+    const Positionals args{argc, argv, "[<N>] [<D>] [<R>] [inject]"};
+    const auto n = args.number<std::uint32_t>(1, "<N>", 8, 2, kMaxTraceSide);
+    const auto d = args.number<std::uint32_t>(2, "<D>", 2, 0, n / 2);
+    const auto r = args.number<std::uint32_t>(3, "<R>", 2, 1, n / 2);
     const bool inject = argc > 4 && std::strcmp(argv[4], "inject") == 0;
 
     const NocConfig cfg =
