@@ -61,7 +61,7 @@ writeCacheStats(std::ostream &os)
 {
     telemetry::MetricsRegistry metrics;
     sweepCache().reportTo(metrics);
-    sched::WorkStealingPool::global().reportTo(metrics);
+    sched::ensureGlobalPool().reportTo(metrics);
     if (remoteConfigured())
         reportRemoteStats(metrics);
     metrics.writeSummary(os);

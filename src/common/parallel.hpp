@@ -5,61 +5,33 @@
  * to its own slot, so the output is identical to the serial order no
  * matter how the threads interleave.
  *
- * Execution backend: when the scheduler library's persistent
- * work-stealing pool is installed (sched::ensureGlobalPool(), see
- * src/sched/work_stealing_pool.hpp), bulk work is dispatched onto its
- * resident workers instead of spawning and joining fresh std::threads
- * per call. The fallback spawn-per-call path below remains for
- * binaries that never touch the scheduler library.
+ * Execution: every call runs on a persistent work-stealing pool
+ * (src/sched/work_stealing_pool.hpp), by default the process pool
+ * that sched::ensureGlobalPool() creates on first use. The pool is
+ * only forward-declared here; its definitions live in the scheduler
+ * library, which every caller links.
  */
 
 #ifndef FT_COMMON_PARALLEL_HPP
 #define FT_COMMON_PARALLEL_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace fasttrack {
 
+namespace sched {
+class WorkStealingPool;
+/** The process pool, created on first use (sched/work_stealing_pool.hpp). */
+WorkStealingPool &ensureGlobalPool();
+} // namespace sched
+
 namespace parallel_detail {
-
-/**
- * Backend interface for bulk-parallel execution. Implementations run
- * task(ctx, i) exactly once for every i in [0, count) using at most
- * @p workers concurrent executors, returning only after every call
- * finished. Exceptions never escape @p task (parallelMap wraps the
- * user function), so implementations need no unwind handling.
- */
-struct BulkExecutor
-{
-    virtual ~BulkExecutor() = default;
-    virtual void runBulk(void *ctx, void (*task)(void *, std::size_t),
-                         std::size_t count, unsigned workers,
-                         const char *label) = 0;
-};
-
-inline std::atomic<BulkExecutor *> &
-executorSlot()
-{
-    static std::atomic<BulkExecutor *> slot{nullptr};
-    return slot;
-}
-
-/** Install (or with nullptr remove) the process-wide bulk executor. */
-inline void
-setBulkExecutor(BulkExecutor *executor)
-{
-    executorSlot().store(executor, std::memory_order_release);
-}
-
-inline BulkExecutor *
-bulkExecutor()
-{
-    return executorSlot().load(std::memory_order_acquire);
-}
 
 inline std::atomic<unsigned> &
 defaultThreadsSlot()
@@ -96,9 +68,9 @@ defaultParallelThreads()
 
 /**
  * True while the current thread is executing a bulk task (a pool
- * worker, a participating submitter, or a fallback-path worker).
- * Nested parallelMap calls run inline serially instead of deadlocking
- * on the pool or oversubscribing the machine.
+ * worker or a participating submitter). Nested parallelMap calls run
+ * inline serially instead of deadlocking on the pool or
+ * oversubscribing the machine.
  */
 inline bool &
 inBulkWorker()
@@ -107,11 +79,17 @@ inBulkWorker()
     return flag;
 }
 
+/** pool.runBulk(ctx, task, count, workers, label), callable where the
+ *  pool is an incomplete type; defined in sched/work_stealing_pool.cpp. */
+void runBulk(sched::WorkStealingPool &pool, void *ctx,
+             void (*task)(void *, std::size_t), std::size_t count,
+             unsigned workers, const char *label);
+
 } // namespace parallel_detail
 
 /**
  * Apply @p fn to every element of @p items on up to @p threads
- * workers and return the results in input order.
+ * participants of @p pool and return the results in input order.
  *
  * @p threads 0 (the default) means the configured process default
  * (--threads via bench_util::parseArgs, else hardware concurrency).
@@ -121,17 +99,18 @@ inBulkWorker()
  *
  * If @p fn throws, the exception is captured per item and the one
  * belonging to the *earliest input index* is rethrown after all
- * workers finish — the same exception a serial loop would surface, so
- * failures are deterministic regardless of thread interleaving.
- * (A thread escaping with an exception would otherwise terminate.)
+ * participants finish — the same exception a serial loop would
+ * surface, so failures are deterministic regardless of thread
+ * interleaving. (A task escaping with an exception would otherwise
+ * terminate.)
  *
  * @p label names the bulk job in scheduler telemetry (per-worker
  * spans in the exported Chrome trace).
  */
 template <typename In, typename Fn>
 auto
-parallelMap(const std::vector<In> &items, Fn fn, unsigned threads = 0,
-            const char *label = "parallelMap")
+parallelMap(sched::WorkStealingPool &pool, const std::vector<In> &items,
+            Fn fn, unsigned threads = 0, const char *label = "parallelMap")
     -> std::vector<decltype(fn(items.front()))>
 {
     using Out = decltype(fn(items.front()));
@@ -151,60 +130,41 @@ parallelMap(const std::vector<In> &items, Fn fn, unsigned threads = 0,
     }
 
     std::vector<std::exception_ptr> errors(items.size());
-
-    if (parallel_detail::BulkExecutor *executor =
-            parallel_detail::bulkExecutor()) {
-        struct Ctx
-        {
-            const std::vector<In> *items;
-            std::vector<Out> *results;
-            std::vector<std::exception_ptr> *errors;
-            Fn *fn;
-        } ctx{&items, &results, &errors, &fn};
-        executor->runBulk(
-            &ctx,
-            [](void *opaque, std::size_t i) {
-                auto *c = static_cast<Ctx *>(opaque);
-                try {
-                    (*c->results)[i] = (*c->fn)((*c->items)[i]);
-                } catch (...) {
-                    (*c->errors)[i] = std::current_exception();
-                }
-            },
-            items.size(), threads, label);
-    } else {
-        // Fallback: spawn-per-call workers claiming items off a shared
-        // counter. The claim order does not matter (results are
-        // slot-addressed), so the increment can be relaxed; the joins
-        // below publish every slot to the caller.
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            parallel_detail::inBulkWorker() = true;
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= items.size())
-                    return;
-                try {
-                    results[i] = fn(items[i]);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
+    struct Ctx
+    {
+        const std::vector<In> *items;
+        std::vector<Out> *results;
+        std::vector<std::exception_ptr> *errors;
+        Fn *fn;
+    } ctx{&items, &results, &errors, &fn};
+    parallel_detail::runBulk(
+        pool, &ctx,
+        [](void *opaque, std::size_t i) {
+            auto *c = static_cast<Ctx *>(opaque);
+            try {
+                (*c->results)[i] = (*c->fn)((*c->items)[i]);
+            } catch (...) {
+                (*c->errors)[i] = std::current_exception();
             }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+        },
+        items.size(), threads, label);
 
     for (const std::exception_ptr &e : errors) {
         if (e)
             std::rethrow_exception(e);
     }
     return results;
+}
+
+/** parallelMap on the process pool (sched::ensureGlobalPool()). */
+template <typename In, typename Fn>
+auto
+parallelMap(const std::vector<In> &items, Fn fn, unsigned threads = 0,
+            const char *label = "parallelMap")
+    -> std::vector<decltype(fn(items.front()))>
+{
+    return parallelMap(sched::ensureGlobalPool(), items, std::move(fn),
+                       threads, label);
 }
 
 } // namespace fasttrack

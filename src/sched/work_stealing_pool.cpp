@@ -331,35 +331,27 @@ WorkStealingPool::reportTo(telemetry::MetricsRegistry &metrics) const
         static_cast<double>(s.peakJobs);
 }
 
-namespace {
-
-/** Owns the global pool and its executor registration, so the hook
- *  is removed before the pool's workers are joined at exit. */
-struct GlobalPoolHolder
-{
-    WorkStealingPool pool;
-
-    GlobalPoolHolder()
-        : pool(parallel_detail::defaultParallelThreads())
-    {
-        parallel_detail::setBulkExecutor(&pool);
-    }
-    ~GlobalPoolHolder() { parallel_detail::setBulkExecutor(nullptr); }
-};
-
-} // namespace
-
-WorkStealingPool &
-WorkStealingPool::global()
-{
-    static GlobalPoolHolder holder;
-    return holder.pool;
-}
-
 WorkStealingPool &
 ensureGlobalPool()
 {
-    return WorkStealingPool::global();
+    // Joined during static destruction, so no parallelMap may run from
+    // an atexit hook or a static destructor: it would submit to a
+    // destroyed pool. None does. The one atexit hook, bench's
+    // --cache-stats writer (writeCacheStatsAtExit), only reads these
+    // counters, and parseArgs registers it after building the pool, so
+    // it runs before the teardown.
+    static WorkStealingPool pool(parallel_detail::defaultParallelThreads());
+    return pool;
 }
 
 } // namespace fasttrack::sched
+
+void
+fasttrack::parallel_detail::runBulk(sched::WorkStealingPool &pool,
+                                    void *ctx,
+                                    void (*task)(void *, std::size_t),
+                                    std::size_t count, unsigned workers,
+                                    const char *label)
+{
+    pool.runBulk(ctx, task, count, workers, label);
+}

@@ -46,7 +46,7 @@
 
 namespace fasttrack::sched {
 
-class WorkStealingPool final : public parallel_detail::BulkExecutor
+class WorkStealingPool
 {
   public:
     /**
@@ -56,17 +56,9 @@ class WorkStealingPool final : public parallel_detail::BulkExecutor
      * threads. 0 means parallel_detail::defaultParallelThreads().
      */
     explicit WorkStealingPool(unsigned concurrency = 0);
-    ~WorkStealingPool() override;
+    ~WorkStealingPool();
     WorkStealingPool(const WorkStealingPool &) = delete;
     WorkStealingPool &operator=(const WorkStealingPool &) = delete;
-
-    /**
-     * The process-wide pool, created on first use with the configured
-     * default concurrency (--threads) and installed as the parallelMap
-     * bulk executor. Destroyed (workers joined, executor uninstalled)
-     * during static destruction.
-     */
-    static WorkStealingPool &global();
 
     /** Resident worker threads (excludes participating callers). */
     unsigned workerCount() const
@@ -74,13 +66,14 @@ class WorkStealingPool final : public parallel_detail::BulkExecutor
         return static_cast<unsigned>(threads_.size());
     }
 
-    /** BulkExecutor: run task(ctx, i) for i in [0, count). Blocks the
-     *  caller, which participates as the job's first executor. Safe
-     *  to call from several external threads concurrently; jobs share
-     *  the worker set. */
+    /** Run task(ctx, i) exactly once for every i in [0, count) on at
+     *  most @p workers participants. Blocks the caller, which
+     *  participates as the job's first executor. Safe to call from
+     *  several external threads concurrently; jobs share the worker
+     *  set. @p task must not throw (parallelMap wraps the user
+     *  function). */
     void runBulk(void *ctx, void (*task)(void *, std::size_t),
-                 std::size_t count, unsigned workers,
-                 const char *label) override;
+                 std::size_t count, unsigned workers, const char *label);
 
     /** Lifetime totals (a counter set, common/counters.hpp). runBulk
      *  only returns after every participant published its
@@ -140,9 +133,12 @@ class WorkStealingPool final : public parallel_detail::BulkExecutor
 };
 
 /**
- * Create (if needed) and return the global pool, installing it as the
- * parallelMap executor. Sweep entry points call this so any binary
- * that runs a sweep gets pooled execution without further wiring.
+ * The process pool every parallelMap without a pool argument runs on:
+ * created on first use with parallel_detail::defaultParallelThreads()
+ * participants, joined during static destruction. The tools that take
+ * --threads call it right after setting that default, which fixes the
+ * size early and lets an atexit hook registered afterwards run before
+ * the pool's teardown.
  */
 WorkStealingPool &ensureGlobalPool();
 

@@ -54,7 +54,7 @@ FtdServer::reportTo(telemetry::MetricsRegistry &metrics) const
     telemetry::exportCounters(metrics, "ftd.", stats());
     telemetry::exportCounters(metrics, "ftd.net.", netStats());
     sweepCache().reportTo(metrics);
-    sched::WorkStealingPool::global().reportTo(metrics);
+    sched::ensureGlobalPool().reportTo(metrics);
 }
 
 std::vector<net::Frame>

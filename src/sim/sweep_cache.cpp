@@ -6,7 +6,6 @@
 
 #include "common/parallel.hpp"
 #include "net/codec.hpp"
-#include "sched/work_stealing_pool.hpp"
 #include "sim/remote.hpp"
 #include "sim/run_codec.hpp"
 #include "telemetry/sink.hpp"
@@ -102,7 +101,6 @@ computePoints(const std::vector<RunPoint> &points,
 {
     std::vector<std::size_t> order(points.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    sched::ensureGlobalPool();
     return parallelMap(
         order,
         [&](std::size_t i) {

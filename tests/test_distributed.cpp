@@ -623,7 +623,7 @@ TEST(Distributed, ExportedCounterNamesArePinned)
     }
     telemetry::MetricsRegistry metrics;
     sweepCache().reportTo(metrics);
-    sched::WorkStealingPool::global().reportTo(metrics);
+    sched::ensureGlobalPool().reportTo(metrics);
     daemon.server.reportTo(metrics);
     reportRemoteStats(metrics);
     metrics.snapshot(0);

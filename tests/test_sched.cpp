@@ -60,31 +60,17 @@ smallWorkload(double rate, std::uint64_t seed)
 }
 
 /**
- * A test-local pool with a forced participant count, installed as the
- * parallelMap executor for the scope. The global pool sizes itself
- * from the machine (possibly a single core, i.e. zero workers), so
- * pool-path coverage must not depend on it.
+ * Pool-path tests run on a pool of their own with a forced participant
+ * count: the global pool sizes itself from the machine (possibly a
+ * single core, i.e. zero workers), so their coverage must not depend
+ * on it.
  */
-struct WithPool
-{
-    sched::WorkStealingPool pool;
-    parallel_detail::BulkExecutor *prev;
-
-    explicit WithPool(unsigned concurrency) : pool(concurrency)
-    {
-        // Materialize the global holder first so its one-time
-        // executor installation cannot clobber ours mid-test.
-        sched::ensureGlobalPool();
-        prev = parallel_detail::bulkExecutor();
-        parallel_detail::setBulkExecutor(&pool);
-    }
-    ~WithPool() { parallel_detail::setBulkExecutor(prev); }
-};
+constexpr unsigned kForcedParticipants = 4;
 
 TEST(SchedPool, PooledParallelMapMatchesSerial)
 {
-    WithPool wp(4);
-    ASSERT_EQ(wp.pool.workerCount(), 3u);
+    sched::WorkStealingPool pool(kForcedParticipants);
+    ASSERT_EQ(pool.workerCount(), 3u);
 
     std::vector<std::uint64_t> items(257);
     std::iota(items.begin(), items.end(), 1);
@@ -98,10 +84,10 @@ TEST(SchedPool, PooledParallelMapMatchesSerial)
         return acc;
     };
 
-    const auto serial = parallelMap(items, fn, 1);
-    const auto pooled = parallelMap(items, fn, 4);
+    const auto serial = parallelMap(pool, items, fn, 1);
+    const auto pooled = parallelMap(pool, items, fn, 4);
     EXPECT_EQ(pooled, serial);
-    const auto st = wp.pool.stats();
+    const auto st = pool.stats();
     EXPECT_GE(st.jobs, 1u);
     EXPECT_EQ(st.tasks, items.size());
 }
@@ -112,7 +98,7 @@ TEST(SchedPool, ThievesDrainABlockedOwnersRange)
     // the rest of slot 0's contiguous range is still unclaimed, so
     // some participant must steal to finish the job — and the stolen
     // execution must be invisible in the results.
-    WithPool wp(4);
+    sched::WorkStealingPool pool(kForcedParticipants);
     std::vector<int> items(64);
     std::iota(items.begin(), items.end(), 0);
     auto fn = [](int v) {
@@ -126,47 +112,36 @@ TEST(SchedPool, ThievesDrainABlockedOwnersRange)
         }
         return v * 7 + 1;
     };
-    const auto serial = parallelMap(items, fn, 1);
-    const auto pooled = parallelMap(items, fn, 4);
+    const auto serial = parallelMap(pool, items, fn, 1);
+    const auto pooled = parallelMap(pool, items, fn, 4);
     EXPECT_EQ(pooled, serial);
-    const auto st = wp.pool.stats();
+    const auto st = pool.stats();
     EXPECT_GT(st.steals, 0u);
     EXPECT_GT(st.stolenTasks, 0u);
     EXPECT_EQ(st.tasks, items.size());
 }
 
-TEST(SchedPool, SpawnFallbackMatchesPool)
-{
-    WithPool wp(4);
-    std::vector<int> items(100);
-    std::iota(items.begin(), items.end(), 0);
-    auto fn = [](int v) { return v * v - 3; };
-
-    const auto pooled = parallelMap(items, fn, 4);
-    parallel_detail::setBulkExecutor(nullptr);
-    const auto spawned = parallelMap(items, fn, 4);
-    parallel_detail::setBulkExecutor(&wp.pool);
-    EXPECT_EQ(spawned, pooled);
-}
-
 TEST(SchedPool, NestedParallelMapRunsInline)
 {
-    WithPool wp(4);
+    // The inner calls name no pool; from inside a task they must run
+    // inline, so the outer pool runs only the 16 outer tasks.
+    sched::WorkStealingPool pool(kForcedParticipants);
     std::vector<int> outer(16);
     std::iota(outer.begin(), outer.end(), 0);
-    const auto out = parallelMap(outer, [](int v) {
+    const auto out = parallelMap(pool, outer, [](int v) {
         std::vector<int> inner{v, v + 1, v + 2};
         const auto sums = parallelMap(
             inner, [](int w) { return w * 10; }, 8);
         return sums[0] + sums[1] + sums[2];
-    });
+    }, kForcedParticipants);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], static_cast<int>(30 * i + 30));
+    EXPECT_EQ(pool.stats().tasks, outer.size());
 }
 
 TEST(SchedPool, ExceptionContractHoldsUnderPool)
 {
-    WithPool wp(4);
+    sched::WorkStealingPool pool(kForcedParticipants);
     std::vector<int> items(101);
     std::iota(items.begin(), items.end(), 0);
     auto fn = [](int v) -> int {
@@ -175,7 +150,7 @@ TEST(SchedPool, ExceptionContractHoldsUnderPool)
         return v;
     };
     try {
-        parallelMap(items, fn, 8);
+        parallelMap(pool, items, fn, 8);
         FAIL() << "expected an exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "item 7");
@@ -188,7 +163,6 @@ TEST(SchedPool, ConcurrentSweepsShareThePool)
     // worker set and the cache's store/lookup paths are shared. Run
     // under TSan this is the data-race stress; everywhere it pins
     // that concurrency does not change results.
-    WithPool wp(4);
     const NocUnderTest nut{"ft", NocConfig::fastTrack(4, 2, 1), 1};
     const std::vector<double> rates{0.1, 0.3, 0.6};
 
@@ -220,8 +194,10 @@ TEST(SchedPool, SweepsIdenticalSerialAndPooled)
     // Every sweep point is its own pool item: an injection sweep and
     // a seed list must give the same bytes at --threads 1 as on the
     // pool. Each pass starts from an empty memory tier, with no disk
-    // store attached, so both passes really simulate.
-    WithPool wp(4);
+    // store attached, so both passes really simulate. Built before the
+    // thread count moves, the global pool keeps its machine size.
+    const sched::WorkStealingPool &pool = sched::ensureGlobalPool();
+    const std::uint64_t tasksBefore = pool.stats().tasks;
     const unsigned threads = parallel_detail::defaultThreadsSlot().load();
     ASSERT_TRUE(sweepCache().dir().empty());
 
@@ -256,7 +232,8 @@ TEST(SchedPool, SweepsIdenticalSerialAndPooled)
     for (std::size_t i = 0; i < seeds.size(); ++i)
         EXPECT_EQ(resultHash(reps[1][i]), resultHash(reps[0][i]))
             << "seed " << seeds[i].workload.seed;
-    EXPECT_GE(wp.pool.stats().tasks, rates.size() + seeds.size());
+    EXPECT_GE(pool.stats().tasks - tasksBefore,
+              rates.size() + seeds.size());
 }
 
 TEST(SweepCache, CacheOnAndOffAreBitIdentical)

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/flags.hpp"
-#include "sched/work_stealing_pool.hpp"
 #include "sim/experiment.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
@@ -60,7 +59,6 @@ main(int argc, char **argv)
     };
     parseFlagsOrExit(flags, argc, argv);
 
-    sched::ensureGlobalPool();
     RemoteConfig remote = remoteConfig();
     remote.useLocalCache = localCache;
     setRemoteConfig(std::move(remote));
