@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "noc/noc_stats.hpp"
 
@@ -150,45 +148,6 @@ TEST(NocStatsHelpers, ResetClears)
     s.reset();
     EXPECT_EQ(s.injected, 0u);
     EXPECT_EQ(s.hopCount.count(), 0u);
-}
-
-TEST(Parallel, MapPreservesOrderAndValues)
-{
-    std::vector<int> items;
-    for (int i = 0; i < 257; ++i)
-        items.push_back(i);
-    const auto out = parallelMap(
-        items, [](int x) { return x * x; }, 8);
-    ASSERT_EQ(out.size(), items.size());
-    for (int i = 0; i < 257; ++i)
-        EXPECT_EQ(out[i], i * i);
-}
-
-TEST(Parallel, HandlesEmptyAndSingle)
-{
-    const std::vector<int> empty;
-    EXPECT_TRUE(parallelMap(empty, [](int x) { return x; }).empty());
-    const std::vector<int> one{7};
-    EXPECT_EQ(parallelMap(one, [](int x) { return x + 1; })[0], 8);
-}
-
-TEST(Parallel, MatchesSerialForSimResults)
-{
-    // Thread count must not change simulation outputs.
-    std::vector<std::uint64_t> seeds{1, 2, 3, 4};
-    auto run = [&](unsigned threads) {
-        return parallelMap(
-            seeds,
-            [](std::uint64_t seed) {
-                Rng rng(seed);
-                std::uint64_t acc = 0;
-                for (int i = 0; i < 1000; ++i)
-                    acc ^= rng.next();
-                return acc;
-            },
-            threads);
-    };
-    EXPECT_EQ(run(1), run(4));
 }
 
 } // namespace
