@@ -24,7 +24,7 @@
  *
  * Telemetry interaction: when a telemetry sink is installed, a cache
  * hit would silently skip the event/counter emission of the real
- * run, so cachedRunSynthetic bypasses the cache (recorded in the
+ * run, so runSim bypasses the cache (recorded in the
  * <sweep_cache.bypasses> counter) rather than corrupt traces.
  */
 
@@ -85,7 +85,7 @@ probeSweepCache(std::uint64_t key, SynthResult &out);
  * result is bit-identical to a plain runSim of the same inputs
  * (tests/test_sched.cpp pins this). Shim over runSim
  * (RunRequest.useCache) — the cache lookup/store itself lives in
- * runSim; this overload takes the default cycle guard from
+ * runSim; it takes the default cycle guard from
  * SimConfig{} like every other entry point.
  */
 inline SynthResult
@@ -95,19 +95,6 @@ cachedRunSynthetic(const NocConfig &config, std::uint32_t channels,
     return runSim({.config = &config,
                    .channels = channels,
                    .workload = &workload,
-                   .useCache = true})
-        .synth;
-}
-
-/** Shim over runSim — see above; explicit cycle guard. */
-inline SynthResult
-cachedRunSynthetic(const NocConfig &config, std::uint32_t channels,
-                   const SyntheticWorkload &workload, Cycle max_cycles)
-{
-    return runSim({.config = &config,
-                   .channels = channels,
-                   .workload = &workload,
-                   .sim = {.maxCycles = max_cycles},
                    .useCache = true})
         .synth;
 }
