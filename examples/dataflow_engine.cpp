@@ -30,6 +30,10 @@ main(int argc, char **argv)
         args.number<std::uint32_t>(2, "<noc-side>", 8, 2, kMaxTraceSide);
     const auto delay =
         args.number<Cycle>(3, "<compute-delay>", 2, 0, kMax);
+    for (const std::uint32_t r : {1u, 2u})
+        args.check("<noc-side>", NocConfig{.n = n, .d = 2, .r = r,
+                                           .variant = NocVariant::ftFull}
+                                     .validationError());
 
     LuDagParams params;
     params.name = "example";

@@ -65,6 +65,11 @@ main(int argc, char **argv)
         args.number<std::uint32_t>(2, "<noc-side>", 8, 2, kMaxTraceSide);
     const auto d = args.number<std::uint32_t>(3, "<D>", 2, 0, n / 2);
     const auto r = args.number<std::uint32_t>(4, "<R>", 1, 1, n / 2);
+    // N and D are in range, so only the rules on R can still fail.
+    if (d != 0)
+        args.check("<R>", NocConfig{.n = n, .d = d, .r = r,
+                                    .variant = NocVariant::ftFull}
+                              .validationError());
 
     NocConfig cfg = d == 0 ? NocConfig::hoplite(n)
                            : NocConfig::fastTrack(n, d, r);

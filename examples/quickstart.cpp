@@ -23,6 +23,11 @@ main(int argc, char **argv)
     const auto n = args.number<std::uint32_t>(1, "<N>", 8, 2, kMaxTraceSide);
     const auto rate =
         args.number<double>(2, "<injection-rate>", 1.0, 0.001, 1.0);
+    // The lineup's FT(N^2,2,1) and FT(N^2,2,2) must both be buildable.
+    for (const std::uint32_t r : {1u, 2u})
+        args.check("<N>", NocConfig{.n = n, .d = 2, .r = r,
+                                    .variant = NocVariant::ftFull}
+                              .validationError());
 
     std::cout << "FastTrack quickstart: " << n << "x" << n
               << " NoC, RANDOM traffic, injection rate " << rate

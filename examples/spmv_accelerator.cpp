@@ -31,6 +31,14 @@ main(int argc, char **argv)
         args.number<std::uint32_t>(2, "<noc-side>", 8, 2, kMaxTraceSide);
     const auto local =
         args.number<double>(3, "<local-fraction>", 0.6, 0.0, 1.0);
+    // From side 4 on, the lineup adds FT(N^2,2,1) and FT(N^2,2,2).
+    if (n >= 4) {
+        for (const std::uint32_t r : {1u, 2u})
+            args.check("<noc-side>",
+                       NocConfig{.n = n, .d = 2, .r = r,
+                                 .variant = NocVariant::ftFull}
+                           .validationError());
+    }
 
     MatrixParams params;
     params.name = "example";

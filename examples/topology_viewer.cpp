@@ -26,12 +26,20 @@ main(int argc, char **argv)
     const auto d = args.number<std::uint32_t>(2, "<D>", 2, 0, n / 2);
     const auto r = args.number<std::uint32_t>(3, "<R>", 2, 1, n / 2);
     const bool inject = argc > 4 && std::strcmp(argv[4], "inject") == 0;
+    const NocVariant variant =
+        inject ? NocVariant::ftInject : NocVariant::ftFull;
+    if (d != 0) {
+        // At R = 1 only the rules on D apply.
+        args.check("<D>",
+                   NocConfig{.n = n, .d = d, .r = 1, .variant = variant}
+                       .validationError());
+        args.check("<R>",
+                   NocConfig{.n = n, .d = d, .r = r, .variant = variant}
+                       .validationError());
+    }
 
-    const NocConfig cfg =
-        d == 0 ? NocConfig::hoplite(n)
-               : NocConfig::fastTrack(n, d, r,
-                                      inject ? NocVariant::ftInject
-                                             : NocVariant::ftFull);
+    const NocConfig cfg = d == 0 ? NocConfig::hoplite(n)
+                                 : NocConfig::fastTrack(n, d, r, variant);
     Topology topo(cfg);
 
     std::cout << cfg.describe() << " router map "

@@ -115,17 +115,26 @@ cmdInfo(const std::string &path)
 }
 
 int
-cmdReplay(const std::string &path, const std::string &kind,
-          std::uint32_t d, std::uint32_t r)
+cmdReplay(const Positionals &args, const std::string &path,
+          const std::string &kind, std::uint32_t d, std::uint32_t r)
 {
     const Trace trace = loadTrace(path);
     NocConfig cfg = NocConfig::hoplite(trace.n);
-    if (kind == "ft-full")
-        cfg = NocConfig::fastTrack(trace.n, d, r);
-    else if (kind == "ft-inject")
-        cfg = NocConfig::fastTrack(trace.n, d, r, NocVariant::ftInject);
-    else if (kind != "hoplite")
+    if (kind == "ft-full" || kind == "ft-inject") {
+        const NocVariant variant = kind == "ft-inject"
+                                       ? NocVariant::ftInject
+                                       : NocVariant::ftFull;
+        // The trace fixes N. At R = 1 only the rules on D apply.
+        args.check("<D>", NocConfig{.n = trace.n, .d = d, .r = 1,
+                                    .variant = variant}
+                              .validationError());
+        args.check("<R>", NocConfig{.n = trace.n, .d = d, .r = r,
+                                    .variant = variant}
+                              .validationError());
+        cfg = NocConfig::fastTrack(trace.n, d, r, variant);
+    } else if (kind != "hoplite") {
         return usage();
+    }
 
     const TraceResult res =
         runSim({.config = &cfg, .trace = &trace}).trace;
@@ -173,7 +182,7 @@ main(int argc, char **argv)
             args.number<std::uint32_t>(4, "<D>", 2, 1, kMaxTraceSide / 2);
         const auto r =
             args.number<std::uint32_t>(5, "<R>", 1, 1, kMaxTraceSide / 2);
-        return cmdReplay(argv[2], argv[3], d, r);
+        return cmdReplay(args, argv[2], argv[3], d, r);
     }
     return usage();
 }

@@ -198,6 +198,16 @@ struct Positionals
                           flagUsage(argv[0], {}, operands));
         return value;
     }
+
+    /** Exit 2 like number() when @p rule, why the value of argument
+     *  @p name cannot be used (a NocConfig's validationError(), say),
+     *  is not empty. */
+    void check(const std::string &name, const std::string &rule) const
+    {
+        if (!rule.empty())
+            exitWithUsage(argv[0], detail::concat(name, ": ", rule),
+                          flagUsage(argv[0], {}, operands));
+    }
 };
 
 } // namespace fasttrack
