@@ -24,6 +24,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/config_file.hpp"
@@ -73,36 +74,43 @@ main(int argc, char **argv)
     parseFlagsOrExit(flags, argc, argv, 2, "<config-file>");
     const KeyValueFile kv = KeyValueFile::parseFile(argv[1]);
 
-    const auto n = static_cast<std::uint32_t>(kv.getInt("n", 8));
+    // Numbers follow the flag table's decimal rule, in the range the
+    // library accepts; a bad value exits 2 naming its key.
+    const auto n = kv.number<std::uint32_t>("n", 8, 2, kMaxTraceSide);
     const std::string kind = kv.getString("noc", "ft-full");
     NocConfig cfg = NocConfig::hoplite(n);
     if (kind == "ft-full" || kind == "ft-inject") {
-        cfg = NocConfig::fastTrack(
-            n, static_cast<std::uint32_t>(kv.getInt("d", 2)),
-            static_cast<std::uint32_t>(kv.getInt("r", 1)),
-            kind == "ft-inject" ? NocVariant::ftInject
-                                : NocVariant::ftFull);
+        const NocVariant variant = kind == "ft-inject"
+                                       ? NocVariant::ftInject
+                                       : NocVariant::ftFull;
+        const auto d = kv.number<std::uint32_t>("d", 2, 1, n / 2);
+        const auto r = kv.number<std::uint32_t>("r", 1, 1, n / 2);
+        // At R = 1 only the rules on D apply.
+        kv.check("d", NocConfig{.n = n, .d = d, .r = 1, .variant = variant}
+                          .validationError());
+        kv.check("r", NocConfig{.n = n, .d = d, .r = r, .variant = variant}
+                          .validationError());
+        cfg = NocConfig::fastTrack(n, d, r, variant);
     } else if (kind != "hoplite") {
         FT_FATAL("unknown noc kind: ", kind);
     }
-    cfg.shortLinkStages =
-        static_cast<std::uint32_t>(kv.getInt("short_stages", 0));
+    cfg.shortLinkStages = kv.number<std::uint32_t>("short_stages", 0, 0, 8);
     cfg.expressLinkStages =
-        static_cast<std::uint32_t>(kv.getInt("express_stages", 0));
-    cfg.validate();
+        kv.number<std::uint32_t>("express_stages", 0, 0, 8);
 
     SyntheticWorkload workload;
     workload.pattern =
         patternFromString(kv.getString("pattern", "RANDOM"));
-    workload.injectionRate = kv.getDouble("rate", 0.5);
-    workload.packetsPerPe =
-        static_cast<std::uint32_t>(kv.getInt("packets", 1024));
-    workload.seed = static_cast<std::uint64_t>(kv.getInt("seed", 1));
+    workload.injectionRate = kv.number<double>("rate", 0.5, 0.001, 1.0);
+    workload.packetsPerPe = kv.number<std::uint32_t>(
+        "packets", 1024, 1, std::numeric_limits<std::uint32_t>::max());
+    workload.seed = kv.number<std::uint64_t>(
+        "seed", 1, 0, std::numeric_limits<std::uint64_t>::max());
 
-    const auto channels =
-        static_cast<std::uint32_t>(kv.getInt("channels", 1));
-    const auto width =
-        static_cast<std::uint32_t>(kv.getInt("width", 256));
+    // The wire carries at most 64 channels (sim/run_codec.cpp).
+    const auto channels = kv.number<std::uint32_t>("channels", 1, 1, 64);
+    const auto width = kv.number<std::uint32_t>(
+        "width", 256, 1, std::numeric_limits<std::uint32_t>::max());
 
     const bool checkpointing =
         sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty();

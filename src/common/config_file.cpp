@@ -1,9 +1,8 @@
 #include "common/config_file.hpp"
 
-#include <algorithm>
+#include <cstdlib>
 #include <fstream>
-#include <istream>
-#include <sstream>
+#include <iostream>
 
 #include "common/logging.hpp"
 
@@ -60,12 +59,6 @@ KeyValueFile::parseFile(const std::string &path)
     return parse(in);
 }
 
-bool
-KeyValueFile::has(const std::string &key) const
-{
-    return values_.count(key) > 0;
-}
-
 std::string
 KeyValueFile::getString(const std::string &key,
                         const std::string &fallback) const
@@ -74,56 +67,11 @@ KeyValueFile::getString(const std::string &key,
     return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t
-KeyValueFile::getInt(const std::string &key,
-                     std::int64_t fallback) const
+void
+KeyValueFile::refuse(const std::string &message)
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    try {
-        std::size_t used = 0;
-        const std::int64_t v = std::stoll(it->second, &used);
-        if (used != it->second.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        FT_FATAL("config key '", key, "' is not an integer: ",
-                 it->second);
-    }
-}
-
-double
-KeyValueFile::getDouble(const std::string &key, double fallback) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(it->second, &used);
-        if (used != it->second.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        FT_FATAL("config key '", key, "' is not a number: ",
-                 it->second);
-    }
-}
-
-bool
-KeyValueFile::getBool(const std::string &key, bool fallback) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    std::string v = it->second;
-    std::transform(v.begin(), v.end(), v.begin(), ::tolower);
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    FT_FATAL("config key '", key, "' is not a boolean: ", it->second);
+    std::cerr << message << "\n";
+    std::exit(2);
 }
 
 } // namespace fasttrack

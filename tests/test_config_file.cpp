@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "common/config_file.hpp"
@@ -19,42 +20,26 @@ TEST(ConfigFile, ParsesTypedValues)
         "n = 8\n"
         "rate = 0.25   # trailing comment\n"
         "name = ft-full\n"
-        "flag = true\n"
         "\n");
     const KeyValueFile kv = KeyValueFile::parse(is);
-    EXPECT_EQ(kv.size(), 4u);
-    EXPECT_EQ(kv.getInt("n"), 8);
-    EXPECT_DOUBLE_EQ(kv.getDouble("rate"), 0.25);
+    EXPECT_EQ(kv.number<std::uint32_t>("n", 0, 2, 16), 8u);
+    EXPECT_DOUBLE_EQ(kv.number<double>("rate", 0.0, 0.001, 1.0), 0.25);
     EXPECT_EQ(kv.getString("name"), "ft-full");
-    EXPECT_TRUE(kv.getBool("flag"));
 }
 
 TEST(ConfigFile, FallbacksForMissingKeys)
 {
     std::istringstream is("a = 1\n");
     const KeyValueFile kv = KeyValueFile::parse(is);
-    EXPECT_FALSE(kv.has("missing"));
-    EXPECT_EQ(kv.getInt("missing", 42), 42);
-    EXPECT_DOUBLE_EQ(kv.getDouble("missing", 2.5), 2.5);
+    EXPECT_EQ(kv.number<std::uint32_t>("missing", 42, 0, 10), 42u);
+    EXPECT_DOUBLE_EQ(kv.number<double>("missing", 2.5, 0.0, 1.0), 2.5);
     EXPECT_EQ(kv.getString("missing", "x"), "x");
-    EXPECT_TRUE(kv.getBool("missing", true));
 }
 
 TEST(ConfigFile, LaterKeysOverride)
 {
     std::istringstream is("a = 1\na = 2\n");
-    EXPECT_EQ(KeyValueFile::parse(is).getInt("a"), 2);
-}
-
-TEST(ConfigFile, BooleanSpellings)
-{
-    std::istringstream is(
-        "a = YES\nb = off\nc = 1\nd = False\n");
-    const KeyValueFile kv = KeyValueFile::parse(is);
-    EXPECT_TRUE(kv.getBool("a"));
-    EXPECT_FALSE(kv.getBool("b"));
-    EXPECT_TRUE(kv.getBool("c"));
-    EXPECT_FALSE(kv.getBool("d"));
+    EXPECT_EQ(KeyValueFile::parse(is).number<int>("a", 0, 0, 9), 2);
 }
 
 TEST(ConfigFileDeathTest, RejectsMalformedInput)
@@ -65,16 +50,22 @@ TEST(ConfigFileDeathTest, RejectsMalformedInput)
                     ::testing::ExitedWithCode(1), "key = value");
     }
     {
-        std::istringstream is("n = twelve\n");
+        std::istringstream is("n = twelve\nm = -8\nrate = 7\nw = 4x\n");
         const KeyValueFile kv = KeyValueFile::parse(is);
-        EXPECT_EXIT(kv.getInt("n"), ::testing::ExitedWithCode(1),
-                    "not an integer");
-    }
-    {
-        std::istringstream is("b = maybe\n");
-        const KeyValueFile kv = KeyValueFile::parse(is);
-        EXPECT_EXIT(kv.getBool("b"), ::testing::ExitedWithCode(1),
-                    "not a boolean");
+        EXPECT_EXIT(kv.number<std::uint32_t>("n", 8, 2, 16),
+                    ::testing::ExitedWithCode(2),
+                    "config key 'n' must be a decimal in \\[2, 16\\], "
+                    "got 'twelve'");
+        EXPECT_EXIT(kv.number<std::uint32_t>("m", 8, 2, 16),
+                    ::testing::ExitedWithCode(2), "config key 'm'");
+        EXPECT_EXIT(kv.number<double>("rate", 0.5, 0.001, 1.0),
+                    ::testing::ExitedWithCode(2), "config key 'rate'");
+        EXPECT_EXIT(kv.number<std::uint32_t>("w", 1, 1, 64),
+                    ::testing::ExitedWithCode(2), "config key 'w'");
+        kv.check("n", "");
+        EXPECT_EXIT(kv.check("n", "R must divide D"),
+                    ::testing::ExitedWithCode(2),
+                    "config key 'n': R must divide D");
     }
     EXPECT_EXIT(KeyValueFile::parseFile("/nonexistent/path.cfg"),
                 ::testing::ExitedWithCode(1), "cannot open");
