@@ -22,18 +22,18 @@ wireAccepts(const NocConfig &c)
     return c.n <= kMaxWireSide && c.validationError().empty();
 }
 
+/** @p w on a NoC of side @p n; the caller checks the NoC first. */
 bool
-wireAccepts(const SyntheticWorkload &w)
+wireAccepts(const SyntheticWorkload &w, std::uint32_t n)
 {
     if (!std::isfinite(w.injectionRate) || w.injectionRate <= 0.0 ||
         w.injectionRate > 1.0)
         return false;
     if (w.packetsPerPe < 1 || w.packetsPerPe > (1u << 20))
         return false;
-    if (w.pattern == TrafficPattern::local &&
-        (w.localRadius < 1 || w.localRadius > 1024))
+    if (w.pattern == TrafficPattern::local && w.localRadius > 1024)
         return false;
-    return true;
+    return patternValidationError(w.pattern, n, w.localRadius).empty();
 }
 
 /** Cap on a trace name on the wire (names label, never shape). */
@@ -125,7 +125,8 @@ decodeSweepRequestPayload(const std::vector<std::uint8_t> &payload,
         get(r, request.channels) && get(r, request.workload) &&
         get(r, request.maxCycles) && r.atEnd() &&
         wireAccepts(request.config) && request.channels >= 1 &&
-        request.channels <= 64 && wireAccepts(request.workload) &&
+        request.channels <= 64 &&
+        wireAccepts(request.workload, request.config.n) &&
         request.maxCycles >= 1;
     if (!ok)
         return false;
@@ -232,7 +233,7 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
         return false;
     if (request.kind == SnapshotKind::synthetic) {
         if (!get(r, request.workload) ||
-            !wireAccepts(request.workload))
+            !wireAccepts(request.workload, request.config.n))
             return false;
     } else {
         if (!getTrace(r, request.trace))

@@ -1012,6 +1012,78 @@ TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
     EXPECT_EQ(daemon.server.netStats().protocolErrors, 0u);
 }
 
+/** Send @p frame, then expect a kErrBadRequest answer to it followed
+ *  by its batch's telemetry epoch. */
+void
+expectBadRequest(net::Socket &sock, const net::Frame &frame)
+{
+    ASSERT_EQ(net::sendFrame(sock, frame, 2'000), net::FrameStatus::ok);
+    net::Frame reply;
+    ASSERT_EQ(net::recvFrame(sock, reply, 10'000, 2'000),
+              net::FrameStatus::ok);
+    ASSERT_EQ(reply.type, net::MessageType::error);
+    EXPECT_EQ(reply.requestId, frame.requestId);
+    std::uint32_t code = 0;
+    std::string message;
+    ASSERT_TRUE(net::parseErrorFrame(reply, code, message));
+    EXPECT_EQ(code, net::kErrBadRequest) << message;
+    ASSERT_EQ(net::recvFrame(sock, reply, 10'000, 2'000),
+              net::FrameStatus::ok);
+    EXPECT_EQ(reply.type, net::MessageType::metricsEpoch);
+}
+
+TEST(Distributed, BitComplementOnNonPowerOfTwoPeCountIsABadRequest)
+{
+    // BITCOMPL needs a power-of-two PE count and a 6x6 NoC has 36. The
+    // daemon refuses such a sweep point and such a slice, where it
+    // used to exit inside DestinationGenerator, and the session then
+    // serves a valid point.
+    WithDaemon daemon;
+    net::Socket sock;
+    std::uint32_t schema = 0;
+    ASSERT_NO_FATAL_FAILURE(openRawSession(daemon.port(), sock, schema));
+
+    SweepRequest point = sampleRequest(9600);
+    point.config = NocConfig::hoplite(6);
+    point.channels = 1;
+    point.workload.pattern = TrafficPattern::bitComplement;
+    net::Frame frame;
+    frame.type = net::MessageType::sweepRequest;
+    frame.requestId = 61;
+    frame.payload = encodeSweepRequestPayload(point);
+    ASSERT_NO_FATAL_FAILURE(expectBadRequest(sock, frame));
+
+    ShardSliceRequest slice;
+    slice.config = point.config;
+    slice.workload = point.workload;
+    slice.sliceCycles = 1'000;
+    slice.runMaxCycles = kDefaultMaxCycles;
+    slice.key = slice.inputKey();
+    frame.type = net::MessageType::snapshotRequest;
+    frame.requestId = 62;
+    frame.payload = encodeShardSliceRequestPayload(slice);
+    ASSERT_NO_FATAL_FAILURE(expectBadRequest(sock, frame));
+
+    SweepRequest good = sampleRequest(9601);
+    good.maxCycles = kDefaultMaxCycles;
+    std::map<std::string, double> epoch;
+    ASSERT_NO_FATAL_FAILURE(sendSweepRequests(sock, {good}, 63));
+    const std::vector<net::Frame> replies =
+        recvSweepResults(sock, 1, epoch);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].requestId, 63u);
+
+    net::Frame goodbye;
+    goodbye.type = net::MessageType::goodbye;
+    ASSERT_EQ(net::sendFrame(sock, goodbye, 2'000),
+              net::FrameStatus::ok);
+    sock.close();
+    daemon.server.stop();
+    EXPECT_EQ(daemon.server.stats().badRequests, 2u);
+    EXPECT_EQ(daemon.server.stats().pointsServed, 1u);
+    EXPECT_EQ(daemon.server.stats().slicesServed, 0u);
+}
+
 TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
 {
     // One pipelined batch whose requests alternate between two
