@@ -71,13 +71,20 @@ main(int argc, char **argv)
                                     .variant = NocVariant::ftFull}
                               .validationError());
 
+    SyntheticWorkload workload;
+    const auto pattern = patternFromString(pattern_name);
+    args.check("[pattern]",
+               pattern ? patternValidationError(*pattern, n,
+                                                workload.localRadius)
+                       : detail::concat("unknown traffic pattern '",
+                                        pattern_name, "'"));
+    workload.pattern = *pattern;
+    workload.injectionRate = 0.5;
+    workload.packetsPerPe = 512;
+
     NocConfig cfg = d == 0 ? NocConfig::hoplite(n)
                            : NocConfig::fastTrack(n, d, r);
     Network noc(cfg);
-    SyntheticWorkload workload;
-    workload.pattern = patternFromString(pattern_name);
-    workload.injectionRate = 0.5;
-    workload.packetsPerPe = 512;
     SyntheticInjector injector(noc, workload);
     while (!injector.done()) {
         injector.tick();

@@ -2,7 +2,9 @@
  * @file
  * Config-file experiment runner: describe a NoC and a synthetic
  * workload in a key=value file and get the full measurement row --
- * scripting without recompilation.
+ * scripting without recompilation. The keys are rows of a flag table
+ * (common/flags.hpp), so an unknown key or a bad value exits 2 naming
+ * it.
  *
  * Run: ./run_experiment <config-file>
  *
@@ -24,10 +26,8 @@
  */
 
 #include <iostream>
-#include <limits>
 #include <string>
 
-#include "common/config_file.hpp"
 #include "common/flags.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
@@ -72,45 +72,79 @@ main(int argc, char **argv)
         return 2;
     }
     parseFlagsOrExit(flags, argc, argv, 2, "<config-file>");
-    const KeyValueFile kv = KeyValueFile::parseFile(argv[1]);
 
-    // Numbers follow the flag table's decimal rule, in the range the
-    // library accepts; a bad value exits 2 naming its key.
-    const auto n = kv.number<std::uint32_t>("n", 8, 2, kMaxTraceSide);
-    const std::string kind = kv.getString("noc", "ft-full");
-    NocConfig cfg = NocConfig::hoplite(n);
-    if (kind == "ft-full" || kind == "ft-inject") {
-        const NocVariant variant = kind == "ft-inject"
-                                       ? NocVariant::ftInject
-                                       : NocVariant::ftFull;
-        const auto d = kv.number<std::uint32_t>("d", 2, 1, n / 2);
-        const auto r = kv.number<std::uint32_t>("r", 1, 1, n / 2);
+    // The config file's keys are rows of a flag table: a value takes
+    // its row's parse and range check, and an unknown key, a malformed
+    // line or a bad value exits 2 naming it.
+    NocConfig want{.variant = NocVariant::ftFull};
+    SyntheticWorkload workload{.injectionRate = 0.5};
+    std::uint32_t channels = 1, width = 256;
+    // Store a name's lookup, or say the name is unknown.
+    const auto named = [](auto &dst, auto known, const std::string &text) {
+        if (known)
+            dst = *known;
+        return known ? std::string()
+                     : detail::concat("unknown name '", text, "'");
+    };
+    const FlagTable keys = {
+        integerFlag("n", "N", "torus side", want.n, 2, kMaxTraceSide),
+        textFlag("noc", "KIND", "hoplite | ft-full | ft-inject",
+                 [&](const std::string &text) {
+                     return named(want.variant, variantFromString(text),
+                                  text);
+                 }),
+        // Checked against n below, for FastTrack NoCs.
+        integerFlag("d", "D", "express length", want.d, 1,
+                    kMaxTraceSide / 2),
+        integerFlag("r", "R", "depopulation", want.r, 1,
+                    kMaxTraceSide / 2),
+        integerFlag("short_stages", "N", "short-link registers",
+                    want.shortLinkStages, 0, 8),
+        integerFlag("express_stages", "N", "express-link registers",
+                    want.expressLinkStages, 0, 8),
+        textFlag("pattern", "NAME", "RANDOM | LOCAL | BITCOMPL | TRANSPOSE",
+                 [&](const std::string &text) {
+                     return named(workload.pattern,
+                                  patternFromString(text), text);
+                 }),
+        textFlag("rate", "R", "injection rate",
+                 [&](const std::string &text) {
+                     return readDecimal(text, 0.001, 1.0,
+                                        workload.injectionRate)
+                                ? detail::concat("must be a decimal in "
+                                                 "[0.001, 1], got '",
+                                                 text, "'")
+                                : std::string();
+                 }),
+        integerFlag("packets", "N", "packets per PE",
+                    workload.packetsPerPe, 1),
+        integerFlag("seed", "N", "workload seed", workload.seed, 0),
+        // The wire carries at most 64 channels (sim/run_codec.cpp).
+        integerFlag("channels", "N", "parallel NoCs", channels, 1, 64),
+        integerFlag("width", "BITS", "datapath bits", width, 1),
+    };
+    if (const auto failed = parseConfigFile(keys, argv[1]))
+        exitWithUsage(argv[0], failed->message, "");
+    const auto check = [&](const char *key, const std::string &rule) {
+        if (!rule.empty())
+            exitWithUsage(argv[0],
+                          detail::concat("config key '", key, "': ", rule),
+                          "");
+    };
+
+    NocConfig cfg = NocConfig::hoplite(want.n);
+    if (want.isFastTrack()) {
         // At R = 1 only the rules on D apply.
-        kv.check("d", NocConfig{.n = n, .d = d, .r = 1, .variant = variant}
-                          .validationError());
-        kv.check("r", NocConfig{.n = n, .d = d, .r = r, .variant = variant}
-                          .validationError());
-        cfg = NocConfig::fastTrack(n, d, r, variant);
-    } else if (kind != "hoplite") {
-        FT_FATAL("unknown noc kind: ", kind);
+        check("d", NocConfig{.n = want.n, .d = want.d, .r = 1,
+                             .variant = want.variant}
+                       .validationError());
+        check("r", want.validationError());
+        cfg = NocConfig::fastTrack(want.n, want.d, want.r, want.variant);
     }
-    cfg.shortLinkStages = kv.number<std::uint32_t>("short_stages", 0, 0, 8);
-    cfg.expressLinkStages =
-        kv.number<std::uint32_t>("express_stages", 0, 0, 8);
-
-    SyntheticWorkload workload;
-    workload.pattern =
-        patternFromString(kv.getString("pattern", "RANDOM"));
-    workload.injectionRate = kv.number<double>("rate", 0.5, 0.001, 1.0);
-    workload.packetsPerPe = kv.number<std::uint32_t>(
-        "packets", 1024, 1, std::numeric_limits<std::uint32_t>::max());
-    workload.seed = kv.number<std::uint64_t>(
-        "seed", 1, 0, std::numeric_limits<std::uint64_t>::max());
-
-    // The wire carries at most 64 channels (sim/run_codec.cpp).
-    const auto channels = kv.number<std::uint32_t>("channels", 1, 1, 64);
-    const auto width = kv.number<std::uint32_t>(
-        "width", 256, 1, std::numeric_limits<std::uint32_t>::max());
+    cfg.shortLinkStages = want.shortLinkStages;
+    cfg.expressLinkStages = want.expressLinkStages;
+    check("pattern", patternValidationError(workload.pattern, want.n,
+                                            workload.localRadius));
 
     const bool checkpointing =
         sim.snapshotEveryCycles != 0 || !sim.resumeFrom.empty();

@@ -118,22 +118,20 @@ int
 cmdReplay(const Positionals &args, const std::string &path,
           const std::string &kind, std::uint32_t d, std::uint32_t r)
 {
+    const std::optional<NocVariant> variant = variantFromString(kind);
+    if (!variant)
+        return usage();
     const Trace trace = loadTrace(path);
     NocConfig cfg = NocConfig::hoplite(trace.n);
-    if (kind == "ft-full" || kind == "ft-inject") {
-        const NocVariant variant = kind == "ft-inject"
-                                       ? NocVariant::ftInject
-                                       : NocVariant::ftFull;
+    if (*variant != NocVariant::hoplite) {
         // The trace fixes N. At R = 1 only the rules on D apply.
         args.check("<D>", NocConfig{.n = trace.n, .d = d, .r = 1,
-                                    .variant = variant}
+                                    .variant = *variant}
                               .validationError());
         args.check("<R>", NocConfig{.n = trace.n, .d = d, .r = r,
-                                    .variant = variant}
+                                    .variant = *variant}
                               .validationError());
-        cfg = NocConfig::fastTrack(trace.n, d, r, variant);
-    } else if (kind != "hoplite") {
-        return usage();
+        cfg = NocConfig::fastTrack(trace.n, d, r, *variant);
     }
 
     const TraceResult res =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -18,16 +19,32 @@ using Code = FlagError::Code;
 constexpr std::size_t kHelpColumn = 23;
 constexpr std::size_t kLineWidth = 79;
 
-/** Parse and apply one occurrence of @p flag with @p text as value. */
-std::optional<FlagError>
-applyFlag(const Flag &flag, const std::string &text)
+/** Index of the row called @p name, or table.size(). */
+std::size_t
+rowOf(const FlagTable &table, const std::string &name)
 {
+    return static_cast<std::size_t>(
+        std::find_if(table.begin(), table.end(),
+                     [&](const Flag &f) { return f.name == name; }) -
+        table.begin());
+}
+
+/** Parse and apply one occurrence of @p flag with @p text as value;
+ *  messages call the row @p name ("--n", or "config key 'n'"). */
+std::optional<FlagError>
+applyFlag(const Flag &flag, const std::string &text,
+          const std::string &name)
+{
+    if (flag.kind != FlagKind::toggle && text.empty())
+        return FlagError{Code::emptyValue, flag.name,
+                         concat(name, " needs a non-empty value (",
+                                flag.value, ")")};
     std::uint64_t number = 0;
     if (flag.kind == FlagKind::integer) {
         if (const auto why = readDecimal(text, flag.min, flag.max, number))
             return FlagError{
                 *why, flag.name,
-                concat(flag.name,
+                concat(name,
                        *why == Code::outOfRange ? " must be in "
                                                 : " needs an integer in ",
                        "[", flag.min, ", ", flag.max, "], got '", text,
@@ -36,8 +53,18 @@ applyFlag(const Flag &flag, const std::string &text)
     const std::string refused = flag.set(number, text);
     if (!refused.empty())
         return FlagError{Code::rejected, flag.name,
-                         concat(flag.name, ": ", refused)};
+                         concat(name, ": ", refused)};
     return std::nullopt;
+}
+
+/** @p text without its leading and trailing blanks. */
+std::string
+strip(const std::string &text)
+{
+    const auto first = text.find_first_not_of(" \t\r");
+    if (first == std::string::npos)
+        return "";
+    return text.substr(first, text.find_last_not_of(" \t\r") - first + 1);
 }
 
 /** "--name VALUE" as the usage shows it. */
@@ -102,15 +129,9 @@ textFlag(std::string name, std::string value, std::string help,
 std::optional<FlagError>
 parseFlags(const FlagTable &table, const std::vector<std::string> &args)
 {
-    const auto rowOf = [&table](const std::string &name) {
-        return static_cast<std::size_t>(
-            std::find_if(table.begin(), table.end(),
-                         [&](const Flag &f) { return f.name == name; }) -
-            table.begin());
-    };
     std::vector<bool> given(table.size(), false);
     for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::size_t row = rowOf(args[i]);
+        const std::size_t row = rowOf(table, args[i]);
         if (row == table.size())
             return FlagError{Code::unknownFlag, args[i],
                              concat("unknown flag '", args[i], "'")};
@@ -123,13 +144,8 @@ parseFlags(const FlagTable &table, const std::vector<std::string> &args)
                                  concat(flag.name, " needs a value (",
                                         flag.value, ")")};
             text = args[i];
-            if (text.empty())
-                return FlagError{Code::emptyValue, flag.name,
-                                 concat(flag.name,
-                                        " needs a non-empty value (",
-                                        flag.value, ")")};
         }
-        if (auto failed = applyFlag(flag, text))
+        if (auto failed = applyFlag(flag, text, flag.name))
             return failed;
     }
     for (std::size_t row = 0; row < table.size(); ++row) {
@@ -137,13 +153,13 @@ parseFlags(const FlagTable &table, const std::vector<std::string> &args)
         if (flag.required && !given[row])
             return FlagError{Code::missingFlag, flag.name,
                              concat(flag.name, " is required")};
-        const std::size_t needed = rowOf(flag.needs);
+        const std::size_t needed = rowOf(table, flag.needs);
         if (given[row] && !flag.needs.empty() &&
             (needed == table.size() || !given[needed]))
             return FlagError{Code::missingFlag, flag.needs,
                              concat(flag.name, " needs ", flag.needs)};
         for (const std::string &other : flag.excludes) {
-            const std::size_t excluded = rowOf(other);
+            const std::size_t excluded = rowOf(table, other);
             if (given[row] && excluded != table.size() && given[excluded])
                 return FlagError{Code::conflictingFlags, flag.name,
                                  concat(flag.name,
@@ -151,6 +167,54 @@ parseFlags(const FlagTable &table, const std::vector<std::string> &args)
         }
     }
     return std::nullopt;
+}
+
+std::optional<FlagError>
+parseConfig(const FlagTable &table, std::istream &in)
+{
+    // The last value of each row, applied once every line is read so
+    // that a later line overrides an earlier one.
+    std::vector<std::optional<std::string>> values(table.size());
+    std::string line;
+    for (int line_no = 1; std::getline(in, line); ++line_no) {
+        const std::string text = strip(line.substr(0, line.find('#')));
+        if (text.empty())
+            continue;
+        const auto eq = text.find('=');
+        const std::string key = strip(text.substr(0, eq));
+        if (eq == std::string::npos || key.empty())
+            return FlagError{Code::malformedLine, "",
+                             concat("config line ", line_no,
+                                    " is not 'key = value': ", text)};
+        const std::size_t row = rowOf(table, key);
+        if (row == table.size())
+            return FlagError{Code::unknownFlag, key,
+                             concat("unknown config key '", key,
+                                    "' on line ", line_no)};
+        values[row] = strip(text.substr(eq + 1));
+    }
+    for (std::size_t row = 0; row < table.size(); ++row) {
+        if (!values[row])
+            continue;
+        const std::string name = concat("config key '", table[row].name,
+                                        "'");
+        if (auto failed = applyFlag(table[row], *values[row], name))
+            return failed;
+    }
+    return std::nullopt;
+}
+
+std::optional<FlagError>
+parseConfigFile(const FlagTable &table, const std::string &path)
+{
+    std::ifstream in(path);
+    auto failed = in ? parseConfig(table, in) : std::nullopt;
+    // Read to its end unless a line was refused: a missing file or a
+    // directory stops short.
+    if (!failed && !in.eof())
+        return FlagError{Code::unreadableFile, "",
+                         concat("cannot read config file '", path, "'")};
+    return failed;
 }
 
 std::string

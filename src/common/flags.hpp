@@ -1,8 +1,9 @@
 /**
  * @file
- * The one command-line flag parser: every bench harness, the example
+ * The one parser of named inputs: every bench harness, the example
  * runner and both daemon tools declare their flags as a table and
- * parse argv against it.
+ * parse argv against it, and run_experiment also reads its config
+ * file's `key = value` lines through a table whose rows are the keys.
  *
  * A row holds a flag's name, the kind of value it takes, the range its
  * destination can hold, a setter and a help line, plus its cross-flag
@@ -19,6 +20,7 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <limits>
 #include <optional>
 #include <string>
@@ -99,11 +101,16 @@ struct FlagError
         missingFlag,
         /** Two flags that exclude each other were both given. */
         conflictingFlags,
+        /** A config-file line that is not `key = value`. */
+        malformedLine,
+        /** The config file could not be read. */
+        unreadableFile,
     };
     Code code = Code::unknownFlag;
-    /** The flag the error is about. */
+    /** The flag or config key the error is about; empty when it is
+     *  about a config-file line or the file itself. */
     std::string flag;
-    /** One line that names the flag. */
+    /** One line that names the flag, key, line or path. */
     std::string message;
 };
 
@@ -143,6 +150,20 @@ Flag textFlag(std::string name, std::string value, std::string help,
  *  first error, or nullopt when every flag and rule holds. */
 std::optional<FlagError> parseFlags(const FlagTable &table,
                                     const std::vector<std::string> &args);
+
+/** Apply the `key = value` lines of @p in to @p table, whose rows are
+ *  named by the bare key. '#' starts a comment, blank lines are
+ *  skipped and a later line overrides an earlier one; each value then
+ *  takes its row's parse, range check and setter, as an argv flag's
+ *  does (cross-flag rules are argv's only). Every message names
+ *  "config key '<key>'" or the line. */
+std::optional<FlagError> parseConfig(const FlagTable &table,
+                                     std::istream &in);
+
+/** parseConfig over the file at @p path; an unreadable file is an
+ *  error naming the path. */
+std::optional<FlagError> parseConfigFile(const FlagTable &table,
+                                         const std::string &path);
 
 /** Usage rendered from @p table; @p positional names the arguments
  *  that precede the flags. */

@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/ascii_chart.hpp"
-#include "common/config_file.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 

@@ -15,6 +15,16 @@ toString(NocVariant variant)
     return "?";
 }
 
+std::optional<NocVariant>
+variantFromString(const std::string &name)
+{
+    for (const NocVariant variant :
+         {NocVariant::hoplite, NocVariant::ftFull, NocVariant::ftInject})
+        if (name == toString(variant))
+            return variant;
+    return std::nullopt;
+}
+
 std::string
 NocConfig::validationError() const
 {

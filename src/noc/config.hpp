@@ -9,6 +9,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -38,6 +39,8 @@ knownValue(NocVariant v)
 }
 
 const char *toString(NocVariant variant);
+/** The variant toString() names @p name, or nullopt. */
+std::optional<NocVariant> variantFromString(const std::string &name);
 
 /**
  * Configuration of an FT(N^2, D, R) NoC.

@@ -1,18 +1,23 @@
 /**
  * @file
  * The shared flag parser (common/flags.hpp): every malformed command
- * line comes back as a typed error naming the flag — never an exit,
- * an exception or a value silently truncated into its destination.
+ * line or config file comes back as a typed error naming the flag,
+ * key or line — never an exit, an exception or a value silently
+ * truncated into its destination.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/flags.hpp"
+#include "scratch_dir.hpp"
 
 namespace fasttrack {
 namespace {
@@ -199,6 +204,141 @@ TEST(Flags, UsageListsEveryRow)
         EXPECT_NE(usage.find(row), std::string::npos) << flag.name;
     }
     EXPECT_NE(usage.find("(needs --snapshot-dir)"), std::string::npos);
+}
+
+/** A config table shaped like run_experiment's: integer rows, a text
+ *  row read as a decimal and a plain text row. */
+struct ConfigFixture
+{
+    std::uint32_t n = 8;
+    std::uint32_t d = 2;
+    double rate = 0.5;
+    std::string name = "hoplite";
+
+    FlagTable table()
+    {
+        return {
+            integerFlag("n", "N", "torus side", n, 2, 16),
+            integerFlag("d", "D", "express length", d, 1, 8),
+            textFlag("rate", "R", "injection rate",
+                     [this](const std::string &text) {
+                         return readDecimal(text, 0.001, 1.0, rate)
+                                    ? std::string("not a rate")
+                                    : std::string();
+                     }),
+            textFlag("name", "NAME", "NoC kind", name),
+        };
+    }
+
+    std::optional<FlagError> parse(const std::string &text)
+    {
+        std::istringstream in(text);
+        std::optional<FlagError> result;
+        EXPECT_NO_THROW(result = parseConfig(table(), in));
+        return result;
+    }
+};
+
+/** Expect config @p text to fail with @p code and a one-line message
+ *  containing @p names. */
+void
+expectConfigError(const std::string &text, FlagError::Code code,
+                  const std::string &names)
+{
+    ConfigFixture f;
+    const std::optional<FlagError> error = f.parse(text);
+    ASSERT_TRUE(error.has_value()) << text;
+    EXPECT_EQ(error->code, code) << error->message;
+    EXPECT_NE(error->message.find(names), std::string::npos)
+        << error->message;
+    EXPECT_EQ(error->message.find('\n'), std::string::npos)
+        << error->message;
+}
+
+TEST(ConfigFile, ParsesTypedValues)
+{
+    ConfigFixture f;
+    EXPECT_FALSE(f.parse("# comment line\n"
+                         "n = 12\n"
+                         "rate = 0.25   # trailing comment\n"
+                         "\tname=ft-full\r\n"
+                         "\n"));
+    EXPECT_EQ(f.n, 12u);
+    EXPECT_DOUBLE_EQ(f.rate, 0.25);
+    EXPECT_EQ(f.name, "ft-full");
+}
+
+TEST(ConfigFile, FallbacksForMissingKeys)
+{
+    ConfigFixture f;
+    EXPECT_FALSE(f.parse("n = 4\n"));
+    EXPECT_EQ(f.n, 4u);
+    EXPECT_EQ(f.d, 2u);
+    EXPECT_DOUBLE_EQ(f.rate, 0.5);
+    EXPECT_EQ(f.name, "hoplite");
+
+    ConfigFixture empty;
+    EXPECT_FALSE(empty.parse(""));
+    EXPECT_EQ(empty.n, 8u);
+}
+
+TEST(ConfigFile, LaterKeysOverride)
+{
+    ConfigFixture f;
+    EXPECT_FALSE(f.parse("n = 4\nn = 6\n"));
+    EXPECT_EQ(f.n, 6u);
+    // Only a key's last value is read: an earlier one is never
+    // checked.
+    ConfigFixture g;
+    EXPECT_FALSE(g.parse("n = twelve\nname = a\nn = 6\nname = b\n"));
+    EXPECT_EQ(g.n, 6u);
+    EXPECT_EQ(g.name, "b");
+}
+
+TEST(ConfigFile, RejectsMalformedInput)
+{
+    using Code = FlagError::Code;
+    expectConfigError("not a key value line\n", Code::malformedLine,
+                      "config line 1 is not 'key = value': not a key");
+    expectConfigError("# ok\n= 5\n", Code::malformedLine,
+                      "config line 2");
+    expectConfigError("n = 8\npacket = 16\n", Code::unknownFlag,
+                      "config key 'packet'");
+    // The argv spelling is not a key.
+    expectConfigError("--n = 8\n", Code::unknownFlag, "config key '--n'");
+    expectConfigError("n = twelve\n", Code::notAnInteger,
+                      "config key 'n' needs an integer in [2, 16], got "
+                      "'twelve'");
+    expectConfigError("n = -8\n", Code::notAnInteger, "config key 'n'");
+    expectConfigError("n = 4x\n", Code::notAnInteger, "config key 'n'");
+    expectConfigError("n = 17\n", Code::outOfRange,
+                      "config key 'n' must be in [2, 16], got '17'");
+    expectConfigError("n =\n", Code::emptyValue, "config key 'n'");
+    expectConfigError("rate = 7\n", Code::rejected,
+                      "config key 'rate': not a rate");
+}
+
+TEST(ConfigFile, ReadsAFileAndNamesAnUnreadablePath)
+{
+    const ScratchDir dir("config");
+    std::filesystem::create_directories(dir.path());
+    const std::string path = dir.path() + "/run.cfg";
+    std::ofstream(path) << "n = 16\nd = 4 # no newline at the end";
+    ConfigFixture f;
+    EXPECT_FALSE(parseConfigFile(f.table(), path));
+    EXPECT_EQ(f.n, 16u);
+    EXPECT_EQ(f.d, 4u);
+
+    // A missing file, and a directory, which opens but cannot be read.
+    for (const std::string &bad : {dir.path() + "/missing.cfg",
+                                   dir.path()}) {
+        const std::optional<FlagError> error =
+            parseConfigFile(f.table(), bad);
+        ASSERT_TRUE(error.has_value()) << bad;
+        EXPECT_EQ(error->code, FlagError::Code::unreadableFile);
+        EXPECT_NE(error->message.find(bad), std::string::npos)
+            << error->message;
+    }
 }
 
 } // namespace
