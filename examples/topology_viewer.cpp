@@ -25,7 +25,10 @@ main(int argc, char **argv)
     const auto n = args.number<std::uint32_t>(1, "<N>", 8, 2, kMaxTraceSide);
     const auto d = args.number<std::uint32_t>(2, "<D>", 2, 0, n / 2);
     const auto r = args.number<std::uint32_t>(3, "<R>", 2, 1, n / 2);
-    const bool inject = argc > 4 && std::strcmp(argv[4], "inject") == 0;
+    const bool inject = argc > 4;
+    if (inject && std::strcmp(argv[4], "inject") != 0)
+        args.check("[inject]", detail::concat("must be 'inject', got '",
+                                              argv[4], "'"));
     const NocVariant variant =
         inject ? NocVariant::ftInject : NocVariant::ftFull;
     if (d != 0) {

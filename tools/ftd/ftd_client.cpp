@@ -59,6 +59,22 @@ main(int argc, char **argv)
     };
     parseFlagsOrExit(flags, argc, argv);
 
+    // A NoC the flag ranges let through but NocConfig refuses exits 2
+    // naming the flag; at R = 1 only the rules on N and D apply.
+    const auto check = [&](const char *flag, const NocConfig &config) {
+        const std::string rule = config.validationError();
+        if (!rule.empty())
+            exitWithUsage(argv[0], detail::concat(flag, ": ", rule),
+                          flagUsage(argv[0], flags));
+    };
+    check("--n", NocConfig{.n = n, .variant = NocVariant::hoplite});
+    if (!hoplite) {
+        check("--d", NocConfig{.n = n, .d = d, .r = 1,
+                               .variant = NocVariant::ftFull});
+        check("--r", NocConfig{.n = n, .d = d, .r = r,
+                               .variant = NocVariant::ftFull});
+    }
+
     RemoteConfig remote = remoteConfig();
     remote.useLocalCache = localCache;
     setRemoteConfig(std::move(remote));
@@ -67,7 +83,6 @@ main(int argc, char **argv)
     nut.config = hoplite ? NocConfig::hoplite(n)
                          : NocConfig::fastTrack(n, d, r);
     nut.label = nut.config.describe();
-    nut.config.validate();
 
     const std::vector<SweepPoint> points = injectionSweep(
         nut, TrafficPattern::random, injectionRateGrid(), packets,
