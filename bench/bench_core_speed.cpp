@@ -168,35 +168,6 @@ BM_InjectorTick(benchmark::State &state)
 }
 
 /**
- * Same stepping loop with a journey tracer attached: exercises the
- * tracer-enabled stepImpl instantiation, whose per-event std::function
- * cost the devirtualized no-tracer path avoids entirely.
- */
-void
-BM_NetworkStepTraced(benchmark::State &state)
-{
-    const auto n = static_cast<std::uint32_t>(state.range(0));
-    Network noc(NocConfig::fastTrack(n, 2, 1));
-    SyntheticWorkload workload;
-    workload.pattern = TrafficPattern::random;
-    workload.injectionRate = 1.0;
-    workload.packetsPerPe = 0xffffffffu; // endless generation
-    SyntheticInjector injector(noc, workload);
-
-    std::uint64_t events = 0;
-    noc.setJourneyTracer(
-        [&events](const Packet &, NodeId, OutPort, Cycle) { ++events; });
-
-    for (auto _ : state) {
-        injector.tick();
-        noc.step();
-    }
-    benchmark::DoNotOptimize(events);
-    state.SetItemsProcessed(state.iterations() * noc.config().pes());
-    state.counters["routers"] = noc.config().pes();
-}
-
-/**
  * Same stepping loop with an installed telemetry sink: exercises the
  * HasTelem stepImpl instantiation (ring pushes + counter bumps per
  * event). Deliberately *not* named under the BM_NetworkStep prefix:
@@ -333,7 +304,6 @@ BENCHMARK(BM_InjectorTick)
     ->ArgNames({"bitcompl", "rate_pct"})
     ->ArgsProduct({{0, 1}, {5, 30, 100}})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_NetworkStepTraced)->Arg(16);
 // {n, traceEvents}: counters-only vs full event tracing.
 BENCHMARK(BM_TelemetryStep)->Args({16, 0})->Args({16, 1});
 BENCHMARK_CAPTURE(BM_TraceReplay, lu, &luBenchTrace)

@@ -90,9 +90,6 @@ def extract(raw, repetitions):
         name = b["name"]
         if not name.startswith(RECORDED):
             continue
-        # BM_NetworkStepTraced etc. share the prefix but not the grid.
-        if name.startswith("BM_NetworkStepTraced"):
-            continue
         if repetitions > 1:
             if b.get("aggregate_name") != "median":
                 continue

@@ -17,7 +17,7 @@ Network::Network(const NocConfig &config)
     slab_.init(count, geo_.slabDepth());
 }
 
-template <bool HasGate, bool HasTracer, bool HasTelem>
+template <bool HasGate, bool HasTelem>
 void
 Network::stepImpl()
 {
@@ -38,7 +38,7 @@ Network::stepImpl()
 
     /** Lands routeCore's forwards in the slab, counts each link
      *  traversal, and collects the outcome so the engine can emit
-     *  checker, tracer and telemetry events in the architected order
+     *  checker and telemetry events in the architected order
      *  (injection, delivery, then traversals by port index). */
     struct Sink
     {
@@ -50,7 +50,9 @@ Network::stepImpl()
         /** Delivered packet (points into the current slab row). */
         const Packet *delivered = nullptr;
 
-        void forward(OutPort out, const Packet &p)
+        /** Always inlined: -O2 otherwise calls the injection's forward
+         *  out of line, once per injected packet on the no-hook path. */
+        [[gnu::always_inline]] void forward(OutPort out, const Packet &p)
         {
             const auto idx = static_cast<std::size_t>(out);
             const TransferTarget &t = net->geo_.targets(id)[idx];
@@ -156,8 +158,6 @@ Network::stepImpl()
             if (checker_)
                 checker_->onDelivery(p, id, cycle_);
 #endif
-            if constexpr (HasTracer)
-                tracer_(p, id, OutPort::none, cycle_);
             if constexpr (HasTelem) {
                 const Cycle lat = cycle_ - p.created;
                 FT_TELEM(HasTelem, tlog, telemetry::EventKind::eject,
@@ -170,7 +170,7 @@ Network::stepImpl()
 
         // Traversal events; the sink already counted the traversals,
         // so the no-hook instantiation has no per-port loop at all.
-        if constexpr (HasTracer || HasTelem || check::kHooksEnabled) {
+        if constexpr (HasTelem || check::kHooksEnabled) {
             for (std::size_t port = 0; port < kNumOutPorts; ++port) {
                 const Packet *p = sink.placed[port];
                 if (!p)
@@ -181,15 +181,15 @@ Network::stepImpl()
                                           static_cast<OutPort>(port),
                                           cycle_);
 #endif
-                if constexpr (HasTracer)
-                    tracer_(*p, id, static_cast<OutPort>(port), cycle_);
                 if constexpr (HasTelem) {
+                    // aux: the packet's deflections so far.
                     const auto kind =
                         isExpress(static_cast<OutPort>(port))
                             ? telemetry::EventKind::expressHop
                             : telemetry::EventKind::route;
                     FT_TELEM(HasTelem, tlog, kind, cycle_, id,
-                             static_cast<std::uint8_t>(port), p->id, 0);
+                             static_cast<std::uint8_t>(port), p->id,
+                             p->deflections);
                 }
             }
         }
@@ -206,32 +206,23 @@ Network::stepImpl()
 #endif
 }
 
-template <bool HasTelem>
-void
-Network::dispatchStep()
-{
-    if (exitGate_) {
-        if (tracer_)
-            stepImpl<true, true, HasTelem>();
-        else
-            stepImpl<true, false, HasTelem>();
-    } else {
-        if (tracer_)
-            stepImpl<false, true, HasTelem>();
-        else
-            stepImpl<false, false, HasTelem>();
-    }
-}
-
 void
 Network::step()
 {
     // One relaxed atomic load per cycle is the entire cost of the
     // telemetry hook when no sink is installed.
-    if (telemetry::installed())
-        dispatchStep<true>();
-    else
-        dispatchStep<false>();
+    const bool telem = telemetry::installed() != nullptr;
+    if (exitGate_) {
+        if (telem)
+            stepImpl<true, true>();
+        else
+            stepImpl<true, false>();
+    } else {
+        if (telem)
+            stepImpl<false, true>();
+        else
+            stepImpl<false, false>();
+    }
 }
 
 void

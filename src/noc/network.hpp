@@ -37,10 +37,12 @@ namespace fasttrack {
  * landing sites and latencies) is an EngineGeometry
  * (noc/geometry.hpp); the link registers live in a dense LinkSlab frame ring rather than
  * per-router std::optional slots, and step() dispatches to a stepping
- * core templated on whether an exit gate, a journey tracer and a
- * telemetry sink are attached, so the common no-hook path compiles
- * with all three folded out entirely (see docs/engine.md and
- * docs/observability.md).
+ * core templated on whether an exit gate and a telemetry sink are
+ * attached, so the common no-hook path compiles with both folded out
+ * entirely (see docs/engine.md and docs/observability.md). The
+ * telemetry sink is also the one hop-by-hop observer: it records a
+ * route or express_hop event per traversal and an eject event per
+ * delivery.
  */
 class Network : public EngineCore
 {
@@ -53,14 +55,8 @@ class Network : public EngineCore
      *  queried packet is always the one arbitration actually chose;
      *  must be pure within a cycle. */
     using ExitGate = std::function<bool(NodeId, const Packet &)>;
-    /** Observer of every router traversal: (packet, router, output
-     *  port it left on, cycle). OutPort::none marks a delivery. Debug
-     *  aid; adds one call per traversal when set. */
-    using TraceFn = std::function<void(const Packet &, NodeId, OutPort,
-                                       Cycle)>;
 
     void setExitGate(ExitGate gate) { exitGate_ = std::move(gate); }
-    void setJourneyTracer(TraceFn fn) { tracer_ = std::move(fn); }
 
     /** Advance one clock cycle. */
     void step() override;
@@ -109,11 +105,7 @@ class Network : public EngineCore
      *  HasTelem tracks whether a telemetry sink is installed
      *  (telemetry::installed()); the disabled instantiation contains
      *  no telemetry code at all. */
-    template <bool HasGate, bool HasTracer, bool HasTelem>
-    FT_HOT void stepImpl();
-
-    /** Gate/tracer dispatch for one compile-time telemetry flavor. */
-    template <bool HasTelem> FT_HOT void dispatchStep();
+    template <bool HasGate, bool HasTelem> FT_HOT void stepImpl();
 
     void onDrainedQuiescent() override;
 
@@ -124,7 +116,6 @@ class Network : public EngineCore
 
     std::vector<std::array<std::uint64_t, kNumOutPorts>> linkTraversals_;
     std::vector<NodeCounters> nodeCounters_;
-    TraceFn tracer_;
     ExitGate exitGate_;
 };
 

@@ -22,9 +22,11 @@ enum class EventKind : std::uint8_t
 {
     /** A PE offer won injection into the network. */
     inject = 0,
-    /** A packet traversed a short link (port = OutPort). */
+    /** A packet traversed a short link (port = OutPort,
+     *  aux = the packet's deflections so far). */
     route = 1,
-    /** A packet traversed an express link (port = OutPort). */
+    /** A packet traversed an express link (port = OutPort,
+     *  aux = the packet's deflections so far). */
     expressHop = 2,
     /** Arbitration handed an input a non-preferred output
      *  (port = InPort, aux = deflections this cycle at that port). */

@@ -4,19 +4,25 @@
  * no-perturbation guarantee (identical stats with and without a sink),
  * registry-vs-NocStats agreement on a pinned config, multi-threaded
  * trace export, exporter output structure, the port-name pinning
- * against noc/routing.hpp, and the checker cross-validation.
+ * against noc/routing.hpp, the checker cross-validation, and the hop
+ * events that let the sink follow one packet's journey.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include <unistd.h>
 
 #include "check/invariants.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "noc/network.hpp"
 #include "noc/routing.hpp"
 #include "sim/simulation.hpp"
 #include "sim/telemetry_session.hpp"
@@ -132,6 +138,65 @@ TEST(Telemetry, SinkDoesNotPerturbSimulationResults)
               observed.stats.totalLatency.bins());
     EXPECT_EQ(plain.stats.networkLatency.bins(),
               observed.stats.networkLatency.bins());
+}
+
+TEST(Telemetry, LastHopEventCarriesTheFinalDeflectionCount)
+{
+    // A hop event's aux is the packet's deflections so far, so the last
+    // hop before an eject holds the count the client sees: the sink
+    // alone can follow a journey (packet_tracer).
+    TelemetrySession session{telemetry::TelemetryConfig{}};
+    telemetry::ThreadLog &log = session.sink().local();
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    std::map<std::uint64_t, std::uint16_t> delivered;
+    noc.setDeliverCallback([&delivered](const Packet &p, Cycle) {
+        delivered[p.id] = p.deflections;
+    });
+
+    std::map<std::uint64_t, std::uint16_t> last_hop;
+    std::set<std::uint64_t> ejected;
+    std::vector<telemetry::TraceEvent> events;
+    Rng rng(5);
+    std::uint64_t offered = 0;
+    const std::uint32_t pes = noc.config().pes();
+    for (int cycle = 0; cycle < 10'000 && delivered.size() < 2'000;
+         ++cycle) {
+        for (NodeId src = 0; src < pes && offered < 2'000; ++src) {
+            if (noc.hasPendingOffer(src) || !rng.nextBool(0.4))
+                continue;
+            Packet p;
+            p.id = ++offered;
+            p.src = src;
+            p.dst = static_cast<NodeId>(rng.nextBelow(pes - 1));
+            if (p.dst >= src)
+                ++p.dst;
+            p.created = noc.now();
+            noc.offer(p);
+        }
+        noc.step();
+        events.clear();
+        log.ring().drain(events);
+        for (const telemetry::TraceEvent &e : events) {
+            if (e.kind == telemetry::EventKind::route ||
+                e.kind == telemetry::EventKind::expressHop) {
+                EXPECT_FALSE(ejected.contains(e.packet)) << e.packet;
+                last_hop[e.packet] = e.aux;
+            } else if (e.kind == telemetry::EventKind::eject) {
+                ejected.insert(e.packet);
+            }
+        }
+    }
+
+    ASSERT_EQ(delivered.size(), 2'000u);
+    EXPECT_EQ(ejected.size(), delivered.size());
+    EXPECT_EQ(session.sink().totalDropped(), 0u);
+    std::size_t deflected = 0;
+    for (const auto &[id, deflections] : delivered) {
+        ASSERT_TRUE(last_hop.contains(id)) << id;
+        EXPECT_EQ(last_hop[id], deflections) << id;
+        deflected += deflections > 0;
+    }
+    EXPECT_GT(deflected, 0u); // the load makes some packets deflect
 }
 
 TEST(Telemetry, RegistryAgreesWithNocStatsOnPinnedConfig)
