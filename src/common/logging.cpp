@@ -4,23 +4,6 @@
 #include <cstdlib>
 
 namespace fasttrack {
-
-namespace {
-bool quietFlag = false;
-} // namespace
-
-void
-setQuiet(bool quiet)
-{
-    quietFlag = quiet;
-}
-
-bool
-isQuiet()
-{
-    return quietFlag;
-}
-
 namespace detail {
 
 void
@@ -40,15 +23,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quietFlag)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (!quietFlag)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -6,7 +6,7 @@
  *            aborts so a debugger/core dump catches it.
  * fatal()  - the *user* asked for something unsupported (bad config);
  *            exits with status 1.
- * warn()/inform() - non-fatal status messages on stderr.
+ * warn()   - a non-fatal status message on stderr.
  */
 
 #ifndef FT_COMMON_LOGGING_HPP
@@ -24,7 +24,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Fold a variadic pack into one string via ostringstream. */
 template <typename... Args>
@@ -38,10 +37,6 @@ concat(Args &&...args)
 
 } // namespace detail
 
-/** Suppress inform()/warn() output (used by benches for clean tables). */
-void setQuiet(bool quiet);
-bool isQuiet();
-
 } // namespace fasttrack
 
 #define FT_PANIC(...)                                                      \
@@ -54,10 +49,6 @@ bool isQuiet();
 
 #define FT_WARN(...)                                                       \
     ::fasttrack::detail::warnImpl(::fasttrack::detail::concat(__VA_ARGS__))
-
-#define FT_INFORM(...)                                                     \
-    ::fasttrack::detail::informImpl(                                       \
-        ::fasttrack::detail::concat(__VA_ARGS__))
 
 /** Invariant check that survives NDEBUG: these guard simulator core
  *  correctness and are cheap relative to a router evaluation. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Coverage for the small shared utilities: coordinates, logging
- * switches, and NocStats helper arithmetic.
+ * Coverage for the small shared utilities: coordinates and NocStats
+ * helper arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "common/types.hpp"
 #include "noc/noc_stats.hpp"
 
@@ -87,17 +86,6 @@ TEST(Types, CoordHashDistinguishes)
         for (std::uint16_t y = 0; y < 16; ++y)
             hashes.insert(h(Coord{x, y}));
     EXPECT_EQ(hashes.size(), 256u);
-}
-
-TEST(Logging, QuietSuppressesWarnings)
-{
-    // warn/inform respect the quiet flag (no crash, flag round trip).
-    setQuiet(true);
-    EXPECT_TRUE(isQuiet());
-    FT_WARN("this should be suppressed");
-    FT_INFORM("so should this");
-    setQuiet(false);
-    EXPECT_FALSE(isQuiet());
 }
 
 TEST(NocStatsHelpers, Totals)
