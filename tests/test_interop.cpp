@@ -12,6 +12,7 @@
 #include "noc/network.hpp"
 #include "noc/smart.hpp"
 #include "sim/simulation.hpp"
+#include "sim/telemetry_session.hpp"
 #include "traffic/segmentation.hpp"
 #include "workloads/dataflow.hpp"
 
@@ -61,6 +62,9 @@ TEST(Interop, SegmentedTraceOnFastTrack)
 
 TEST(Interop, LinkCountersReconcileWithStats)
 {
+    // The telemetry sink counts every link traversal, indexed
+    // node * 4 + OutPort; the run needs its counters, not its rings.
+    TelemetrySession session({.traceEvents = false});
     Network noc(NocConfig::fastTrack(8, 2, 1));
     SyntheticWorkload workload;
     workload.pattern = TrafficPattern::random;
@@ -68,13 +72,14 @@ TEST(Interop, LinkCountersReconcileWithStats)
     workload.packetsPerPe = 64;
     ASSERT_TRUE(runSynthetic(noc, workload, 1'000'000).completed);
 
+    const std::vector<std::uint64_t> links =
+        session.sink().totalLinkCounts();
     std::uint64_t short_links = 0, express_links = 0;
-    for (const auto &per_router : noc.linkTraversals()) {
-        express_links +=
-            per_router[static_cast<int>(OutPort::eEx)] +
-            per_router[static_cast<int>(OutPort::sEx)];
-        short_links += per_router[static_cast<int>(OutPort::eSh)] +
-                       per_router[static_cast<int>(OutPort::sSh)];
+    for (std::size_t i = 0; i < links.size(); ++i) {
+        if (isExpress(static_cast<OutPort>(i % kNumOutPorts)))
+            express_links += links[i];
+        else
+            short_links += links[i];
     }
     // Exits consume an output port but traverse no link; both the
     // per-link counters and the global hop counters exclude them, so

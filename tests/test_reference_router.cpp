@@ -17,8 +17,9 @@
  *
  * Both engines see the same offers, cycle by cycle, and must agree on
  * every cycle's deliveries (in router order), every exit-gate query,
- * every refused offer, the per-link traversal counts and the final
- * router counters.
+ * every refused offer and the final router counters. Each scenario
+ * runs twice: hook-free, then under a telemetry session, whose sink's
+ * per-link traversal counts must match the reference's link by link.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +36,7 @@
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
+#include "sim/telemetry_session.hpp"
 #include "traffic/pattern.hpp"
 
 #include "legal_configs.hpp"
@@ -361,9 +363,11 @@ drawScenario(const NocConfig &base, std::uint64_t seed)
 }
 
 /** Run @p s on both engines, comparing as the file comment says;
- *  adds the network's counters to @p total. */
+ *  adds the network's counters to @p total. With @p sink, the
+ *  installed telemetry sink, also compares its per-link counts. */
 ::testing::AssertionResult
-runBoth(const Scenario &s, NocStats &total)
+runBoth(const Scenario &s, NocStats &total,
+        const telemetry::TraceSink *sink)
 {
     const NocConfig &cfg = s.cfg;
     const std::uint32_t nodes = cfg.pes();
@@ -482,12 +486,18 @@ runBoth(const Scenario &s, NocStats &total)
         counts.push_back({"misroutesByPort" + port, a.misroutesByPort[in],
                           b.misroutesByPort[in]});
     }
-    for (NodeId id = 0; id < nodes; ++id) {
-        for (std::size_t out = 0; out < kNumOutPorts; ++out) {
-            counts.push_back({"linkTraversals[" + std::to_string(id) +
-                                  "][" + std::to_string(out) + "]",
-                              net.linkTraversals()[id][out],
-                              ref.traversals(id, static_cast<OutPort>(out))});
+    if (sink) {
+        // Indexed node * 4 + OutPort, as far as the highest link used.
+        std::vector<std::uint64_t> links = sink->totalLinkCounts();
+        links.resize(std::size_t{nodes} * kNumOutPorts);
+        for (NodeId id = 0; id < nodes; ++id) {
+            for (std::size_t out = 0; out < kNumOutPorts; ++out) {
+                counts.push_back(
+                    {"sink links[" + std::to_string(id) + "][" +
+                         std::to_string(out) + "]",
+                     links[id * kNumOutPorts + out],
+                     ref.traversals(id, static_cast<OutPort>(out))});
+            }
         }
     }
     for (const Count &c : counts) {
@@ -516,7 +526,12 @@ TEST(ReferenceRouter, MatchesNetworkCycleByCycle)
         // three policy flags and the exit gate vary between them.
         for (int draw = 0; draw < 2; ++draw) {
             const Scenario s = drawScenario(base, seed++);
-            ASSERT_TRUE(runBoth(s, total)) << describe(s);
+            ASSERT_TRUE(runBoth(s, total, nullptr)) << describe(s);
+            // The sink is process-global, so the observed run cannot
+            // share the hook-free run's stepping loop.
+            TelemetrySession session({.traceEvents = false});
+            ASSERT_TRUE(runBoth(s, total, &session.sink()))
+                << describe(s) << " under telemetry";
         }
     }
     // The runs reach every accounting path they compare.
