@@ -2,7 +2,8 @@
  * @file
  * Link-utilization heatmaps: run a workload and render per-link
  * traversal intensity for each lane class as ASCII grids, showing how
- * express links drain traffic off the short rings.
+ * express links drain traffic off the short rings. The per-link counts
+ * come from the telemetry sink, which counts every traversal.
  *
  * Run: ./noc_heatmap [pattern] [<noc-side>] [<D>] [<R>]
  */
@@ -12,6 +13,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "noc/network.hpp"
+#include "sim/telemetry_session.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/trace.hpp"
 
@@ -28,23 +30,24 @@ glyph(double frac)
     return ramp[idx];
 }
 
+/** @p links holds the traversals of every link of the n x n torus,
+ *  indexed node * kNumOutPorts + OutPort. */
 void
-printGrid(const Network &noc, OutPort port, const char *title)
+printGrid(const std::vector<std::uint64_t> &links, std::uint32_t n,
+          OutPort port, const char *title)
 {
-    const std::uint32_t n = noc.topology().n();
-    const auto &links = noc.linkTraversals();
+    const auto at = [&](NodeId id) {
+        return links[id * kNumOutPorts + static_cast<std::size_t>(port)];
+    };
     std::uint64_t peak = 1;
-    for (const auto &per_router : links)
-        peak = std::max(peak,
-                        per_router[static_cast<std::size_t>(port)]);
+    for (NodeId id = 0; id < n * n; ++id)
+        peak = std::max(peak, at(id));
 
     std::cout << title << " (peak " << peak << " traversals)\n";
     for (std::uint32_t y = 0; y < n; ++y) {
         std::cout << "  ";
         for (std::uint32_t x = 0; x < n; ++x) {
-            const NodeId id = y * n + x;
-            const std::uint64_t v =
-                links[id][static_cast<std::size_t>(port)];
+            const std::uint64_t v = at(y * n + x);
             std::cout << glyph(static_cast<double>(v) /
                                static_cast<double>(peak));
         }
@@ -84,22 +87,28 @@ main(int argc, char **argv)
 
     NocConfig cfg = d == 0 ? NocConfig::hoplite(n)
                            : NocConfig::fastTrack(n, d, r);
+    // The run needs the sink's link counters, not its event rings.
+    TelemetrySession session({.traceEvents = false});
     Network noc(cfg);
     SyntheticInjector injector(noc, workload);
     while (!injector.done()) {
         injector.tick();
         noc.step();
     }
+    // The counts reach only as far as the highest link used: read the
+    // torus's links, an absent one as 0.
+    std::vector<std::uint64_t> links = session.sink().totalLinkCounts();
+    links.resize(std::size_t{n} * n * kNumOutPorts);
 
     std::cout << "Link utilization of " << cfg.describe() << " under "
               << pattern_name << " @50% injection ("
               << noc.stats().delivered << " packets, " << noc.now()
               << " cycles)\n\n";
-    printGrid(noc, OutPort::eSh, "East short links");
-    printGrid(noc, OutPort::sSh, "South short links");
+    printGrid(links, n, OutPort::eSh, "East short links");
+    printGrid(links, n, OutPort::sSh, "South short links");
     if (cfg.isFastTrack()) {
-        printGrid(noc, OutPort::eEx, "East express links");
-        printGrid(noc, OutPort::sEx, "South express links");
+        printGrid(links, n, OutPort::eEx, "East express links");
+        printGrid(links, n, OutPort::sEx, "South express links");
         const auto &s = noc.stats();
         const double total = static_cast<double>(
             s.shortHopTraversals + s.expressHopTraversals);
