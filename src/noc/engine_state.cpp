@@ -36,8 +36,6 @@ void
 EngineState::trim()
 {
     stats.reset();
-    linkTraversals.clear();
-    nodeCounters.clear();
     trimmed = true;
 }
 
@@ -70,11 +68,7 @@ EngineState::consistent() const
             return false; // ascending, no duplicate slots
         prev = node;
     }
-    if (trimmed)
-        return linkTraversals.empty() && nodeCounters.empty();
-    return linkTraversals.size() ==
-               static_cast<std::size_t>(nodes) * kNumOutPorts &&
-           nodeCounters.size() == nodes;
+    return true;
 }
 
 // --- engine-state codec ------------------------------------------------
@@ -90,13 +84,8 @@ encodeEngineState(net::WireWriter &w, const EngineState &st)
     w.bytes(st.slabMasks.data(), st.slabMasks.size());
     put(w, st.slabPackets);
     put(w, st.trimmed);
-    if (st.trimmed)
-        return;
-    put(w, st.stats);
-    for (std::uint64_t v : st.linkTraversals)
-        put(w, v);
-    for (const EngineState::NodeCounters &c : st.nodeCounters)
-        put(w, c);
+    if (!st.trimmed)
+        put(w, st.stats);
 }
 
 bool
@@ -121,11 +110,7 @@ decodeEngineState(net::WireReader &r, EngineState &out)
     if (!r.bytes(out.slabMasks.data(), mask_bytes) ||
         !get(r, out.slabPackets) || !get(r, out.trimmed))
         return false;
-    if (!out.trimmed &&
-        !(get(r, out.stats) &&
-          getItems(r, out.linkTraversals,
-                   static_cast<std::size_t>(out.nodes) * kNumOutPorts) &&
-          getItems(r, out.nodeCounters, out.nodes)))
+    if (!out.trimmed && !get(r, out.stats))
         return false;
     return out.consistent();
 }
@@ -167,16 +152,6 @@ Network::captureState(EngineState &out) const
               "link slab out of sync with inFlight counter");
 
     out.stats = stats_;
-    out.linkTraversals.reserve(
-        static_cast<std::size_t>(count) * kNumOutPorts);
-    for (const auto &row : linkTraversals_) {
-        for (std::uint64_t v : row)
-            out.linkTraversals.push_back(v);
-    }
-    out.nodeCounters.reserve(count);
-    for (const Network::NodeCounters &c : nodeCounters_)
-        out.nodeCounters.push_back({c.injected, c.delivered,
-                                    c.blockedCycles});
     return true;
 }
 
@@ -235,23 +210,10 @@ Network::restoreState(const EngineState &st)
     }
     inFlight_ = st.slabPackets.size();
 
-    if (st.trimmed) {
+    if (st.trimmed)
         stats_.reset();
-        linkTraversals_.assign(count, {});
-        nodeCounters_.assign(count, {});
-    } else {
+    else
         stats_ = st.stats;
-        for (std::uint32_t node = 0; node < count; ++node) {
-            for (std::size_t port = 0; port < kNumOutPorts; ++port)
-                linkTraversals_[node][port] =
-                    st.linkTraversals[static_cast<std::size_t>(node) *
-                                          kNumOutPorts +
-                                      port];
-            const EngineState::NodeCounters &c = st.nodeCounters[node];
-            nodeCounters_[node] = {c.injected, c.delivered,
-                                   c.blockedCycles};
-        }
-    }
 
 #if FT_CHECK_ENABLED
     if (checker_)

@@ -11,10 +11,7 @@ Network::Network(const NocConfig &config)
     checker_ = std::make_unique<check::InvariantChecker>(
         check::geometryOf(geo_.config()));
 #endif
-    const std::uint32_t count = geo_.nodeCount();
-    linkTraversals_.resize(count);
-    nodeCounters_.resize(count);
-    slab_.init(count, geo_.slabDepth());
+    slab_.init(geo_.nodeCount(), geo_.slabDepth());
 }
 
 template <bool HasGate, bool HasTelem>
@@ -36,10 +33,10 @@ Network::stepImpl()
         dest_frame[port] =
             slab_.frameOf(cycle_ + geo_.portLatency()[port]);
 
-    /** Lands routeCore's forwards in the slab, counts each link
-     *  traversal, and collects the outcome so the engine can emit
-     *  checker and telemetry events in the architected order
-     *  (injection, delivery, then traversals by port index). */
+    /** Lands routeCore's forwards in the slab and collects the outcome
+     *  so the engine can emit checker and telemetry events in the
+     *  architected order (injection, delivery, then traversals by port
+     *  index). */
     struct Sink
     {
         Network *net;
@@ -60,7 +57,6 @@ Network::stepImpl()
                       "forward onto a non-existent link");
             placed[idx] = net->slab_.place(dest_frame[idx], t.router,
                                            t.port, p);
-            ++net->linkTraversals_[id][idx];
         }
         void deliver(InPort, const Packet &p) { delivered = &p; }
     };
@@ -140,10 +136,8 @@ Network::stepImpl()
             offerMask_[id] = 0;
             --pendingOffers_;
             ++inFlight_;
-            ++nodeCounters_[id].injected;
         } else if (has_offer) {
             // Offer keeps waiting; latency accrues via created time.
-            ++nodeCounters_[id].blockedCycles;
             FT_TELEM(HasTelem, tlog,
                      telemetry::EventKind::backlogStall, cycle_, id,
                      telemetry::kNoPort, offerSlab_[id].id, 0);
@@ -153,7 +147,6 @@ Network::stepImpl()
             const Packet &p = *sink.delivered;
             FT_ASSERT(p.dst == id, "delivery at wrong node");
             recordDeliveryStats(p, cycle_);
-            ++nodeCounters_[id].delivered;
 #if FT_CHECK_ENABLED
             if (checker_)
                 checker_->onDelivery(p, id, cycle_);
@@ -168,8 +161,8 @@ Network::stepImpl()
             deliverToClient(p, cycle_);
         }
 
-        // Traversal events; the sink already counted the traversals,
-        // so the no-hook instantiation has no per-port loop at all.
+        // Traversal events: the no-hook instantiation has no per-port
+        // loop at all.
         if constexpr (HasTelem || check::kHooksEnabled) {
             for (std::size_t port = 0; port < kNumOutPorts; ++port) {
                 const Packet *p = sink.placed[port];

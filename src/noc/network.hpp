@@ -42,7 +42,7 @@ namespace fasttrack {
  * entirely (see docs/engine.md and docs/observability.md). The
  * telemetry sink is also the one hop-by-hop observer: it records a
  * route or express_hop event per traversal and an eject event per
- * delivery.
+ * delivery, and it keeps the per-link traversal counts.
  */
 class Network : public EngineCore
 {
@@ -71,27 +71,6 @@ class Network : public EngineCore
     }
     std::uint32_t channelCount() const override { return 1; }
 
-    /** Per-link traversal counts: [router][OutPort] packets that left
-     *  that router on that link. Feed of the utilization heatmaps. */
-    const std::vector<std::array<std::uint64_t, kNumOutPorts>> &
-    linkTraversals() const
-    {
-        return linkTraversals_;
-    }
-
-    /** Per-node fairness counters. */
-    struct NodeCounters
-    {
-        std::uint64_t injected = 0;
-        std::uint64_t delivered = 0;
-        /** Cycles this node's pending offer was refused. */
-        std::uint64_t blockedCycles = 0;
-    };
-    const std::vector<NodeCounters> &nodeCounters() const
-    {
-        return nodeCounters_;
-    }
-
     /** Checkpointing (noc/engine_state.hpp): capture the complete
      *  dynamic state, or replay one captured at the same geometry.
      *  Defined in engine_state.cpp so the stepping hot path and the
@@ -114,8 +93,6 @@ class Network : public EngineCore
     /** Dense link registers: ring of frames indexed by arrival cycle. */
     LinkSlab slab_;
 
-    std::vector<std::array<std::uint64_t, kNumOutPorts>> linkTraversals_;
-    std::vector<NodeCounters> nodeCounters_;
     ExitGate exitGate_;
 };
 

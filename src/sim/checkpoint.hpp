@@ -48,7 +48,7 @@ struct NocConfig;
 inline constexpr std::uint32_t kCheckpointMagic = 0x50435446u;
 /** Payload layout version; bump whenever the Snapshot encoding or
  *  the key derivation changes so stale files are rejected. */
-inline constexpr std::uint32_t kCheckpointSchema = 1;
+inline constexpr std::uint32_t kCheckpointSchema = 2;
 
 /** Which workload driver's state the snapshot carries. */
 enum class SnapshotKind : std::uint8_t

@@ -75,15 +75,15 @@ TEST(RunCodec, KeysAndWireBytesArePinned)
     const Trace trace = pinTrace();
 
     EXPECT_EQ(kSweepCacheSchema, 2u);
-    EXPECT_EQ(kCheckpointSchema, 1u);
+    EXPECT_EQ(kCheckpointSchema, 2u);
     EXPECT_EQ(net::kWireVersion, 3u);
 
     EXPECT_EQ(sweepKey(cfg, 3, wl, 123'456),
               UINT64_C(0x2c9f83c5beafb5ba));
     EXPECT_EQ(checkpointKey(cfg, 3, wl),
-              UINT64_C(0x793d2b7cbc5098c7));
+              UINT64_C(0xf447b3e1cc2a75e4));
     EXPECT_EQ(checkpointKey(cfg, 3, trace),
-              UINT64_C(0xd92d8e8b5f7d1025));
+              UINT64_C(0xc6c87deaa896df86));
 
     SweepRequest sweep;
     sweep.pointIndex = 7;
@@ -102,14 +102,14 @@ TEST(RunCodec, KeysAndWireBytesArePinned)
     slice.runMaxCycles = 200'000;
     slice.key = checkpointKey(cfg, 1, wl);
     EXPECT_EQ(fnv(encodeShardSliceRequestPayload(slice)),
-              UINT64_C(0xe3b054961e120ec8));
+              UINT64_C(0x47f6ed2825128348));
 
     slice.kind = SnapshotKind::trace;
     slice.workload = SyntheticWorkload{};
     slice.trace = trace;
     slice.key = checkpointKey(cfg, 1, trace);
     EXPECT_EQ(fnv(encodeShardSliceRequestPayload(slice)),
-              UINT64_C(0x361c943d0e0d78a1));
+              UINT64_C(0xab7427a8077d8ea1));
 }
 
 /** Which decoder reads a pinned payload back (none: pinned only). */
@@ -276,24 +276,24 @@ TEST(RunCodec, StateAndResultBytesArePinned)
 {
     const std::vector<std::pair<std::string, std::uint64_t>> pins = {
         {"SynthResult", UINT64_C(0x9b75f726bfef7ebc)},
-        {"FT-Full snapshot", UINT64_C(0xee0d7e0fb38b8068)},
+        {"FT-Full snapshot", UINT64_C(0xcca3e6ed4948c63a)},
         {"FT-Full trimmed snapshot", UINT64_C(0x8b685e97c222d273)},
-        {"FTlite snapshot", UINT64_C(0xf3a02eee367d44e6)},
+        {"FTlite snapshot", UINT64_C(0x367bd13dab5a40a8)},
         {"FTlite trimmed snapshot", UINT64_C(0xf2aa98c0c3c0b27c)},
-        {"trace snapshot", UINT64_C(0x857fb763fd099b92)},
+        {"trace snapshot", UINT64_C(0x1ec4b0216d0f0549)},
         {"synthetic slice request with snapshot",
-         UINT64_C(0x6512d079243c7ae7)},
+         UINT64_C(0xabff469523dba393)},
         {"synthetic mid-run slice result", UINT64_C(0x9aa23863d12d883a)},
         {"synthetic final slice result", UINT64_C(0xa733372eec0d8afd)},
-        {"trace slice request with snapshot", UINT64_C(0x8352d7c80978e665)},
+        {"trace slice request with snapshot", UINT64_C(0x231aa30a05b7b0da)},
         {"trace mid-run slice result", UINT64_C(0xbb527c90fdfc20fb)},
         {"trace final slice result", UINT64_C(0x70aecf5f91ba246a)},
-        {"trace slice continuation", UINT64_C(0x03f2ee958acd6bcd)},
+        {"trace slice continuation", UINT64_C(0xbdf7082d81232d06)},
         {"sweepResult", UINT64_C(0xbb6f65614b0c182f)},
         {"metricsEpoch", UINT64_C(0xfe4b7204ddc82c24)},
         {"frame", UINT64_C(0xfdc1dafef7479514)},
         {"FTRC cache file", UINT64_C(0xd5780cf79dcb977d)},
-        {"FTCP snapshot file", UINT64_C(0xe6267012618a470b)},
+        {"FTCP snapshot file", UINT64_C(0x181bda8e16ba8e6f)},
     };
     const std::vector<PinnedPayload> payloads = statePayloads();
     ASSERT_EQ(payloads.size(), pins.size());
