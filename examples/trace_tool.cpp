@@ -40,13 +40,18 @@ usage()
     return 2;
 }
 
-Trace
-loadTrace(const std::string &path)
+/** Read the trace file at @p path into @p trace; false after one
+ *  stderr line naming the path and what is wrong with the file. */
+bool
+loadTrace(const std::string &path, Trace &trace)
 {
     std::ifstream in(path);
-    if (!in)
-        FT_FATAL("cannot open trace file: ", path);
-    return Trace::load(in);
+    const std::string error =
+        in ? Trace::load(in, trace) : "cannot open trace file";
+    if (error.empty())
+        return true;
+    std::cerr << "trace_tool: " << path << ": " << error << "\n";
+    return false;
 }
 
 int
@@ -81,7 +86,9 @@ cmdGen(const std::string &kind, std::uint32_t n,
 int
 cmdInfo(const std::string &path)
 {
-    const Trace trace = loadTrace(path);
+    Trace trace;
+    if (!loadTrace(path, trace))
+        return 2;
     std::uint64_t self = 0, with_deps = 0;
     std::map<NodeId, std::uint64_t> per_src;
     for (std::size_t id = 0; id < trace.messages.size(); ++id) {
@@ -121,7 +128,9 @@ cmdReplay(const Positionals &args, const std::string &path,
     const std::optional<NocVariant> variant = variantFromString(kind);
     if (!variant)
         return usage();
-    const Trace trace = loadTrace(path);
+    Trace trace;
+    if (!loadTrace(path, trace))
+        return 2;
     NocConfig cfg = NocConfig::hoplite(trace.n);
     if (*variant != NocVariant::hoplite) {
         // The trace fixes N. At R = 1 only the rules on D apply.

@@ -10,17 +10,14 @@ namespace fasttrack {
 
 namespace {
 
-/** The one value a header line holds after its keyword; exits on
- *  anything else. */
+/** Read the one value a header line holds after its keyword; false
+ *  on anything else. */
 template <typename T>
-T
-headerValue(std::istream &ls, const std::string &line)
+bool
+headerValue(std::istream &ls, T &value)
 {
-    T value{};
     std::string extra;
-    if (!(ls >> value) || ls >> extra)
-        FT_FATAL("malformed trace line: ", line);
-    return value;
+    return ls >> value && !(ls >> extra);
 }
 
 } // namespace
@@ -103,10 +100,10 @@ Trace::save(std::ostream &os) const
     });
 }
 
-Trace
-Trace::load(std::istream &is)
+std::string
+Trace::load(std::istream &is, Trace &trace)
 {
-    Trace trace;
+    trace = Trace{};
     std::string line;
     std::optional<std::uint64_t> declared;
     std::vector<std::uint64_t> deps;
@@ -120,10 +117,12 @@ Trace::load(std::istream &is)
             // The rest of the line: a name may hold spaces.
             std::getline(ls.ignore(1), trace.name);
         } else if (word == "n") {
-            trace.n = headerValue<std::uint32_t>(ls, line);
+            if (!headerValue(ls, trace.n))
+                return detail::concat("malformed trace line: ", line);
         } else if (word == "messages") {
             // Checked against the lines read, never trusted up front.
-            declared = headerValue<std::uint64_t>(ls, line);
+            if (!headerValue(ls, declared.emplace()))
+                return detail::concat("malformed trace line: ", line);
         } else {
             TraceMessage m;
             std::uint64_t id = 0;
@@ -134,26 +133,26 @@ Trace::load(std::istream &is)
                     return static_cast<bool>((ms >> ... >> fields));
                 }) && ms >> ndeps;
             if (!parsed)
-                FT_FATAL("malformed trace line: ", line);
+                return detail::concat("malformed trace line: ", line);
             if (id != trace.messages.size())
-                FT_FATAL("malformed trace: message ", trace.messages.size(),
-                         " has id ", id);
+                return detail::concat("malformed trace: message ",
+                                      trace.messages.size(), " has id ", id);
             // The count is bounded by the ids the line actually holds.
             deps.clear();
             for (std::uint64_t dep = 0; deps.size() < ndeps && ms >> dep;)
                 deps.push_back(dep);
             std::string extra;
             if (deps.size() != ndeps || ms >> extra)
-                FT_FATAL("malformed trace deps: ", line);
+                return detail::concat("malformed trace deps: ", line);
             trace.add(m, deps);
         }
     }
     if (declared && trace.messages.size() != *declared) {
-        FT_FATAL("malformed trace: declared ", *declared,
-                 " messages but contains ", trace.messages.size());
+        return detail::concat("malformed trace: declared ", *declared,
+                              " messages but contains ",
+                              trace.messages.size());
     }
-    trace.validate();
-    return trace;
+    return trace.validationError();
 }
 
 } // namespace fasttrack

@@ -110,7 +110,11 @@ struct Trace
 
     /** Plain-text round trip (one message per line). */
     void save(std::ostream &os) const;
-    static Trace load(std::istream &is);
+    /** Read a saved trace into @p trace. Returns why the text is not a
+     *  valid trace (a malformed line, a count the lines do not back, or
+     *  validationError()), or "" on success; @p trace is unspecified
+     *  after a failure. */
+    static std::string load(std::istream &is, Trace &trace);
 
     bool operator==(const Trace &) const = default;
 

@@ -9,7 +9,9 @@ the Fig 15 bench and run_experiment must refuse --shard-cycles beside
 bench_all must also refuse the telemetry, checkpoint and sharding
 flags, which only the benches that read them accept. trace_tool gen
 must refuse a side <n> that is not a decimal in [2, 65535] the same
-way, naming <n>, and trace_tool replay a malformed <D>. The examples
+way, naming <n>, and trace_tool replay a malformed <D>; trace_tool
+info and replay a missing or malformed trace file, naming the path or
+the line. The examples
 that take positional numbers (quickstart, dataflow_engine,
 spmv_accelerator, design_space_explorer, packet_tracer, noc_heatmap,
 topology_viewer) must refuse a malformed or out-of-range one the same
@@ -116,6 +118,11 @@ def main():
     trace8 = os.path.join(scratch.name, 'trace8.txt')
     subprocess.run(gen + ['dataflow', '8', trace8], check=True,
                    stdout=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    # Trace files trace_tool cannot read: one missing, one malformed.
+    no_trace = os.path.join(scratch.name, 'no.trace')
+    garbage = os.path.join(scratch.name, 'garbage.trace')
+    with open(garbage, 'w') as f:
+        f.write('garbage\n')
 
     def config(name, text):
         """A run_experiment command on a config file holding @text."""
@@ -197,6 +204,12 @@ def main():
         ([args.topology_viewer, '8', '3', '1', 'inject'], '<D>'),
         ([args.packet_tracer, '8', '3', '2'], '<R>'),
         ([args.trace_tool, 'replay', trace8, 'ft-full', '3', '2'], '<R>'),
+        # Trace files: each used to exit 1.
+        ([args.trace_tool, 'info', no_trace], no_trace),
+        ([args.trace_tool, 'replay', no_trace, 'hoplite'], no_trace),
+        ([args.trace_tool, 'info', garbage], 'malformed trace line: garbage'),
+        ([args.trace_tool, 'replay', garbage, 'hoplite'],
+         'malformed trace line: garbage'),
         # Config-file numbers: the first three used to abort (134), the
         # fourth ran and printed a table.
         (config('n', 'n = -8'), "config key 'n'"),
