@@ -87,10 +87,8 @@ template <typename T>
 class ChunkedQueue
 {
   public:
-    ChunkedQueue() = default;
-    /** @param arena chunk storage provider; must outlive the queue.
-     *  Without one, chunks come from the global heap. */
-    explicit ChunkedQueue(ChunkArena *arena) : arena_(arena) {}
+    /** @param arena chunk storage provider; must outlive the queue. */
+    explicit ChunkedQueue(ChunkArena &arena) : arena_(&arena) {}
     ChunkedQueue(ChunkedQueue &&other) noexcept
         : arena_(other.arena_),
           chunks_(std::move(other.chunks_)),
@@ -203,22 +201,11 @@ class ChunkedQueue
     static_assert(std::is_trivially_destructible_v<T>,
                   "queued entries are never destroyed one by one");
 
-    Chunk *newChunk()
-    {
-        void *mem = arena_ ? arena_->allocate()
-                           : ::operator new(sizeof(Chunk));
-        return ::new (mem) Chunk;
-    }
+    Chunk *newChunk() { return ::new (arena_->allocate()) Chunk; }
 
-    void freeChunk(Chunk *c)
-    {
-        if (arena_)
-            arena_->release(c);
-        else
-            ::operator delete(c);
-    }
+    void freeChunk(Chunk *c) { arena_->release(c); }
 
-    ChunkArena *arena_ = nullptr;
+    ChunkArena *arena_;
     std::vector<Chunk *> chunks_;
     std::size_t headChunk_ = 0;
     std::size_t headOff_ = 0;

@@ -20,7 +20,7 @@ SyntheticInjector::SyntheticInjector(NocDevice &noc,
     remaining_.assign(nodes, workload_.packetsPerPe);
     queues_.reserve(nodes);
     for (std::uint32_t i = 0; i < nodes; ++i)
-        queues_.emplace_back(&chunkArena_);
+        queues_.emplace_back(chunkArena_);
     budgetTotal_ =
         static_cast<std::uint64_t>(nodes) * workload_.packetsPerPe;
 }
@@ -110,7 +110,7 @@ SyntheticInjector::restoreState(const InjectorState &st)
     queues_.reserve(nodes);
     queuedTotal_ = 0;
     for (std::size_t node = 0; node < nodes; ++node) {
-        queues_.emplace_back(&chunkArena_);
+        queues_.emplace_back(chunkArena_);
         for (const Pending &rec : st.queues[node])
             queues_.back().push_back(rec);
         queuedTotal_ += st.queues[node].size();

@@ -142,7 +142,7 @@ TraceReplayer::resetQueues()
     sourceQueues_.clear();
     sourceQueues_.reserve(nodes);
     for (std::uint32_t node = 0; node < nodes; ++node)
-        sourceQueues_.emplace_back(&arena_);
+        sourceQueues_.emplace_back(arena_);
     nonEmpty_.assign((nodes + 63) / 64, 0);
 }
 

@@ -144,29 +144,25 @@ TEST(Pattern, NamesRoundTrip)
 TEST(ChunkedQueue, FifoAcrossChunkBoundaries)
 {
     // 512-entry chunks: pushing 300 and popping 130 per round walks
-    // both ends of the queue across several chunk boundaries, with
-    // and without an arena behind the chunks.
+    // both ends of the queue across several chunk boundaries.
     ChunkArena arena(PendingQueue::chunkBytes());
-    for (ChunkArena *backing : {&arena, static_cast<ChunkArena *>(nullptr)}) {
-        PendingQueue q(backing);
-        std::uint64_t pushed = 1, popped = 1;
-        for (int round = 0; round < 6; ++round) {
-            pushIds(q, pushed, 300);
-            pushed += 300;
-            EXPECT_EQ(popIds(q, 130), idRange(popped, 130));
-            popped += 130;
-            EXPECT_EQ(q.size(), pushed - popped);
-        }
-        EXPECT_EQ(popIds(q, pushed - popped),
-                  idRange(popped, pushed - popped));
-        EXPECT_TRUE(q.empty());
+    PendingQueue q(arena);
+    std::uint64_t pushed = 1, popped = 1;
+    for (int round = 0; round < 6; ++round) {
+        pushIds(q, pushed, 300);
+        pushed += 300;
+        EXPECT_EQ(popIds(q, 130), idRange(popped, 130));
+        popped += 130;
+        EXPECT_EQ(q.size(), pushed - popped);
     }
+    EXPECT_EQ(popIds(q, pushed - popped), idRange(popped, pushed - popped));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(ChunkedQueue, DrainedQueueRefillsFromItsRecycledChunk)
 {
     ChunkArena arena(PendingQueue::chunkBytes());
-    PendingQueue q(&arena);
+    PendingQueue q(arena);
     pushIds(q, 1, 10);
     const PendingPacket *slot0 = &q.front();
     EXPECT_EQ(popIds(q, 10), idRange(1, 10));
@@ -186,7 +182,8 @@ TEST(ChunkedQueue, DrainedQueueRefillsFromItsRecycledChunk)
 
 TEST(ChunkedQueue, ForEachVisitsFrontToBack)
 {
-    PendingQueue q;
+    ChunkArena arena(PendingQueue::chunkBytes());
+    PendingQueue q(arena);
     std::vector<std::uint64_t> seen;
     q.forEach([&](const PendingPacket &rec) { seen.push_back(rec.id); });
     EXPECT_TRUE(seen.empty());
@@ -205,7 +202,7 @@ TEST(ChunkedQueue, ForEachVisitsFrontToBack)
 TEST(ChunkedQueue, MoveConstructionTransfersEntries)
 {
     ChunkArena arena(PendingQueue::chunkBytes());
-    PendingQueue q(&arena);
+    PendingQueue q(arena);
     pushIds(q, 1, 600);
     popIds(q, 100);
     PendingQueue moved(std::move(q));
@@ -221,7 +218,7 @@ TEST(ChunkedQueue, MoveConstructionTransfersEntries)
 TEST(ChunkedQueue, QueuesSharingAnArenaStayApart)
 {
     ChunkArena arena(PendingQueue::chunkBytes());
-    PendingQueue a(&arena), b(&arena);
+    PendingQueue a(arena), b(arena);
     // Interleaved growth: the arena hands the two queues alternating
     // chunks.
     for (std::uint64_t i = 0; i < 1200; ++i) {
