@@ -221,21 +221,13 @@ class PhaseTimer
 };
 
 /**
- * Telemetry emission for call sites compiled in both enabled and
- * disabled flavors: @p enabled must be a compile-time constant (the
- * stepping core's HasTelem parameter), so the disabled instantiation
- * contains no telemetry code at all.
+ * Telemetry emission, the one sanctioned way to emit: @p enabled must
+ * be a compile-time constant (the stepping core's HasTelem parameter),
+ * so the disabled instantiation contains no telemetry code at all.
  */
 #define FT_TELEM(enabled, log_ptr, ...)                                 \
     do {                                                                \
         if constexpr (enabled)                                          \
-            (log_ptr)->emit(__VA_ARGS__);                               \
-    } while (0)
-
-/** Runtime-gated form for non-templated call sites. */
-#define FT_TELEM_DYN(log_ptr, ...)                                      \
-    do {                                                                \
-        if (log_ptr)                                                    \
             (log_ptr)->emit(__VA_ARGS__);                               \
     } while (0)
 

@@ -29,12 +29,12 @@ void TelemetryGuardCheck::check(const MatchFinder::MatchResult &Result)
     const SourceManager &SM = *Result.SourceManager;
 
     // Sanctioned when any frame of the expansion stack is the
-    // FT_TELEM / FT_TELEM_DYN macro.
+    // FT_TELEM macro.
     SourceLocation Loc = Emit->getBeginLoc();
     while (Loc.isMacroID()) {
         const StringRef Macro =
             Lexer::getImmediateMacroName(Loc, SM, getLangOpts());
-        if (Macro == "FT_TELEM" || Macro == "FT_TELEM_DYN")
+        if (Macro == "FT_TELEM")
             return;
         Loc = SM.getImmediateMacroCallerLoc(Loc);
     }
@@ -46,8 +46,8 @@ void TelemetryGuardCheck::check(const MatchFinder::MatchResult &Result)
         return;
     diag(SM.getExpansionLoc(Emit->getBeginLoc()),
          "bare ThreadLog::emit() call; route telemetry through "
-         "FT_TELEM (compile-time gated) or FT_TELEM_DYN so the "
-         "sink-free instantiation compiles it out");
+         "FT_TELEM (compile-time gated) so the sink-free "
+         "instantiation compiles it out");
 }
 
 } // namespace clang::tidy::ft

@@ -1,12 +1,12 @@
 /**
  * ft-telemetry-guard: trace events may only be emitted through the
- * FT_TELEM / FT_TELEM_DYN macros (src/telemetry/sink.hpp). A bare
- * ThreadLog::emit() call compiles telemetry unconditionally into its
- * call site, defeating the zero-overhead contract that the sink-free
- * stepping instantiation contains no telemetry code at all.
+ * FT_TELEM macro (src/telemetry/sink.hpp). A bare ThreadLog::emit()
+ * call compiles telemetry unconditionally into its call site,
+ * defeating the zero-overhead contract that the sink-free stepping
+ * instantiation contains no telemetry code at all.
  *
  * The check walks the macro-expansion stack of each emit() call; any
- * enclosing FT_TELEM/FT_TELEM_DYN expansion sanctions it. Suppress a
+ * enclosing FT_TELEM expansion sanctions it. Suppress a
  * deliberate direct call (e.g. in telemetry's own tests) with
  * `// ft-lint: allow(ft-telemetry-guard)`.
  */

@@ -15,7 +15,7 @@ void bareEmit(tel::ThreadLog &log)
              1, 2, 0, 42, 0);
 }
 
-// --- negative cases ----------------------------------------------------
+// --- negative case -----------------------------------------------------
 
 template <bool HasTelem> void staticallyGated(tel::ThreadLog *log)
 {
@@ -23,11 +23,6 @@ template <bool HasTelem> void staticallyGated(tel::ThreadLog *log)
 }
 template void staticallyGated<true>(tel::ThreadLog *);
 template void staticallyGated<false>(tel::ThreadLog *);
-
-void dynamicallyGated(tel::ThreadLog *log)
-{
-    FT_TELEM_DYN(log, EventKind::eject, 5, 6, 2, 44, 0);
-}
 
 // --- suppression -------------------------------------------------------
 
