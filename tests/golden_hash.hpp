@@ -3,9 +3,8 @@
  * Shared FNV-1a hashing of NocStats for golden-equivalence tests.
  *
  * Used by test_golden_stats.cpp (fixed-seed pins of the engine) and
- * the checkpoint/sharding resume-equivalence tests. The hash covers every global counter and histogram; per-node counters
- * and link traversal tallies are deliberately excluded, and adding
- * them would re-pin every golden value.
+ * the checkpoint/sharding resume-equivalence tests. The hash covers
+ * every NocStats counter and histogram.
  */
 
 #ifndef FT_TESTS_GOLDEN_HASH_HPP
